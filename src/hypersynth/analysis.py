@@ -53,69 +53,94 @@ def _target_states(model, target) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Markov chain graph analysis
+# Graph analysis
 
 
-def _mc_edges(mc: Mc):
-    return [[t for t, _ in mc.trans[s]] for s in range(mc.num_states)]
+def _successors(mc: Mc) -> list[list[int]]:
+    """Successor lists of the chain's graph."""
+
+    return [[t for t, _ in row] for row in mc.trans]
 
 
-def _mc_backward_reach(mc: Mc, seeds) -> set[int]:
-    pred = [[] for _ in range(mc.num_states)]
-    for s in range(mc.num_states):
-        for t, _ in mc.trans[s]:
-            pred[t].append(s)
+def _predecessors(model, skip=frozenset()) -> list[list[int]]:
+    """Predecessor lists of the model's graph, without the edges leaving
+    skip; an MDP's edges are those of all its actions."""
+
+    menus = ((row,) for row in model.trans) if isinstance(model, Mc) else model.trans
+    pred = [[] for _ in range(model.num_states)]
+    for s, menu in enumerate(menus):
+        if s not in skip:
+            for row in menu:
+                for t, _ in row:
+                    pred[t].append(s)
+    return pred
+
+
+def _closure(adj, seeds) -> set[int]:
+    """The seeds plus every state reachable from them along adj, which
+    holds successor lists (forward reach) or predecessor lists (backward)."""
+
     seen = set(seeds)
-    stack = list(seeds)
+    stack = list(seen)
     while stack:
-        t = stack.pop()
-        for s in pred[t]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return seen
-
-
-def _mc_forward_reach(mc: Mc, root: int) -> set[int]:
-    seen = {root}
-    stack = [root]
-    edges = _mc_edges(mc)
-    while stack:
-        s = stack.pop()
-        for t in edges[s]:
+        for t in adj[stack.pop()]:
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
     return seen
 
 
-def _mc_bottom_scc_states(mc: Mc, absorb: frozenset[int] = frozenset()) -> set[int]:
-    """States lying in some bottom SCC of the chain's graph.  States in
-    absorb are treated as absorbing, which hitting-time analyses need."""
+def _bottom_scc_states(succ) -> set[int]:
+    """States lying in some bottom SCC of the graph.
 
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    Tarjan's algorithm with an explicit stack instead of recursion: a
+    component is complete when its root's lowlink equals its index, and it
+    is bottom when no edge leaves it.
+    """
 
-    n = mc.num_states
-    rows, cols = [], []
-    for s in range(n):
-        if s in absorb:
-            rows.append(s)
-            cols.append(s)
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # component id, set once the state leaves the Tarjan stack
+    tarjan: list[int] = []
+    bottoms: set[int] = set()
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        for t, _ in mc.trans[s]:
-            rows.append(s)
-            cols.append(t)
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    ncomp, comp = connected_components(graph, directed=True, connection="strong")
-    leaves = [True] * ncomp
-    for s in range(n):
-        if s in absorb:
-            continue
-        for t, _ in mc.trans[s]:
-            if comp[s] != comp[t]:
-                leaves[comp[s]] = False
-    return {s for s in range(n) if leaves[comp[s]]}
+        index[root] = low[root] = counter
+        counter += 1
+        tarjan.append(root)
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    tarjan.append(w)
+                    work.append((w, 0))
+                elif comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] != index[v]:
+                continue
+            members = []
+            while True:
+                w = tarjan.pop()
+                comp[w] = v
+                members.append(w)
+                if w == v:
+                    break
+            if all(comp[t] == v for s in members for t in succ[s]):
+                bottoms.update(members)
+    return bottoms
 
 
 def reach_probs(mc: Mc, target) -> np.ndarray:
@@ -130,7 +155,7 @@ def reach_probs(mc: Mc, target) -> np.ndarray:
     out = np.zeros(n)
     for s in t:
         out[s] = 1.0
-    can = _mc_backward_reach(mc, t)
+    can = _closure(_predecessors(mc), t)
     mid = sorted(can - t)
     if not mid:
         return out
@@ -152,28 +177,14 @@ def reach_probs(mc: Mc, target) -> np.ndarray:
 def _mc_almost_sure_reach(mc: Mc, t: frozenset[int]) -> set[int]:
     """States from which the target is hit with probability exactly one.
 
-    Graph-based: the complement is the set of states that can, while
-    avoiding the target, reach a target-free bottom SCC.
+    Graph-based, from two backward closures: zero is the set of states that
+    cannot reach the target; a state misses the target with positive
+    probability exactly when it can reach zero along a path that avoids
+    the target.
     """
 
-    bottoms = _mc_bottom_scc_states(mc, absorb=t)
-    bad_seeds = {s for s in bottoms if s not in t}
-    # backward closure of bad_seeds through edges whose source is not target
-    pred = [[] for _ in range(mc.num_states)]
-    for s in range(mc.num_states):
-        if s in t:
-            continue
-        for succ, _ in mc.trans[s]:
-            pred[succ].append(s)
-    seen = set(bad_seeds)
-    stack = list(bad_seeds)
-    while stack:
-        x = stack.pop()
-        for s in pred[x]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return set(range(mc.num_states)) - {s for s in seen if s not in t}
+    zero = set(range(mc.num_states)) - _closure(_predecessors(mc), t)
+    return set(range(mc.num_states)) - _closure(_predecessors(mc, skip=t), zero)
 
 
 def expected_reward(mc: Mc, target) -> np.ndarray:
@@ -219,8 +230,9 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
     n = mc.num_states
     if not (0 <= from_state < n):
         raise ModelError(f"state {from_state} out of range")
-    bottoms = _mc_bottom_scc_states(mc)
-    reachable = _mc_forward_reach(mc, from_state)
+    graph = _successors(mc)
+    bottoms = _bottom_scc_states(graph)
+    reachable = _closure(graph, (from_state,))
     out = np.zeros(n)
     transient = sorted(s for s in range(n) if s not in bottoms)
     if transient:
@@ -245,28 +257,6 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # MDP qualitative analysis
-
-
-def _mdp_pred_any(m: Mdp):
-    pred = [set() for _ in range(m.num_states)]
-    for s in range(m.num_states):
-        for row in m.trans[s]:
-            for t, _ in row:
-                pred[t].add(s)
-    return pred
-
-
-def _can_reach_any(m: Mdp, t) -> set[int]:
-    pred = _mdp_pred_any(m)
-    seen = set(t)
-    stack = list(t)
-    while stack:
-        x = stack.pop()
-        for s in pred[x]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return seen
 
 
 def _prob1_max(m: Mdp, t):
@@ -362,7 +352,7 @@ def qualitative_states(m: Mdp, target, direction: str):
 
     t = _target_states(m, target)
     if direction == "max":
-        can = _can_reach_any(m, t)
+        can = _closure(_predecessors(m), t)
         prob0 = frozenset(set(range(m.num_states)) - can)
         prob1, _ = _prob1_max(m, t)
         return prob0, prob1
@@ -619,9 +609,6 @@ def extremal_reward(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) ->
 class CheckResult:
     holds: bool
     atom_values: tuple[tuple[float, float, bool], ...]
-
-    def value_of(self, i: int):
-        return self.atom_values[i]
 
 
 def check_mc(mcs, formula: InstantiatedFormula) -> CheckResult:

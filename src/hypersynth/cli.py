@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import DEFAULT_TOL, check_mc
+from .analysis import DEFAULT_TOL
 from .benchmarks import BENCHMARKS, generate as make_benchmark
 from .errors import (
     ConstraintError,
@@ -23,10 +23,10 @@ from .errors import (
     ParseError,
     SpecError,
 )
-from .family import build_parameter_space, induce
-from .model import impose, unfold_memory
+from .family import build_parameter_space
+from .model import unfold_memory
 from .specs import DEFAULT_EQ_EPS, lift_spec_memory
-from .synthesis import instantiate, synthesize
+from .synthesis import check_member, instantiate, satisfying_realisations, synthesize
 from .textio import (
     format_atom,
     parse_controller,
@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(cp)
     cp.add_argument("--controller", action="append", required=True,
                     metavar="FILE", help="controller file, one per quantified controller")
-    cp.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     ep = sub.add_parser("enumerate", help="list all satisfying family members")
     _add_common(ep)
@@ -199,9 +198,7 @@ def _cmd_check(args) -> int:
     realisation = tuple(realisation)
 
     formula = instantiate(spec, m, args.eps_eq)
-    ctrls = tuple(induce(space, realisation, i) for i in range(spec.n_controllers))
-    mcs = tuple(impose(m, c) for c in ctrls)
-    res = check_mc(mcs, formula)
+    res, _, _ = check_member(m, space, formula, realisation)
     for i, atom in enumerate(formula.atoms):
         lv, rv, ok = res.atom_values[i]
         print(f"  {format_atom(atom)}: left={lv:.10g} right={rv:.10g} "
@@ -211,20 +208,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from itertools import product
-
     m, spec = _load(args)
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-    formula = instantiate(spec, m, args.eps_eq)
     found = 0
-    for real in product(*space.domains):
-        ctrls = tuple(induce(space, real, i) for i in range(spec.n_controllers))
-        mcs = tuple(impose(m, c) for c in ctrls)
-        if check_mc(mcs, formula).holds:
-            found += 1
-            print(" ".join(map(str, real)))
-            if args.limit is not None and found >= args.limit:
-                break
+    for real in satisfying_realisations(m, space, instantiate(spec, m, args.eps_eq)):
+        found += 1
+        print(" ".join(map(str, real)), flush=True)
+        if args.limit is not None and found >= args.limit:
+            break
     print(f"satisfying members: {found} (family size {space.family_size()})",
           file=sys.stderr)
     return 0 if found else 1

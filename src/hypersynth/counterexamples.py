@@ -72,10 +72,6 @@ class CeSide:
     exit_weights: tuple
 
 
-def _successors(mc: Mc, s: int):
-    return [t for t, _ in mc.trans[s]]
-
-
 def grow_conflict(left, right, offset: float, guard: float, act_counts):
     """Grow kept sets until the violation is certified for the sub-box.
 
@@ -114,7 +110,7 @@ def grow_conflict(left, right, offset: float, guard: float, act_counts):
             if not isinstance(side, CeSide):
                 continue
             frontier = {side.root} | {
-                t for s in entry["keep"] for t in _successors(side.mc, s)
+                t for s in entry["keep"] for t, _ in side.mc.trans[s]
             }
             for s in frontier - entry["keep"]:
                 key = (act_counts[s], s, pos)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .analysis import _bottom_scc_states, _closure, _predecessors, _successors
 from .errors import MissingRewardsError, ModelError
 from .model import Mc, TargetSet
 
@@ -48,22 +49,6 @@ def _target(mc, target):
     return frozenset(target)
 
 
-def _backward(mc, seeds):
-    pred = [[] for _ in range(mc.num_states)]
-    for s in range(mc.num_states):
-        for t, _ in mc.trans[s]:
-            pred[t].append(s)
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        x = stack.pop()
-        for s in pred[x]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return seen
-
-
 def reach_probs_exact(mc: Mc, target) -> list[Fraction]:
     """Exact reachability probabilities of the chain as stored."""
 
@@ -73,7 +58,7 @@ def reach_probs_exact(mc: Mc, target) -> list[Fraction]:
     out = [Fraction(0)] * n
     for s in t:
         out[s] = Fraction(1)
-    mid = sorted(_backward(mc, t) - t)
+    mid = sorted(_closure(_predecessors(mc), t) - t)
     if not mid:
         return out
     idx = {s: i for i, s in enumerate(mid)}
@@ -126,12 +111,11 @@ def expected_visits_exact(mc: Mc, from_state: int):
     them), 0 marks unreachable ones."""
 
     n = mc.num_states
-    # bottom SCCs by Tarjan would be overkill here: reuse the float module's
-    # graph helpers, which are exact set computations
-    from .analysis import _mc_bottom_scc_states, _mc_forward_reach
-
-    bottoms = _mc_bottom_scc_states(mc)
-    reachable = _mc_forward_reach(mc, from_state)
+    # the graph helpers are exact set computations, so the float module's
+    # serve here too
+    succ = _successors(mc)
+    bottoms = _bottom_scc_states(succ)
+    reachable = _closure(succ, (from_state,))
     rows = _rows(mc)
     transient = sorted(s for s in range(n) if s not in bottoms)
     out: list[Fraction | None] = [Fraction(0)] * n

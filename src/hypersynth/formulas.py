@@ -30,9 +30,6 @@ class Query:
     target: str
 
 
-Side = "Query | float"
-
-
 @dataclass(frozen=True)
 class Atom:
     left: Query | float
@@ -43,14 +40,6 @@ class Atom:
     def holds(self, lv: float, rv: float) -> bool:
         bound = rv + self.offset
         return lv < bound if self.strict else lv <= bound
-
-    def queries(self):
-        out = []
-        if isinstance(self.left, Query):
-            out.append(self.left)
-        if isinstance(self.right, Query):
-            out.append(self.right)
-        return out
 
 
 # Formula nodes are nested tuples:
@@ -183,11 +172,3 @@ class InstantiatedFormula:
 
     def atom_order(self) -> tuple[int, ...]:
         return atoms_in(self.root)
-
-    @property
-    def is_true(self) -> bool:
-        return self.root == TRUE
-
-    @property
-    def is_false(self) -> bool:
-        return self.root == FALSE

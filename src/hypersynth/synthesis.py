@@ -37,7 +37,8 @@ from .analysis import (
     extremal_reward,
     guard_band,
     reach_probs,
-    _mc_forward_reach,
+    _closure,
+    _successors,
 )
 from .counterexamples import CeSide, complement_boxes, conflict_classes, grow_conflict
 from .errors import LimitExceeded, SpecError
@@ -231,7 +232,7 @@ class NodeAnalyzer:
 
     def _side_record(self, node: FamilyNode, q: Query, witness: Controller) -> _SideRecord:
         mc = impose(self.m, witness)
-        relevant = frozenset(_mc_forward_reach(mc, q.state))
+        relevant = frozenset(_closure(_successors(mc), (q.state,)))
         conflicts = consistency_conflicts(self.space, q.slot, witness, relevant)
         return _SideRecord(q, witness, relevant, conflicts)
 
@@ -448,6 +449,27 @@ def max_distance_completion(node: FamilyNode, pairs):
 
 
 # ---------------------------------------------------------------------------
+# Member checks
+
+
+def check_member(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula, realisation):
+    """Check one realisation exactly: (CheckResult, controllers, chains)."""
+
+    ctrls = tuple(induce(space, realisation, i) for i in range(space.n_controllers))
+    mcs = tuple(impose(m, c) for c in ctrls)
+    return check_mc(mcs, formula), ctrls, mcs
+
+
+def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula):
+    """Yield every satisfying realisation, lexicographically, checking
+    members only as they are asked for."""
+
+    for real in product(*space.domains):
+        if check_member(m, space, formula, real)[0].holds:
+            yield real
+
+
+# ---------------------------------------------------------------------------
 # Outcome
 
 
@@ -553,11 +575,13 @@ class _Synthesizer:
     # -- member checks ----------------------------------------------------
 
     def _check(self, realisation):
-        ctrls = tuple(
-            induce(self.space, realisation, i) for i in range(self.space.n_controllers)
-        )
-        mcs = tuple(impose(self.m, c) for c in ctrls)
-        return check_mc(mcs, self.formula), ctrls, mcs
+        return check_member(self.m, self.space, self.formula, realisation)
+
+    def _decide(self, node):
+        """Count the node's members as settled, whichever way."""
+
+        self.explored += node.size()
+        self.decided += 1
 
     def _note_sat(self, realisation):
         """Optimal mode: fold a verified member into the incumbent."""
@@ -578,8 +602,7 @@ class _Synthesizer:
 
             if self.mode == "optimal" and self.incumbent is not None:
                 if node_distance_bound(node, self.pairs) <= self.incumbent:
-                    self.explored += node.size()
-                    self.decided += 1
+                    self._decide(node)
                     continue
 
             if node.size() == 1:
@@ -615,8 +638,7 @@ class _Synthesizer:
             residual = substitute(self.formula.root, forced)
 
             if residual == FALSE:
-                self.explored += node.size()
-                self.decided += 1
+                self._decide(node)
                 continue
 
             if residual == TRUE:
@@ -650,8 +672,7 @@ class _Synthesizer:
     def _handle_singleton(self, node):
         real = node.first_realisation()
         res, ctrls, _ = self._check(real)
-        self.explored += 1
-        self.decided += 1
+        self._decide(node)
         if not res.holds:
             return None
         if self.mode == "feasibility":
@@ -669,8 +690,7 @@ class _Synthesizer:
             res, _, _ = self._check(node.first_realisation())
             if res.holds:
                 self.sat_boxes.append(node)
-                self.explored += node.size()
-                self.decided += 1
+                self._decide(node)
                 return None
             self._push_fallback_split(node, stack)
             return None
@@ -679,8 +699,7 @@ class _Synthesizer:
             res, _, _ = self._check(real)
             if res.holds:
                 self._note_sat(real)
-                self.explored += node.size()
-                self.decided += 1
+                self._decide(node)
                 return None
             self._push_fallback_split(node, stack)
             return None
@@ -703,8 +722,7 @@ class _Synthesizer:
                 self._note_sat(real)
             if self.mode == "optimal" and self.incumbent is not None:
                 if node_distance_bound(node, self.pairs) <= self.incumbent:
-                    self.explored += node.size()
-                    self.decided += 1
+                    self._decide(node)
                     return None
 
         if self.method == "hybrid":
@@ -803,39 +821,20 @@ class _Synthesizer:
         if best is None:
             return None
         agree, rest = complement_boxes(node, real, best[1])
-        self.explored += agree.size()
-        self.decided += 1
+        self._decide(agree)
         self.ce_prunes += 1
         return rest
 
     # -- exhaustive enumeration ------------------------------------------
 
     def run_oracle(self) -> SynthesisOutcome:
-        first = None
         for real in product(*self.space.domains):
             self._check_limits()
             self.iterations += 1
-            res, ctrls, _ = self._check(real)
-            self.explored += 1
-            self.decided += 1
-            if not res.holds:
-                continue
-            if self.mode == "feasibility":
-                return self._outcome("feasible", real, ctrls)
-            if self.mode == "complete":
-                self.sat_boxes.append(
-                    FamilyNode(self.space, tuple((a,) for a in real))
-                )
-                if first is None:
-                    first = (real, ctrls)
-            else:
-                self._note_sat(real)
-        if self.mode == "complete" and first is not None:
-            return self._outcome("feasible", first[0], first[1])
-        if self.mode == "optimal" and self.incumbent is not None:
-            _, ctrls, _ = self._check(self.incumbent_real)
-            return self._outcome("feasible", self.incumbent_real, ctrls, self.incumbent)
-        return self._outcome("unfeasible")
+            done = self._handle_singleton(FamilyNode(self.space, tuple((a,) for a in real)))
+            if done is not None:
+                return done
+        return self._finish()
 
 
 def synthesize(
@@ -872,11 +871,4 @@ def enumerate_satisfying(m: Mdp, spec: HyperSpec, eps_eq: float = DEFAULT_EQ_EPS
     """All satisfying realisations, lexicographically.  Test oracle."""
 
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-    formula = instantiate(spec, m, eps_eq)
-    out = []
-    for real in product(*space.domains):
-        ctrls = tuple(induce(space, real, i) for i in range(space.n_controllers))
-        mcs = tuple(impose(m, c) for c in ctrls)
-        if check_mc(mcs, formula).holds:
-            out.append(real)
-    return out
+    return list(satisfying_realisations(m, space, instantiate(spec, m, eps_eq)))

@@ -24,7 +24,12 @@ from hypersynth import (
     parse_spec,
     reach_probs,
 )
-from hypersynth.analysis import INF, qualitative_states
+from hypersynth.analysis import (
+    INF,
+    _bottom_scc_states,
+    _mc_almost_sure_reach,
+    qualitative_states,
+)
 from hypersynth.exact import (
     expected_reward_exact,
     expected_visits_exact,
@@ -32,7 +37,7 @@ from hypersynth.exact import (
 )
 from hypersynth.synthesis import instantiate
 
-from conftest import random_model
+from conftest import dyadic_row, random_model
 
 
 def _random_mc(seed):
@@ -255,3 +260,60 @@ def test_check_mc_handles_inf_rewards():
     # the >= normalises to scalar <= query; the query side is infinite
     lv, rv, ok = res.atom_values[0]
     assert lv == 5.0 and math.isinf(rv) and ok
+
+
+# ---------------------------------------------------------------------------
+# graph analysis against its definitions
+
+
+def _random_graph_mc(rng):
+    """A random chain in which some states are absorbing."""
+
+    n = rng.randint(1, 12)
+    absorbing = set(rng.sample(range(n), rng.randint(0, n // 3)))
+    return make_mc([[(s, 1.0)] if s in absorbing else dyadic_row(rng, n) for s in range(n)])
+
+
+def _reach(mc, s, leave=lambda u: True):
+    """s plus every state reachable from it, stepping out of a state only
+    where leave holds."""
+
+    seen, todo = {s}, [s]
+    while todo:
+        u = todo.pop()
+        if not leave(u):
+            continue
+        for v, _ in mc.trans[u]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def test_bottom_scc_states_match_definition():
+    absorbing_seen = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        mc = _random_graph_mc(rng)
+        reach = [_reach(mc, s) for s in range(mc.num_states)]
+        # s is in a bottom SCC iff everything it reaches reaches it back
+        want = {s for s in range(mc.num_states) if all(s in reach[u] for u in reach[s])}
+        succ = [[t for t, _ in row] for row in mc.trans]
+        assert _bottom_scc_states(succ) == want, seed
+        absorbing_seen += sum(row == ((s, 1.0),) for s, row in enumerate(mc.trans))
+    assert absorbing_seen > 100
+
+
+def test_almost_sure_reach_matches_definition():
+    for seed in range(400):
+        rng = random.Random(seed)
+        mc = _random_graph_mc(rng)
+        t = frozenset(rng.sample(range(mc.num_states), rng.randint(0, mc.num_states)))
+        # s reaches t almost surely iff no state it reaches while avoiding t
+        # is unable to reach t
+        want = {
+            s
+            for s in range(mc.num_states)
+            if all(_reach(mc, u) & t for u in _reach(mc, s, lambda u: u not in t))
+        }
+        assert _mc_almost_sure_reach(mc, t) == want, seed

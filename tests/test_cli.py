@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypersynth import parse_model, parse_spec, write_model, write_spec
+from hypersynth import enumerate_satisfying, parse_model, parse_spec, write_model, write_spec
 from hypersynth.cli import main
 
 from conftest import notes_example
@@ -128,6 +128,52 @@ def test_enumerate_none_exit_one(files, tmp_path):
         "exists sigma : forall s in {0, 1} [sigma] : P(s, F target) <= 0.3\n"
     )
     assert main(["enumerate", "--model", model, "--spec", str(sp)]) == 1
+
+
+def _loose_spec(tmp_path):
+    """Two of the four members satisfy this spec: (b, a) and (b, b)."""
+
+    sp = tmp_path / "loose.spec"
+    sp.write_text("exists sigma : forall s in {0, 1} [sigma] : P(s, F target) <= 0.68\n")
+    return str(sp)
+
+
+def test_enumerate_limit_stops_after_one_member(files, tmp_path, capsys):
+    tmp, model, _ = files
+    code = main(["enumerate", "--model", model, "--spec", _loose_spec(tmp_path), "--limit", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip().splitlines() == ["1 0 0 0"]
+    assert "satisfying members: 1" in captured.err
+
+
+def test_enumerate_matches_library_order(files, tmp_path, capsys):
+    tmp, model, _ = files
+    spec = _loose_spec(tmp_path)
+    code = main(["enumerate", "--model", model, "--spec", spec])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    m = parse_model(open(model).read())
+    want = enumerate_satisfying(m, parse_spec(open(spec).read()))
+    assert len(want) == 2
+    assert lines == [" ".join(map(str, real)) for real in want]
+
+
+def test_synth_oracle_unfeasible_checks_every_member(files, tmp_path):
+    tmp, model, _ = files
+    sp = tmp_path / "tight.spec"
+    sp.write_text(
+        "exists sigma : forall s in {0, 1} [sigma] : P(s, F target) <= 0.3\n"
+    )
+    stats = tmp_path / "oracle.json"
+    code = main([
+        "synth", "--model", model, "--spec", str(sp),
+        "--method", "oracle", "--stats-out", str(stats),
+    ])
+    assert code == 1
+    data = json.loads(stats.read_text())
+    assert data["verdict"] == "unfeasible"
+    assert data["explored"] == data["iterations"] == data["family_size"] == 4
 
 
 def test_generate_writes_parseable_files(tmp_path):
