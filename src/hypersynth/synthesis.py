@@ -19,6 +19,14 @@ The hybrid method additionally checks one concrete member per open box and,
 when that member violates a mandatory reachability comparison, prunes away
 the whole sub-box sharing the violation's local structure (see
 counterexamples).
+
+Refinement settles a popped box by exact member checks instead, through the
+oracle's enumerator, when checking all its members is expected to cost no
+more than analysing it: when its size times the mean time of one member
+check so far is at most the mean time of one box analysis so far (member
+checks made during an analysis excluded).  Both means are measured in the
+current run.  The root is always analysed, since nothing is measured yet
+when it is popped.
 """
 
 from __future__ import annotations
@@ -208,10 +216,16 @@ class NodeAnalyzer:
         self.formula = formula
         self.tol = tol
         self.guard = guard_band(tol)
+        # bounds of the box last asked about, keyed by (slot, kind, target);
+        # a box's sides are only asked for while that box is analysed
+        self._box = None
         self._bounds: dict = {}
 
     def side_bounds(self, node: FamilyNode, q: Query) -> SideBounds:
-        key = (node.domains, q.slot, q.kind, q.target)
+        if node.domains != self._box:
+            self._box = node.domains
+            self._bounds.clear()
+        key = (q.slot, q.kind, q.target)
         got = self._bounds.get(key)
         if got is not None:
             return got
@@ -452,10 +466,16 @@ def max_distance_completion(node: FamilyNode, pairs):
 # Member checks
 
 
+def controllers(space: ParameterSpace, realisation) -> tuple[Controller, ...]:
+    """The realisation's controller for each slot."""
+
+    return tuple(induce(space, realisation, i) for i in range(space.n_controllers))
+
+
 def check_member(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula, realisation):
     """Check one realisation exactly: (CheckResult, controllers, chains)."""
 
-    ctrls = tuple(induce(space, realisation, i) for i in range(space.n_controllers))
+    ctrls = controllers(space, realisation)
     mcs = tuple(impose(m, c) for c in ctrls)
     return check_mc(mcs, formula), ctrls, mcs
 
@@ -467,6 +487,16 @@ def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: Instantiated
     for real in product(*space.domains):
         if check_member(m, space, formula, real)[0].holds:
             yield real
+
+
+def cheaper_to_enumerate(size: int, check_s: float | None, analysis_s: float | None) -> bool:
+    """Whether checking all ``size`` members of a box is expected to cost no
+    more than one interval analysis of it, given the mean seconds of a
+    member check and of a box analysis (None while nothing is measured)."""
+
+    if check_s is None or analysis_s is None:
+        return False
+    return size * check_s <= analysis_s
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +543,17 @@ class _Synthesizer:
         self.decided = 0
         self.splits = 0
         self.ce_prunes = 0
+        self.enumerated = 0
         self.atom_report = []
         self.sat_boxes: list[FamilyNode] = []
         self.incumbent: int | None = None
         self.incumbent_real = None
+        # measured costs: seconds in member checks, and seconds in box
+        # analyses with their member checks taken out
+        self.check_s = 0.0
+        self.checks = 0
+        self.analysis_s = 0.0
+        self.analyses = 0
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -547,6 +584,7 @@ class _Synthesizer:
             "avg_decided_family_size": (self.explored / self.decided) if self.decided else 0.0,
             "splits": self.splits,
             "ce_prunes": self.ce_prunes,
+            "enumerated_members": self.enumerated,
             "wall_time_s": self._elapsed(),
             "limit": None,
             "witness": None,
@@ -575,7 +613,11 @@ class _Synthesizer:
     # -- member checks ----------------------------------------------------
 
     def _check(self, realisation):
-        return check_member(self.m, self.space, self.formula, realisation)
+        start = time.perf_counter()
+        out = check_member(self.m, self.space, self.formula, realisation)
+        self.check_s += time.perf_counter() - start
+        self.checks += 1
+        return out
 
     def _decide(self, node):
         """Count the node's members as settled, whichever way."""
@@ -591,82 +633,110 @@ class _Synthesizer:
             self.incumbent = d
             self.incumbent_real = tuple(realisation)
 
+    def _outranked(self, node) -> bool:
+        """Optimal mode: no member of the node can beat the incumbent."""
+
+        return (
+            self.mode == "optimal"
+            and self.incumbent is not None
+            and node_distance_bound(node, self.pairs) <= self.incumbent
+        )
+
+    def _enumeration_pays(self, node) -> bool:
+        return cheaper_to_enumerate(
+            node.size(),
+            self.check_s / self.checks if self.checks else None,
+            self.analysis_s / self.analyses if self.analyses else None,
+        )
+
     # -- the loop ----------------------------------------------------------
 
     def run(self) -> SynthesisOutcome:
-        stack = [root_node(self.space)]
+        root = root_node(self.space)
+        stack = [root]
         while stack:
-            self._check_limits()
             node = stack.pop()
-            self.iterations += 1
-
-            if self.mode == "optimal" and self.incumbent is not None:
-                if node_distance_bound(node, self.pairs) <= self.incumbent:
-                    self._decide(node)
-                    continue
-
-            if node.size() == 1:
-                done = self._handle_singleton(node)
-                if done is not None:
-                    return done
-                continue
-
-            verdicts = {
-                i: self.analyzer.atom_verdict(node, i)
-                for i in range(len(self.formula.atoms))
-            }
-            if self.iterations == 1:
-                self.atom_report = [
-                    {
-                        "atom": format_atom(self.formula.atoms[i]),
-                        "case": v.case,
-                        "tag": v.tag,
-                        "lb_left": v.left[0],
-                        "ub_left": v.left[1],
-                        "lb_right": v.right[0],
-                        "ub_right": v.right[1],
-                    }
-                    for i, v in sorted(verdicts.items())
-                ]
-
-            forced = {}
-            for i, v in verdicts.items():
-                if v.case == "allsat":
-                    forced[i] = True
-                elif v.case == "allunsat":
-                    forced[i] = False
-            residual = substitute(self.formula.root, forced)
-
-            if residual == FALSE:
-                self._decide(node)
-                continue
-
-            if residual == TRUE:
-                done = self._handle_allsat(node, stack)
-                if done is not None:
-                    return done
-                continue
-
-            done = self._handle_open(node, residual, verdicts, stack)
+            if node is root or self._outranked(node) or not self._enumeration_pays(node):
+                done = self._refine(node, stack)
+            else:
+                done = self._enumerate(node)
             if done is not None:
                 return done
-
         return self._finish()
 
+    def _refine(self, node, stack):
+        """One refinement step: prune the box against the incumbent, check
+        it if it has one member, or else analyse it, timing the analysis."""
+
+        self._check_limits()
+        self.iterations += 1
+        if self._outranked(node):
+            self._decide(node)
+            return None
+        if node.size() == 1:
+            return self._handle_singleton(node)
+        start, checked = time.perf_counter(), self.check_s
+        done = self._analyse(node, stack)
+        self.analysis_s += time.perf_counter() - start - (self.check_s - checked)
+        self.analyses += 1
+        return done
+
+    def _analyse(self, node, stack):
+        """Interval-analyse a box, then decide, split or prune it."""
+
+        verdicts = {
+            i: self.analyzer.atom_verdict(node, i)
+            for i in range(len(self.formula.atoms))
+        }
+        if self.iterations == 1:
+            self.atom_report = [
+                {
+                    "atom": format_atom(self.formula.atoms[i]),
+                    "case": v.case,
+                    "tag": v.tag,
+                    "lb_left": v.left[0],
+                    "ub_left": v.left[1],
+                    "lb_right": v.right[0],
+                    "ub_right": v.right[1],
+                }
+                for i, v in sorted(verdicts.items())
+            ]
+
+        forced = {}
+        for i, v in verdicts.items():
+            if v.case == "allsat":
+                forced[i] = True
+            elif v.case == "allunsat":
+                forced[i] = False
+        residual = substitute(self.formula.root, forced)
+
+        if residual == FALSE:
+            self._decide(node)
+            return None
+        if residual == TRUE:
+            return self._handle_allsat(node, stack)
+        return self._handle_open(node, residual, verdicts, stack)
+
+    def _enumerate(self, node):
+        """Settle a box by checking its members one by one, in lexicographic
+        order: the oracle's whole run, and refinement's on cheap boxes."""
+
+        for real in product(*node.domains):
+            self._check_limits()
+            self.iterations += 1
+            self.enumerated += 1
+            done = self._handle_singleton(FamilyNode(self.space, tuple((a,) for a in real)))
+            if done is not None:
+                return done
+        return None
+
     def _finish(self) -> SynthesisOutcome:
-        if self.mode == "complete":
-            if self.sat_boxes:
-                real = self.sat_boxes[0].first_realisation()
-                _, ctrls, _ = self._check(real)
-                return self._outcome("feasible", real, ctrls)
-            return self._outcome("unfeasible")
-        if self.mode == "optimal":
-            if self.incumbent is not None:
-                _, ctrls, _ = self._check(self.incumbent_real)
-                return self._outcome(
-                    "feasible", self.incumbent_real, ctrls, self.incumbent
-                )
-            return self._outcome("unfeasible")
+        if self.mode == "complete" and self.sat_boxes:
+            real = self.sat_boxes[0].first_realisation()
+            return self._outcome("feasible", real, controllers(self.space, real))
+        if self.mode == "optimal" and self.incumbent is not None:
+            real = self.incumbent_real
+            return self._outcome("feasible", real, controllers(self.space, real), self.incumbent)
         return self._outcome("unfeasible")
 
     def _handle_singleton(self, node):
@@ -720,10 +790,9 @@ class _Synthesizer:
                 if self.mode == "feasibility":
                     return self._outcome("feasible", real, ctrls)
                 self._note_sat(real)
-            if self.mode == "optimal" and self.incumbent is not None:
-                if node_distance_bound(node, self.pairs) <= self.incumbent:
-                    self._decide(node)
-                    return None
+            if self._outranked(node):
+                self._decide(node)
+                return None
 
         if self.method == "hybrid":
             real = node.first_realisation()
@@ -828,13 +897,8 @@ class _Synthesizer:
     # -- exhaustive enumeration ------------------------------------------
 
     def run_oracle(self) -> SynthesisOutcome:
-        for real in product(*self.space.domains):
-            self._check_limits()
-            self.iterations += 1
-            done = self._handle_singleton(FamilyNode(self.space, tuple((a,) for a in real)))
-            if done is not None:
-                return done
-        return self._finish()
+        done = self._enumerate(root_node(self.space))
+        return done if done is not None else self._finish()
 
 
 def synthesize(

@@ -678,6 +678,7 @@ _STATS_KEYS = (
     "avg_decided_family_size",
     "splits",
     "ce_prunes",
+    "enumerated_members",
     "wall_time_s",
     "limit",
     "witness",

@@ -163,20 +163,34 @@ def _box_members(box):
     return sorted(itertools.product(*box.domains))
 
 
-def test_c04_methods_agree_on_random_instances():
+def test_c04_methods_agree_on_random_instances(monkeypatch):
     """Refinement, hybrid pruning and brute force agree on at least 200
     random instances, in every mode: same verdicts, same satisfying sets,
-    same best distances; feasible witnesses recheck exactly."""
+    same best distances; feasible witnesses recheck exactly.
 
-    checked = feasible = optimal_checked = 0
+    On instances this small most boxes past the root are cheaper to settle
+    by member checks than to analyse, so refinement and hybrid also run a
+    second time ("ar/analyse", "hybrid/analyse") with that switch turned
+    off, which keeps the interval analysis of every box under the test."""
+
+    def solve(m, spec, meth, mode="feasibility"):
+        method, _, analyse = meth.partition("/")
+        if not analyse:
+            return synthesize(m, spec, mode=mode, method=method)
+        with monkeypatch.context() as mp:
+            mp.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda *costs: False)
+            out = synthesize(m, spec, mode=mode, method=method)
+        assert out.stats["enumerated_members"] == 0
+        return out
+
+    methods = ("oracle", "ar", "hybrid", "ar/analyse", "hybrid/analyse")
+    checked = feasible = optimal_checked = switched = 0
     for seed in range(50_000, 50_400):
         if checked >= 200:
             break
         m, spec = random_instance(seed, rewards=(seed % 3 == 0))
-        outs = {
-            meth: synthesize(m, spec, method=meth)
-            for meth in ("oracle", "ar", "hybrid")
-        }
+        outs = {meth: solve(m, spec, meth) for meth in methods}
+        switched += outs["ar"].stats["enumerated_members"]
         verdicts = {o.verdict for o in outs.values()}
         assert len(verdicts) == 1, (seed, {k: o.verdict for k, o in outs.items()})
         checked += 1
@@ -196,22 +210,19 @@ def test_c04_methods_agree_on_random_instances():
 
         # complete mode: identical satisfying sets, member for member
         members = {}
-        for meth in ("oracle", "ar", "hybrid"):
-            out = synthesize(m, spec, mode="complete", method=meth)
+        for meth in methods:
+            out = solve(m, spec, meth, "complete")
             flat = []
             for box in out.satisfying:
                 flat.extend(_box_members(box))
             members[meth] = sorted(flat)
-        assert members["ar"] == members["oracle"], seed
-        assert members["hybrid"] == members["oracle"], seed
+        for meth in methods:
+            assert members[meth] == members["oracle"], (seed, meth)
 
         # optimal mode: same verdict and best distance where the spec has
         # the mirrored two-controller shape the objective needs
         try:
-            opt = {
-                meth: synthesize(m, spec, mode="optimal", method=meth)
-                for meth in ("oracle", "ar", "hybrid")
-            }
+            opt = {meth: solve(m, spec, meth, "optimal") for meth in methods}
         except SpecError:
             continue
         assert len({o.verdict for o in opt.values()}) == 1, seed
@@ -224,6 +235,7 @@ def test_c04_methods_agree_on_random_instances():
     assert feasible >= 10
     assert checked - feasible >= 10
     assert optimal_checked >= 10
+    assert switched > 0  # the shipped runs did settle boxes by member checks
 
 
 # -- criterion 5: interval bounds contain every member ----------------------

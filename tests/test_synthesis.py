@@ -17,6 +17,8 @@ from hypersynth.errors import SpecError
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
 from hypersynth.synthesis import (
+    _Synthesizer,
+    cheaper_to_enumerate,
     distance_pairs,
     instantiate,
     max_distance_completion,
@@ -304,6 +306,102 @@ def test_time_limit_raises():
     )
     with pytest.raises(LimitExceeded):
         synthesize(m, stubborn, time_limit=0.0)
+
+
+# ---------------------------------------------------------------------------
+# settling cheap boxes by member checks
+
+# unfeasible on the worked example, and its root splits into two boxes of two
+STUBBORN = "exists sigma : forall s in {0} [sigma] : P(s, F target) = 0.55 ~0.000001"
+
+
+def test_cheaper_to_enumerate_on_fixed_costs():
+    assert cheaper_to_enumerate(4, 0.001, 0.005)
+    assert not cheaper_to_enumerate(6, 0.001, 0.005)
+    assert cheaper_to_enumerate(4, 0.25, 1.0)  # equal costs enumerate
+    assert cheaper_to_enumerate(1, 0.002, 0.002)
+    assert not cheaper_to_enumerate(2, 0.002, 0.002)
+    # a cost not measured yet never enumerates
+    assert not cheaper_to_enumerate(1, None, 1.0)
+    assert not cheaper_to_enumerate(1, 1e-6, None)
+
+
+def _always_enumerate(monkeypatch):
+    """Make every box past the root cheap enough to enumerate; the returned
+    list collects the boxes the loop hands to the enumerator."""
+
+    seen = []
+    enumerate_box = _Synthesizer._enumerate
+
+    def spy(self, node):
+        seen.append(node)
+        return enumerate_box(self, node)
+
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
+    monkeypatch.setattr(_Synthesizer, "_enumerate", spy)
+    return seen
+
+
+def test_root_is_analysed_even_when_enumeration_pays(monkeypatch):
+    seen = _always_enumerate(monkeypatch)
+    m, _ = notes_example()
+    out = synthesize(m, parse_spec(STUBBORN), mode="complete")
+    assert out.verdict == "unfeasible"
+    assert seen and all(node.size() < out.stats["family_size"] for node in seen)
+    assert out.stats["enumerated_members"] == sum(node.size() for node in seen)
+    assert out.stats["explored_fraction"] == 1.0
+    assert out.stats["atoms"]  # filled by the root's analysis
+
+
+def test_enumerated_boxes_keep_answers_on_random_instances(monkeypatch):
+    _always_enumerate(monkeypatch)
+    for seed in range(40):
+        m, spec = random_instance(seed)
+        want = enumerate_satisfying(m, spec)
+        for method in ("ar", "hybrid"):
+            out = synthesize(m, spec, mode="complete", method=method)
+            got = sorted(r for b in out.satisfying for r in b.realisations())
+            assert got == want, (seed, method)
+            out = synthesize(m, spec, method=method)
+            assert out.feasible == bool(want), (seed, method)
+            if out.feasible:
+                assert out.realisation in want, (seed, method)
+
+
+def test_iteration_limit_can_stop_an_enumerated_box(monkeypatch):
+    seen = _always_enumerate(monkeypatch)
+    m, _ = notes_example()
+    spec = parse_spec(STUBBORN)
+    base = synthesize(m, spec)
+    seen.clear()
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, spec, max_iters=2)  # the root, then one member
+    stats = e.value.stats
+    assert seen[0].size() == 2 and stats["enumerated_members"] == 1
+    assert stats["verdict"] == "unknown"
+    assert set(stats) == set(base.stats)
+
+
+def test_time_limit_can_stop_an_enumerated_box(monkeypatch):
+    seen = _always_enumerate(monkeypatch)
+    m, _ = notes_example()
+    spec = parse_spec(STUBBORN)
+    base = synthesize(m, spec, mode="complete")
+    handle = _Synthesizer._handle_singleton
+
+    def expire(self, node):
+        done = handle(self, node)
+        if self.enumerated:
+            self.time_limit = 0.0  # the clock runs out after the first enumerated member
+        return done
+
+    monkeypatch.setattr(_Synthesizer, "_handle_singleton", expire)
+    seen.clear()
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, spec, mode="complete", time_limit=60.0)
+    stats = e.value.stats
+    assert seen[0].size() == 2 and stats["enumerated_members"] == 1
+    assert set(stats) == set(base.stats)
 
 
 def test_memory_unfolding_can_help():

@@ -186,6 +186,7 @@ def test_write_stats_shape():
         "avg_decided_family_size": 5.0,
         "splits": 1,
         "ce_prunes": 0,
+        "enumerated_members": 4,
         "wall_time_s": 0.5,
         "limit": None,
         "witness": None,
@@ -197,6 +198,7 @@ def test_write_stats_shape():
     assert list(data)[0] == "schema_version"
     assert data["schema_version"] == 1
     assert data["family_size"] == 156
+    assert list(data).index("enumerated_members") == list(data).index("ce_prunes") + 1
     assert data["atoms"][0]["lb_left"] == "inf"
     # key order is stable
     assert text == write_stats(dict(reversed(list(stats.items()))))
