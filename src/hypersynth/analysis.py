@@ -1,18 +1,21 @@
 """Model checking of reachability and expected reward, for MCs and MDPs.
 
 Markov chains are solved directly: qualitative sets come from graph
-fixpoints, quantities from dense linear solves, so chain results are exact
+closures, quantities from dense linear solves, so chain results are exact
 up to machine precision.  MDP extrema (min/max over all controllers) use
 qualitative precomputation followed by Gauss-Seidel value iteration with a
 sup-norm residual stop.
 
+Every MDP qualitative set and witness is grown by one least fixpoint,
+`_attractor`; only the prob0 set for max is a backward `_closure`.
+
 Value iteration for reachability and for maximal reward runs from below;
 minimal expected reward runs from above, seeded with the exact cost of a
 known proper controller, because zero-reward cycles admit spurious smaller
-fixpoints.  Extremal witnesses are extracted greedily with ties broken
-toward the lowest action ordinal, routed through an attractor construction
-where plain greediness can select value-preserving cycles (maximal
-reachability, minimal reward).
+fixpoints.  Witness actions are greedy, ties broken toward the lowest
+action ordinal, except where plain greediness can select value-preserving
+cycles (maximal reachability, minimal reward): there a state takes the
+first near-optimal action entering the attractor grown from the target.
 """
 
 from __future__ import annotations
@@ -259,110 +262,114 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
 # MDP qualitative analysis
 
 
+def _attractor(m: Mdp, seeds, joins, candidates=None):
+    """Least fixpoint grown from the seeds in rounds.
+
+    Each round scans the candidates (default: every state) still outside, in
+    index order; a state joins at once, with the action joins(s, inside)
+    names, or stays out when that is None.  Growth stops after a round with
+    no joins.  Returns (inside, actions of the joined states, states left
+    out in index order).
+    """
+
+    inside = set(seeds)
+    actions = {}
+    pool = range(m.num_states) if candidates is None else sorted(candidates)
+    outside = [s for s in pool if s not in inside]
+    grew = True
+    while grew:
+        grew = False
+        left = []
+        for s in outside:
+            a = joins(s, inside)
+            if a is None:
+                left.append(s)
+            else:
+                inside.add(s)
+                actions[s] = a
+                grew = True
+        outside = left
+    return inside, actions, outside
+
+
 def _prob1_max(m: Mdp, t):
     """States where some controller reaches the target almost surely,
     plus, per such state, an action of a controller that does."""
 
-    n = m.num_states
-    universe = set(range(n))
+    universe = set(range(m.num_states))
+
+    def joins(s, inside):
+        for a, row in enumerate(m.trans[s]):
+            if all(succ in universe for succ, _ in row) and any(
+                succ in inside for succ, _ in row
+            ):
+                return a
+        return None
+
     while True:
-        inside = set(t)
-        actions = {}
-        changed = True
-        while changed:
-            changed = False
-            for s in sorted(universe - inside):
-                for a in range(m.num_actions(s)):
-                    row = m.trans[s][a]
-                    if all(succ in universe for succ, _ in row) and any(
-                        succ in inside for succ, _ in row
-                    ):
-                        inside.add(s)
-                        actions[s] = a
-                        changed = True
-                        break
+        inside, actions, _ = _attractor(m, t, joins, universe)
         if inside == universe:
             return frozenset(universe), actions
         universe = inside
 
 
-def _min_reach_positive(m: Mdp, t):
-    """States where every controller reaches the target with positive
-    probability (least fixpoint of the for-all-actions predecessor)."""
-
-    n = m.num_states
-    inside = set(t)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in inside:
-                continue
-            if all(
-                any(succ in inside for succ, _ in row) for row in m.trans[s]
-            ):
-                inside.add(s)
-                changed = True
-    return inside
-
-
 def _avoid_sets(m: Mdp, t):
     """Z: states with an action strategy that surely avoids the target
-    forever.  B: states that can, avoiding the target, reach Z with
-    positive probability.  Returns (Z, B, actions) where actions give, for
-    each state of B, a choice realising the avoidance with positive
-    probability."""
+    forever, the complement of the states where every controller reaches
+    it with positive probability.  B: states that can, avoiding the target,
+    reach Z with positive probability.  Returns (Z, B, actions) where
+    actions give, for each state of B, a choice realising the avoidance
+    (on Z, one that stays in Z)."""
 
-    n = m.num_states
-    z = set(range(n)) - set(t)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(z):
-            if not any(
-                all(succ in z for succ, _ in row) for row in m.trans[s]
-            ):
-                z.discard(s)
-                changed = True
+    def every_action_enters(s, inside):
+        for row in m.trans[s]:
+            if not any(succ in inside for succ, _ in row):
+                return None
+        return 0  # any action will do; the set is all that is used
+
+    def some_action_enters(s, inside):
+        for a, row in enumerate(m.trans[s]):
+            if any(succ in inside for succ, _ in row):
+                return a
+        return None
+
+    _, _, left_out = _attractor(m, t, every_action_enters)
+    z = set(left_out)
     actions = {}
-    for s in sorted(z):
-        for a in range(m.num_actions(s)):
-            if all(succ in z for succ, _ in m.trans[s][a]):
+    for s in left_out:
+        for a, row in enumerate(m.trans[s]):
+            if all(succ in z for succ, _ in row):
                 actions[s] = a
                 break
-    b = set(z)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in b or s in t:
-                continue
-            for a in range(m.num_actions(s)):
-                if any(succ in b for succ, _ in m.trans[s][a]):
-                    b.add(s)
-                    actions[s] = a
-                    changed = True
-                    break
+    b, b_actions, _ = _attractor(
+        m, z, some_action_enters, [s for s in range(m.num_states) if s not in t]
+    )
+    actions.update(b_actions)
     return z, b, actions
+
+
+def _qualitative(m: Mdp, t, direction: str):
+    """(prob0, prob1, actions) for the direction: for max, actions of a
+    controller reaching the target almost surely from prob1; for min, the
+    actions of _avoid_sets, which keep prob0 away from the target."""
+
+    everything = set(range(m.num_states))
+    if direction == "max":
+        prob0 = frozenset(everything - _closure(_predecessors(m), t))
+        prob1, actions = _prob1_max(m, t)
+        return prob0, prob1, actions
+    if direction == "min":
+        z, b, actions = _avoid_sets(m, t)
+        return frozenset(z), frozenset(everything - b), actions
+    raise ModelError(f"unknown direction {direction!r}")
 
 
 def qualitative_states(m: Mdp, target, direction: str):
     """Graph-only classification: (prob0, prob1) frozensets for the given
     optimisation direction over controllers."""
 
-    t = _target_states(m, target)
-    if direction == "max":
-        can = _closure(_predecessors(m), t)
-        prob0 = frozenset(set(range(m.num_states)) - can)
-        prob1, _ = _prob1_max(m, t)
-        return prob0, prob1
-    if direction == "min":
-        positive = _min_reach_positive(m, t)
-        prob0 = frozenset(set(range(m.num_states)) - positive)
-        _, b, _ = _avoid_sets(m, t)
-        prob1 = frozenset(set(range(m.num_states)) - b)
-        return prob0, prob1
-    raise ModelError(f"unknown direction {direction!r}")
+    prob0, prob1, _ = _qualitative(m, _target_states(m, target), direction)
+    return prob0, prob1
 
 
 # ---------------------------------------------------------------------------
@@ -436,34 +443,6 @@ def _greedy_choice(m, v, s, q_of, better, pin=None):
     return pick
 
 
-def _attractor_witness(m, v, roots, choice, q_of, near_optimal, pin=None):
-    """Assign choices by expanding from the roots: a state joins once it has
-    a near-optimal action with positive probability of entering the grown
-    region.  Guarantees the induced chain makes progress toward the roots."""
-
-    inside = set(roots)
-    todo = sorted(s for s in range(m.num_states) if s not in inside)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(todo):
-            found = None
-            for a in range(m.num_actions(s)):
-                if pin is not None and not pin(s, a):
-                    continue
-                if not near_optimal(s, a):
-                    continue
-                if any(succ in inside for succ, _ in m.trans[s][a]):
-                    found = a
-                    break
-            if found is not None:
-                choice[s] = found
-                inside.add(s)
-                todo.remove(s)
-                changed = True
-    return todo  # states the attractor could not justify
-
-
 def _blend_witness(m, v, choice, direction, solve):
     """Replace iterated values by the witness chain's exact values where
     those are sharper.  The witness value is attained by a member, so for
@@ -482,7 +461,7 @@ def extremal_reach(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) -> 
 
     t = _target_states(m, target)
     n = m.num_states
-    prob0, prob1 = qualitative_states(m, target, direction)
+    prob0, prob1, actions = _qualitative(m, t, direction)
     v = [0.0] * n
     for s in t:
         v[s] = 1.0
@@ -506,24 +485,25 @@ def extremal_reach(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) -> 
     tie = guard_band(tol)
     choice = [0] * n
     if direction == "max":
-        near = lambda s, a: q_of(s, a, v) >= v[s] - tie
-        leftover = _attractor_witness(m, v, t, choice, q_of, near)
+        # a near-optimal action that enters the grown region with positive
+        # probability: the induced chain makes progress toward the target
+        def joins(s, inside):
+            for a, row in enumerate(m.trans[s]):
+                if any(succ in inside for succ, _ in row) and _row_value(row, v) >= v[s] - tie:
+                    return a
+            return None
+
+        _, joined, leftover = _attractor(m, t, joins)
+        for s, a in joined.items():
+            choice[s] = a
         for s in leftover:
             choice[s] = _greedy_choice(m, v, s, q_of, better)
     else:
-        positive = _min_reach_positive(m, t)
         for s in range(n):
             if s in t:
                 continue
-            if s not in positive:
-                # pick an action whose support stays outside the positive
-                # region, realising reach probability zero
-                for a in range(m.num_actions(s)):
-                    if all(succ not in positive for succ, _ in m.trans[s][a]):
-                        choice[s] = a
-                        break
-            else:
-                choice[s] = _greedy_choice(m, v, s, q_of, better)
+            # on prob0 the avoiding action realises reach probability zero
+            choice[s] = actions[s] if s in prob0 else _greedy_choice(m, v, s, q_of, better)
 
     v = _blend_witness(m, v, choice, direction, lambda mc: reach_probs(mc, t))
     vec = ValueVector(tuple(v), "reach", direction, sweeps, residual)
@@ -568,7 +548,7 @@ def extremal_reward(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) ->
     elif direction == "min":
         prob1e, reach_actions = _prob1_max(m, t)
         region = sorted(prob1e)
-        inside = lambda s, a: all(succ in prob1e for succ, _ in m.trans[s][a])
+        stays = lambda s, a: all(succ in prob1e for succ, _ in m.trans[s][a])
         # seed from the exact cost of the qualitative witness controller,
         # which is proper on the region; descending iteration then cannot
         # be captured by zero-reward cycles below the true minimum
@@ -584,15 +564,29 @@ def extremal_reward(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) ->
         free = [s for s in region if s not in t]
         better = lambda a, c: a < c
         sweeps, residual = (
-            _gauss_seidel(m, free, v, q_of, better, tol * 0.01, pin=inside)
+            _gauss_seidel(m, free, v, q_of, better, tol * 0.01, pin=stays)
             if free
             else (0, 0.0)
         )
-        near = lambda s, a: q_of(s, a, v) <= v[s] + tie
-        leftover = _attractor_witness(m, v, t, choice, q_of, near, pin=inside)
+
+        # as for maximal reachability, restricted to actions staying in the
+        # region where the target is reached almost surely
+        def joins(s, inside):
+            for a, row in enumerate(m.trans[s]):
+                if (
+                    all(succ in prob1e for succ, _ in row)
+                    and any(succ in inside for succ, _ in row)
+                    and m.rewards[s][a] + _row_value(row, v) <= v[s] + tie
+                ):
+                    return a
+            return None
+
+        _, joined, leftover = _attractor(m, t, joins)
+        for s, a in joined.items():
+            choice[s] = a
         for s in leftover:
             if s in prob1e and s not in t:
-                choice[s] = _greedy_choice(m, v, s, q_of, better, pin=inside)
+                choice[s] = _greedy_choice(m, v, s, q_of, better, pin=stays)
     else:
         raise ModelError(f"unknown direction {direction!r}")
 

@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                     help="numeric tolerance of the value iteration")
     sp.add_argument("--max-iters", type=int, default=None,
-                    help="abort after this many analysed boxes")
+                    help="abort after this many iterations: refinement steps "
+                         "plus members checked one by one")
     sp.add_argument("--time-limit", type=float, default=None,
                     help="abort after this many seconds")
     sp.add_argument("--stats-out", default=None,
@@ -84,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="benchmark parameter, repeatable")
     gp.add_argument("--out-model", default=None, help="model output path (default stdout)")
     gp.add_argument("--out-spec", default=None, help="spec output path (default stdout)")
-    gp.add_argument("--seed", type=int, default=0,
-                    help="accepted for interface stability; generators are deterministic")
     return ap
 
 

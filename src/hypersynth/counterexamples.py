@@ -87,9 +87,9 @@ def grow_conflict(left, right, offset: float, guard: float, act_counts):
     sides = []
     for side in (left, right):
         if isinstance(side, CeSide):
-            sides.append({"side": side, "keep": set(), "seen": {side.root}})
+            sides.append({"side": side, "keep": set()})
         else:
-            sides.append({"side": float(side), "keep": None, "seen": None})
+            sides.append({"side": float(side), "keep": None})
 
     def value(entry):
         side = entry["side"]

@@ -149,11 +149,6 @@ class FamilyNode:
     def first_realisation(self) -> tuple[int, ...]:
         return tuple(d[0] for d in self.domains)
 
-    def realisations(self):
-        from itertools import product
-
-        return product(*self.domains)
-
     def with_domain(self, k: int, new_domain) -> "FamilyNode":
         nd = tuple(sorted(new_domain))
         if not nd:

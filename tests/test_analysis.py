@@ -141,17 +141,19 @@ def test_expected_visits_transient_loop():
 
 
 def test_qualitative_states():
-    m, _ = _random_mc(7)
-    target = m.target("goal")
-    _, sure_max = qualitative_states(m, target, "max")
-    # a state the qualitative pass certifies must reach with probability
-    # one under the best controller, and vice versa
-    best = None
-    for ctrl in _controllers(m):
-        v = reach_probs_exact(impose(m, ctrl), set(target.states))
-        best = v if best is None else [max(a, b) for a, b in zip(best, v)]
-    for s in range(m.num_states):
-        assert (best[s] == 1) == (s in sure_max), s
+    # prob0 and prob1 in both directions against the exact values of every
+    # memoryless deterministic controller, which attain both extremes of
+    # reachability
+    for seed in range(100):
+        rng = random.Random(3000 + seed)
+        m = random_model(rng, max_states=6, max_actions=3, max_multi=3)
+        target = m.target("goal")
+        values = [reach_probs_exact(impose(m, c), set(target.states)) for c in _controllers(m)]
+        for direction, extreme in (("min", min), ("max", max)):
+            best = [extreme(col) for col in zip(*values)]
+            prob0, prob1 = qualitative_states(m, target, direction)
+            assert prob0 == {s for s, v in enumerate(best) if v == 0}, (seed, direction)
+            assert prob1 == {s for s, v in enumerate(best) if v == 1}, (seed, direction)
 
 
 def _extremal_oracle(m, target, kind):

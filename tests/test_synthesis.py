@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -128,7 +129,7 @@ def test_worked_example_complete_modes():
         assert out.verdict == "feasible"
         assert out.stats["satisfying_count"] == 1
         members = sorted(
-            r for b in out.satisfying for r in b.realisations()
+            r for b in out.satisfying for r in product(*b.domains)
         )
         assert members == [(1, 1, 0, 0)]
 
@@ -158,8 +159,6 @@ def test_unfeasible_explores_everything():
 def _oracle_feasible(m, spec):
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
     formula = instantiate(spec, m)
-    from itertools import product
-
     for real in product(*space.domains):
         ctrls = tuple(induce(space, real, i) for i in range(spec.n_controllers))
         if check_mc(tuple(impose(m, c) for c in ctrls), formula).holds:
@@ -203,7 +202,7 @@ def test_complete_counts_agree_on_random_instances():
         members = enumerate_satisfying(m, spec)
         for method in ("ar", "hybrid"):
             out = synthesize(m, spec, mode="complete", method=method)
-            got = sorted(r for b in out.satisfying for r in b.realisations())
+            got = sorted(r for b in out.satisfying for r in product(*b.domains))
             assert got == members, (seed, method)
             assert out.stats["satisfying_count"] == len(members)
         checked += 1
@@ -360,7 +359,7 @@ def test_enumerated_boxes_keep_answers_on_random_instances(monkeypatch):
         want = enumerate_satisfying(m, spec)
         for method in ("ar", "hybrid"):
             out = synthesize(m, spec, mode="complete", method=method)
-            got = sorted(r for b in out.satisfying for r in b.realisations())
+            got = sorted(r for b in out.satisfying for r in product(*b.domains))
             assert got == want, (seed, method)
             out = synthesize(m, spec, method=method)
             assert out.feasible == bool(want), (seed, method)
