@@ -16,6 +16,18 @@ fixpoints.  Witness actions are greedy, ties broken toward the lowest
 action ordinal, except where plain greediness can select value-preserving
 cycles (maximal reachability, minimal reward): there a state takes the
 first near-optimal action entering the attractor grown from the target.
+
+Members of a controller family are checked in batches on a compiled model
+(`compile_model`, `check_members`), in chunks of CHUNK_BYTES per stack of
+chains.  A batch gathers its members' chains into one (members x states x
+states) stack per controller slot.  Their qualitative sets come from one
+reflexive-transitive closure per slot, built by repeated boolean squaring
+and shared by every query on that slot; a reward query adds one closure
+avoiding its target.  Each distinct query is then solved for all members
+by one np.linalg.solve call.  check_mc on each member's imposed chains
+stays the reference: qualitative sets and infinite values are the same,
+and finite values agree to within rounding, since each solve is padded with
+identity rows to the full state count.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingRewardsError, ModelError
+from .errors import InvalidControllerError, MissingRewardsError, ModelError
 from .formulas import InstantiatedFormula, Query
 from .model import Controller, Mc, Mdp, TargetSet, impose
 
@@ -639,3 +651,202 @@ def check_mc(mcs, formula: InstantiatedFormula) -> CheckResult:
         truth[i] = ok
         values.append((lv, rv, ok))
     return CheckResult(formula.evaluate(truth), tuple(values))
+
+
+# ---------------------------------------------------------------------------
+# Batched member checks on a compiled model
+
+# Bytes of one (members x states x states) float64 stack of chains.  The
+# number of members checked per batch is derived from it, so memory stays
+# flat whatever the family's size; larger stacks raised the peak resident
+# memory of the benchmark's oracle workload without making it faster.
+CHUNK_BYTES = 1 << 18
+
+
+@dataclass(frozen=True)
+class _Label:
+    mask: np.ndarray  # (n,) bool: the label's states
+    into: np.ndarray  # per row, the probability of stepping into the label
+
+
+@dataclass(frozen=True)
+class CompiledModel:
+    """An MDP and the parameter classes of its controller slots, as flat
+    arrays.  Row offsets[s] + a of probs is the distribution of action a in
+    state s over all states, and edges marks its positive entries; counts[s]
+    is the number of actions of s; rewards has one entry per row (None
+    without a reward structure); classes[slot][s] is the class deciding the
+    slot's action in s."""
+
+    offsets: np.ndarray
+    counts: np.ndarray
+    probs: np.ndarray
+    edges: np.ndarray
+    rewards: np.ndarray | None
+    classes: tuple[np.ndarray, ...]
+    labels: dict
+
+    @property
+    def num_states(self) -> int:
+        return self.probs.shape[1]
+
+    @property
+    def chunk(self) -> int:
+        """Members per batch: chain stacks of about CHUNK_BYTES each."""
+
+        return max(1, CHUNK_BYTES // (8 * self.num_states**2))
+
+    def label(self, name: str) -> _Label:
+        try:
+            return self.labels[name]
+        except KeyError:
+            raise ModelError(f"unknown label {name!r}") from None
+
+
+def compile_model(m: Mdp, space) -> CompiledModel:
+    """Compile the MDP for checking members of the parameter space (a
+    family.ParameterSpace built on it)."""
+
+    n = m.num_states
+    counts = np.array([m.num_actions(s) for s in range(n)], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+    rows = [row for menu in m.trans for row in menu]
+    probs = np.zeros((len(rows), n))
+    for r, row in enumerate(rows):
+        for t, p in row:
+            probs[r, t] = p
+    rewards = None
+    if m.rewards is not None:
+        rewards = np.array([r for menu in m.rewards for r in menu], dtype=float)
+    classes = tuple(
+        np.array([space.class_index(i, s) for s in range(n)], dtype=np.intp)
+        for i in range(space.n_controllers)
+    )
+    labels = {}
+    for name, states in m.labels:
+        mask = np.zeros(n, dtype=bool)
+        mask[list(states)] = True
+        into = np.zeros(len(rows))
+        for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
+            into += probs[:, t]
+        labels[name] = _Label(mask, into)
+    return CompiledModel(offsets, counts, probs, probs > 0, rewards, classes, labels)
+
+
+@dataclass(frozen=True)
+class MemberChecks:
+    """Verdicts of a batch of members.  holds[b] is member b's verdict;
+    values[b, i] holds the (left, right) side values of atom i and
+    truth[b, i] whether it holds."""
+
+    holds: np.ndarray
+    values: np.ndarray
+    truth: np.ndarray
+
+    def __getitem__(self, b: int) -> CheckResult:
+        atoms = zip(self.values[b].tolist(), self.truth[b].tolist())
+        return CheckResult(bool(self.holds[b]), tuple((lv, rv, ok) for (lv, rv), ok in atoms))
+
+
+def _reach_closure(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a stack of adjacency matrices, by
+    repeated boolean squaring; entry [b, s, t] says t is reachable from s."""
+
+    n = adj.shape[-1]
+    reach = (adj | np.eye(n, dtype=bool)).astype(np.float32)
+    covered = 1  # paths of up to this many edges are in reach
+    while covered < n - 1:
+        reach = np.matmul(reach, reach)
+        np.minimum(reach, 1.0, out=reach)
+        covered *= 2
+    return reach > 0
+
+
+class _Batch:
+    """One batch of members: per-slot transition rows and reachability
+    closures, and the value of each query, each computed on first use."""
+
+    def __init__(self, cm: CompiledModel, realisations):
+        self.cm = cm
+        self.real = np.asarray(realisations, dtype=np.intp).reshape(len(realisations), -1)
+        self._slots: dict = {}
+        self._values: dict = {}
+
+    def slot(self, i: int):
+        """(rows, closure): the row of each member's action in each state
+        under its slot-i controller, and the closure of those chains."""
+
+        got = self._slots.get(i)
+        if got is None:
+            cm = self.cm
+            if i >= len(cm.classes):
+                raise ModelError(f"no chain for controller slot {i}")
+            actions = self.real[:, cm.classes[i]]
+            if ((actions < 0) | (actions >= cm.counts)).any():
+                raise InvalidControllerError("realisation picks an action that is not enabled")
+            rows = cm.offsets + actions
+            got = self._slots[i] = (rows, _reach_closure(cm.edges[rows]))
+        return got
+
+    def _solve(self, rows, mid, b) -> np.ndarray:
+        """Solve x = P x + b on the mid states of every member's chain at
+        once.  Rows outside mid are identity rows with a zero right-hand
+        side; on mid rows the matrix entries are those reach_probs and
+        expected_reward build."""
+
+        a = self.cm.probs[rows]
+        np.multiply(a, mid[:, :, None] & mid[:, None, :], out=a)
+        np.subtract(np.eye(self.cm.num_states), a, out=a)
+        return np.linalg.solve(a, (b * mid)[..., None])[..., 0]
+
+    def value(self, q: Query) -> np.ndarray:
+        """The query's value in every member's chain, as a (B, n) array."""
+
+        key = (q.kind, q.slot, q.target)
+        got = self._values.get(key)
+        if got is not None:
+            return got
+        cm = self.cm
+        t = cm.label(q.target)
+        if q.kind == "reward" and cm.rewards is None:
+            raise MissingRewardsError("expected_reward on a chain without rewards")
+        rows, reach = self.slot(q.slot)
+        can = reach[:, :, t.mask].any(axis=-1)
+        if q.kind == "reach":
+            mid = can & ~t.mask
+            x = np.minimum(np.maximum(self._solve(rows, mid, t.into[rows]), 0.0), 1.0)
+            got = np.where(t.mask, 1.0, np.where(mid, x, 0.0))
+        else:
+            # reached almost surely: no state unable to reach the target is
+            # reachable along a path avoiding it
+            avoid = cm.edges[rows]
+            avoid[:, t.mask, :] = False
+            missed = (_reach_closure(avoid) & ~can[:, None, :]).any(axis=-1)
+            mid = ~missed & ~t.mask
+            x = np.maximum(self._solve(rows, mid, cm.rewards[rows]), 0.0)
+            got = np.where(t.mask, 0.0, np.where(mid, x, INF))
+        self._values[key] = got
+        return got
+
+
+def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations) -> MemberChecks:
+    """Check a batch of realisations (one action ordinal per parameter
+    class each) exactly, as check_mc does on each member's chains.
+
+    The members' chains are gathered into one stack per slot.  Qualitative
+    sets come from one reachability closure per slot (plus one avoiding the
+    target per reward query), and each distinct query is solved for every
+    member with one np.linalg.solve call.
+    """
+
+    batch = _Batch(cm, realisations)
+    size = len(batch.real)
+    atoms = formula.atoms
+    values = np.empty((size, len(atoms), 2))
+    for i, atom in enumerate(atoms):
+        for j, side in enumerate((atom.left, atom.right)):
+            values[:, i, j] = batch.value(side)[:, side.state] if isinstance(side, Query) else side
+    lv, bound = values[:, :, 0], values[:, :, 1] + [atom.offset for atom in atoms]
+    truth = np.where([atom.strict for atom in atoms], lv < bound, lv <= bound)
+    holds = np.broadcast_to(formula.evaluate(truth.T), (size,))
+    return MemberChecks(holds, values, truth)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import DEFAULT_TOL
+from .analysis import DEFAULT_TOL, compile_model
 from .benchmarks import BENCHMARKS, generate as make_benchmark
 from .errors import (
     ConstraintError,
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="numeric tolerance of the value iteration")
     sp.add_argument("--max-iters", type=int, default=None,
                     help="abort after this many iterations: refinement steps "
-                         "plus members checked one by one")
+                         "plus members settled by the enumerator")
     sp.add_argument("--time-limit", type=float, default=None,
                     help="abort after this many seconds")
     sp.add_argument("--stats-out", default=None,
@@ -197,7 +197,7 @@ def _cmd_check(args) -> int:
     realisation = tuple(realisation)
 
     formula = instantiate(spec, m, args.eps_eq)
-    res, _, _ = check_member(m, space, formula, realisation)
+    res = check_member(compile_model(m, space), formula, realisation)
     for i, atom in enumerate(formula.atoms):
         lv, rv, ok = res.atom_values[i]
         print(f"  {format_atom(atom)}: left={lv:.10g} right={rv:.10g} "

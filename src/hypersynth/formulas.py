@@ -13,7 +13,9 @@ here ever deals with ``=`` directly.  A side is either a Query or a float.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 
 @dataclass(frozen=True)
@@ -107,17 +109,20 @@ def atoms_in(node) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def evaluate(node, truth) -> bool:
-    """Evaluate under a full assignment.  truth maps atom index to bool."""
+def evaluate(node, truth):
+    """Evaluate under a full assignment.  truth maps atom index to bool, or
+    to an array of bools (one per member of a batch): the result is then
+    an array too, except where the node is a constant."""
 
     tag = node[0]
     if tag == "const":
         return node[1]
     if tag == "atom":
         return truth[node[1]]
+    kids = [evaluate(c, truth) for c in node[1]]
     if tag == "and":
-        return all(evaluate(c, truth) for c in node[1])
-    return any(evaluate(c, truth) for c in node[1])
+        return reduce(operator.and_, kids, True)
+    return reduce(operator.or_, kids, False)
 
 
 def substitute(node, decided):

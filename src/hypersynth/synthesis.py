@@ -20,25 +20,40 @@ when that member violates a mandatory reachability comparison, prunes away
 the whole sub-box sharing the violation's local structure (see
 counterexamples).
 
+Member checks run on the model compiled once per run (see analysis).  The
+enumerator checks a box's members in chunks with one batched call each,
+then settles them one by one in lexicographic order, checking limits and
+counting iterations per member; every other member check is a batch of
+its own, such as the candidates of one open box.
+
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
-more than analysing it: when its size times the mean time of one member
-check so far is at most the mean time of one box analysis so far (member
-checks made during an analysis excluded).  Both means are measured in the
-current run.  The root is always analysed, since nothing is measured yet
-when it is popped.
+more than analysing it: when its size times the measured seconds per
+member of the enumerator's chunks is at most the mean time of one box
+analysis (member checks made during an analysis included).  Until the
+enumerator has run, the seconds per member of the other member checks,
+which come in smaller batches and so cost more, stand in for its price.
+Both are measured in the current run.  The root is always analysed, since
+nothing is measured yet when it is popped.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import islice, product
 
+# bench/spans.py times member checks by wrapping check_mc and impose at
+# this module's names, so both stay importable here
 from .analysis import (
     DEFAULT_TOL,
     INF,
-    check_mc,
+    CheckResult,
+    CompiledModel,
+    check_mc,  # noqa: F401
+    check_members,
+    compile_model,
     expected_reward,
     expected_visits,
     extremal_reach,
@@ -472,31 +487,40 @@ def controllers(space: ParameterSpace, realisation) -> tuple[Controller, ...]:
     return tuple(induce(space, realisation, i) for i in range(space.n_controllers))
 
 
-def check_member(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula, realisation):
-    """Check one realisation exactly: (CheckResult, controllers, chains)."""
+def check_member(compiled: CompiledModel, formula: InstantiatedFormula, realisation) -> CheckResult:
+    """Check one realisation exactly, as a batch of one."""
 
-    ctrls = controllers(space, realisation)
-    mcs = tuple(impose(m, c) for c in ctrls)
-    return check_mc(mcs, formula), ctrls, mcs
+    return check_members(compiled, formula, [realisation])[0]
+
+
+def _chunks(members, size: int):
+    """Consecutive lists of up to size members, in the members' order."""
+
+    members = iter(members)
+    while chunk := list(islice(members, size)):
+        yield chunk
 
 
 def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula):
-    """Yield every satisfying realisation, lexicographically, checking
-    members only as they are asked for."""
+    """Yield every satisfying realisation, lexicographically.  Members are
+    checked a batch at a time, a batch only once the previous one's
+    satisfying members have all been asked for."""
 
-    for real in product(*space.domains):
-        if check_member(m, space, formula, real)[0].holds:
-            yield real
+    compiled = compile_model(m, space)
+    for chunk in _chunks(product(*space.domains), compiled.chunk):
+        holds = check_members(compiled, formula, chunk).holds
+        yield from (real for real, ok in zip(chunk, holds) if ok)
 
 
-def cheaper_to_enumerate(size: int, check_s: float | None, analysis_s: float | None) -> bool:
+def cheaper_to_enumerate(size: int, member_s: float | None, analysis_s: float | None) -> bool:
     """Whether checking all ``size`` members of a box is expected to cost no
-    more than one interval analysis of it, given the mean seconds of a
-    member check and of a box analysis (None while nothing is measured)."""
+    more than one interval analysis of it, given the seconds per enumerated
+    member and the mean seconds of a box analysis (None while nothing is
+    measured)."""
 
-    if check_s is None or analysis_s is None:
+    if member_s is None or analysis_s is None:
         return False
-    return size * check_s <= analysis_s
+    return size * member_s <= analysis_s
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +572,10 @@ class _Synthesizer:
         self.sat_boxes: list[FamilyNode] = []
         self.incumbent: int | None = None
         self.incumbent_real = None
-        # measured costs: seconds in member checks, and seconds in box
-        # analyses with their member checks taken out
+        # measured costs: seconds and members of the enumerator's batches,
+        # of the other member checks, and of box analyses
+        self.enum_s = 0.0
+        self.enum_members = 0
         self.check_s = 0.0
         self.checks = 0
         self.analysis_s = 0.0
@@ -612,17 +638,25 @@ class _Synthesizer:
 
     # -- member checks ----------------------------------------------------
 
-    def _check(self, realisation):
+    @cached_property
+    def compiled(self) -> CompiledModel:
+        """The model compiled for member checks, on the run's first one."""
+
+        return compile_model(self.m, self.space)
+
+    def _check(self, realisations):
+        """Check members outside the enumerator, in one timed batch."""
+
         start = time.perf_counter()
-        out = check_member(self.m, self.space, self.formula, realisation)
+        out = check_members(self.compiled, self.formula, realisations)
         self.check_s += time.perf_counter() - start
-        self.checks += 1
+        self.checks += len(realisations)
         return out
 
-    def _decide(self, node):
-        """Count the node's members as settled, whichever way."""
+    def _decide(self, members: int):
+        """Count a box of this many members as settled, whichever way."""
 
-        self.explored += node.size()
+        self.explored += members
         self.decided += 1
 
     def _note_sat(self, realisation):
@@ -642,10 +676,19 @@ class _Synthesizer:
             and node_distance_bound(node, self.pairs) <= self.incumbent
         )
 
+    def _member_s(self):
+        """Measured seconds per enumerated member.  Until the enumerator has
+        run, the other member checks stand in: they come in smaller
+        batches, so they cost at least as much per member."""
+
+        if self.enum_members:
+            return self.enum_s / self.enum_members
+        return self.check_s / self.checks if self.checks else None
+
     def _enumeration_pays(self, node) -> bool:
         return cheaper_to_enumerate(
             node.size(),
-            self.check_s / self.checks if self.checks else None,
+            self._member_s(),
             self.analysis_s / self.analyses if self.analyses else None,
         )
 
@@ -671,13 +714,14 @@ class _Synthesizer:
         self._check_limits()
         self.iterations += 1
         if self._outranked(node):
-            self._decide(node)
+            self._decide(node.size())
             return None
         if node.size() == 1:
-            return self._handle_singleton(node)
-        start, checked = time.perf_counter(), self.check_s
+            real = node.first_realisation()
+            return self._settle(real, self._check([real]).holds[0])
+        start = time.perf_counter()
         done = self._analyse(node, stack)
-        self.analysis_s += time.perf_counter() - start - (self.check_s - checked)
+        self.analysis_s += time.perf_counter() - start
         self.analyses += 1
         return done
 
@@ -711,23 +755,31 @@ class _Synthesizer:
         residual = substitute(self.formula.root, forced)
 
         if residual == FALSE:
-            self._decide(node)
+            self._decide(node.size())
             return None
         if residual == TRUE:
             return self._handle_allsat(node, stack)
         return self._handle_open(node, residual, verdicts, stack)
 
     def _enumerate(self, node):
-        """Settle a box by checking its members one by one, in lexicographic
-        order: the oracle's whole run, and refinement's on cheap boxes."""
+        """Settle a box by checking its members in lexicographic order: the
+        oracle's whole run, and refinement's on cheap boxes.  Members are
+        checked a batch at a time, but limits, counts and results are taken
+        member by member, in order."""
 
-        for real in product(*node.domains):
+        for chunk in _chunks(product(*node.domains), self.compiled.chunk):
             self._check_limits()
-            self.iterations += 1
-            self.enumerated += 1
-            done = self._handle_singleton(FamilyNode(self.space, tuple((a,) for a in real)))
-            if done is not None:
-                return done
+            start = time.perf_counter()
+            holds = check_members(self.compiled, self.formula, chunk).holds
+            self.enum_s += time.perf_counter() - start
+            self.enum_members += len(chunk)
+            for real, ok in zip(chunk, holds.tolist()):
+                self._check_limits()
+                self.iterations += 1
+                self.enumerated += 1
+                done = self._settle(real, ok)
+                if done is not None:
+                    return done
         return None
 
     def _finish(self) -> SynthesisOutcome:
@@ -739,16 +791,16 @@ class _Synthesizer:
             return self._outcome("feasible", real, controllers(self.space, real), self.incumbent)
         return self._outcome("unfeasible")
 
-    def _handle_singleton(self, node):
-        real = node.first_realisation()
-        res, ctrls, _ = self._check(real)
-        self._decide(node)
-        if not res.holds:
+    def _settle(self, real, holds):
+        """Act on one checked member, settling it."""
+
+        self._decide(1)
+        if not holds:
             return None
         if self.mode == "feasibility":
-            return self._outcome("feasible", real, ctrls)
+            return self._outcome("feasible", real, controllers(self.space, real))
         if self.mode == "complete":
-            self.sat_boxes.append(node)
+            self.sat_boxes.append(FamilyNode(self.space, tuple((a,) for a in real)))
             return None
         self._note_sat(real)
         return None
@@ -757,53 +809,50 @@ class _Synthesizer:
         """Interval analysis certified every member; recheck one and act."""
 
         if self.mode == "complete":
-            res, _, _ = self._check(node.first_realisation())
-            if res.holds:
+            if self._check([node.first_realisation()]).holds[0]:
                 self.sat_boxes.append(node)
-                self._decide(node)
+                self._decide(node.size())
                 return None
             self._push_fallback_split(node, stack)
             return None
         if self.mode == "optimal":
             real = max_distance_completion(node, self.pairs)
-            res, _, _ = self._check(real)
-            if res.holds:
+            if self._check([real]).holds[0]:
                 self._note_sat(real)
-                self._decide(node)
+                self._decide(node.size())
                 return None
             self._push_fallback_split(node, stack)
             return None
         real = node.first_realisation()
-        res, ctrls, _ = self._check(real)
-        if res.holds:
-            return self._outcome("feasible", real, ctrls)
+        if self._check([real]).holds[0]:
+            return self._outcome("feasible", real, controllers(self.space, real))
         self._push_fallback_split(node, stack)
         return None
 
     def _handle_open(self, node, residual, verdicts, stack):
         if self.mode != "complete":
-            for pa in _compose(residual, verdicts):
-                real = pa.complete(node)
-                res, ctrls, _ = self._check(real)
-                if not res.holds:
+            candidates = [pa.complete(node) for pa in _compose(residual, verdicts)]
+            holds = self._check(candidates).holds if candidates else ()
+            for real, ok in zip(candidates, holds):
+                if not ok:
                     continue
                 if self.mode == "feasibility":
-                    return self._outcome("feasible", real, ctrls)
+                    return self._outcome("feasible", real, controllers(self.space, real))
                 self._note_sat(real)
             if self._outranked(node):
-                self._decide(node)
+                self._decide(node.size())
                 return None
 
         if self.method == "hybrid":
             real = node.first_realisation()
-            res, ctrls, mcs = self._check(real)
+            res = self._check([real])[0]
             if res.holds:
                 if self.mode == "feasibility":
-                    return self._outcome("feasible", real, ctrls)
+                    return self._outcome("feasible", real, controllers(self.space, real))
                 if self.mode == "optimal":
                     self._note_sat(real)
             else:
-                rest = self._try_conflict_prune(node, residual, real, res, mcs)
+                rest = self._try_conflict_prune(node, residual, real, res)
                 if rest is not None:
                     stack.extend(rest)
                     return None
@@ -846,11 +895,12 @@ class _Synthesizer:
 
     # -- hybrid counterexamples ------------------------------------------
 
-    def _try_conflict_prune(self, node, residual, real, res, mcs):
+    def _try_conflict_prune(self, node, residual, real, res):
         """Certify the checked member's violation for a sub-box and carve
         it out.  Returns the complement boxes, or None when no mandatory
         reachability comparison yields a certificate."""
 
+        mcs = tuple(impose(self.m, c) for c in controllers(self.space, real))
         best = None
         for i in sorted(mandatory_atoms(residual)):
             if res.atom_values[i][2]:
@@ -890,7 +940,7 @@ class _Synthesizer:
         if best is None:
             return None
         agree, rest = complement_boxes(node, real, best[1])
-        self._decide(agree)
+        self._decide(agree.size())
         self.ce_prunes += 1
         return rest
 

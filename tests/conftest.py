@@ -47,6 +47,30 @@ def notes_example():
     return m, spec
 
 
+def binary_family(k: int):
+    """An MDP whose family lists its members in the order of their value.
+
+    State 0 enters decision state 1 + i with probability 2**-(i + 1) and the
+    sink with the rest; action 1 of a decision state goes to the target,
+    action 0 to the sink.  Decision state 1 is the most significant class, so
+    the member with lexicographic index j reaches the target from state 0
+    with probability exactly j / 2**k.
+    """
+
+    target, sink = k + 1, k + 2
+    trans = [[[(1 + i, 2.0 ** -(i + 1)) for i in range(k)] + [(sink, 2.0**-k)]]]
+    trans += [[[(sink, 1.0)], [(target, 1.0)]] for _ in range(k)]
+    trans += [[[(target, 1.0)]], [[(sink, 1.0)]]]
+    return make_mdp(trans, labels={"target": (target,)})
+
+
+def binary_spec(threshold: float):
+    """Members of binary_family satisfy this when their value is at least
+    the threshold."""
+
+    return parse_spec(f"exists sigma : forall s in {{0}} [sigma] : P(s, F target) >= {threshold!r}")
+
+
 @pytest.fixture
 def notes_mdp():
     return notes_example()[0]

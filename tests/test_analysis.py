@@ -7,9 +7,11 @@ regression cannot hide behind tolerance stacking.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from hypersynth import (
@@ -27,17 +29,23 @@ from hypersynth import (
 from hypersynth.analysis import (
     INF,
     _bottom_scc_states,
+    _closure,
     _mc_almost_sure_reach,
+    check_members,
+    compile_model,
     qualitative_states,
 )
+from hypersynth.errors import MissingRewardsError
 from hypersynth.exact import (
     expected_reward_exact,
     expected_visits_exact,
     reach_probs_exact,
 )
+from hypersynth.family import build_parameter_space, induce
+from hypersynth.formulas import Atom, InstantiatedFormula, Query
 from hypersynth.synthesis import instantiate
 
-from conftest import dyadic_row, random_model
+from conftest import dyadic_row, random_instance, random_model
 
 
 def _random_mc(seed):
@@ -319,3 +327,86 @@ def test_almost_sure_reach_matches_definition():
             if all(_reach(mc, u) & t for u in _reach(mc, s, lambda u: u not in t))
         }
         assert _mc_almost_sure_reach(mc, t) == want, seed
+
+
+# ---------------------------------------------------------------------------
+# batched member checks against per-member check_mc
+
+
+def _zero_reward_cycle(mc, target) -> bool:
+    """Whether the chain has a cycle of zero-reward states off the target."""
+
+    free = [s for s in range(mc.num_states) if s not in target and mc.rewards[s] == 0.0]
+    succ = [[t for t, _ in mc.trans[s] if t in free] if s in free else [] for s in range(mc.num_states)]
+    return any(s in _closure(succ, succ[s]) for s in free)
+
+
+def _differential_instance(seed):
+    """A random instance with an empty label added, and, on models with
+    rewards, about half the rewards set to zero; plus a formula whose atoms
+    are the spec's and one reach and reward query per slot, state and label."""
+
+    rng = random.Random(10_000 + seed)
+    m, spec = random_instance(seed, rewards=seed % 2 == 0)
+    labels = m.labels + (("void", frozenset()),)
+    rewards = m.rewards
+    if rewards is not None:
+        rewards = tuple(tuple(r if rng.random() < 0.5 else 0.0 for r in menu) for menu in rewards)
+    m = replace(m, labels=labels, rewards=rewards)
+    formula = instantiate(spec, m)
+    kinds = ("reach", "reward") if m.has_rewards else ("reach",)
+    extra = tuple(
+        Atom(Query(kind, slot, s, label), rng.randint(0, 16) / 4.0)
+        for kind in kinds
+        for slot in range(spec.n_controllers)
+        for s in range(m.num_states)
+        for label in m.label_names()
+    )
+    return m, spec, InstantiatedFormula(formula.atoms + extra, formula.root)
+
+
+def test_check_members_match_check_mc_on_random_instances():
+    seen = dict(members=0, inf=0, two_slots=0, zero_cycles=0)
+    for seed in range(200):
+        m, spec, formula = _differential_instance(seed)
+        space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+        compiled = compile_model(m, space)
+        members = list(islice(product(*space.domains), 256))
+        want_holds, want_values = [], []
+        for real in members:
+            mcs = [impose(m, induce(space, real, i)) for i in range(spec.n_controllers)]
+            res = check_mc(mcs, formula)
+            want_holds.append(res.holds)
+            want_values.append([value[:2] for value in res.atom_values])
+            if m.has_rewards:
+                seen["zero_cycles"] += any(
+                    _zero_reward_cycle(mc, mc.target(name)) for mc in mcs for name in m.label_names()
+                )
+        want_values = np.array(want_values)
+        inf = np.isinf(want_values)
+        for size in (1, 3, 256):
+            batches = [
+                check_members(compiled, formula, members[start : start + size])
+                for start in range(0, len(members), size)
+            ]
+            holds = np.concatenate([batch.holds for batch in batches])
+            values = np.concatenate([batch.values for batch in batches])
+            assert holds.tolist() == want_holds, (seed, size)
+            assert (np.isinf(values) == inf).all() and (values[inf] == want_values[inf]).all(), (seed, size)
+            assert np.abs(values[~inf] - want_values[~inf]).max(initial=0.0) <= 1e-12, (seed, size)
+        seen["members"] += len(members)
+        seen["inf"] += inf.sum()
+        seen["two_slots"] += spec.n_controllers == 2 and bool(spec.constraints)
+    assert seen["members"] > 2000 and seen["inf"] > 1000 and seen["two_slots"] > 5
+    assert seen["zero_cycles"] > 100
+
+
+def test_check_members_reward_query_needs_rewards():
+    m, spec = random_instance(3, rewards=False)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    formula = InstantiatedFormula((Atom(Query("reward", 0, 0, m.label_names()[0]), 1.0),), ("atom", 0))
+    real = next(product(*space.domains))
+    with pytest.raises(MissingRewardsError):
+        check_mc([impose(m, induce(space, real, 0))], formula)
+    with pytest.raises(MissingRewardsError):
+        check_members(compile_model(m, space), formula, [real])

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from hypersynth import enumerate_satisfying, parse_model, parse_spec, write_model, write_spec
+from hypersynth import enumerate_satisfying, parse_model, parse_spec, synthesis, write_model, write_spec
 from hypersynth.cli import main
 
-from conftest import notes_example
+from conftest import binary_family, binary_spec, notes_example
 
 
 @pytest.fixture
@@ -157,6 +157,25 @@ def test_enumerate_matches_library_order(files, tmp_path, capsys):
     want = enumerate_satisfying(m, parse_spec(open(spec).read()))
     assert len(want) == 2
     assert lines == [" ".join(map(str, real)) for real in want]
+
+
+def test_enumerate_limit_checks_one_chunk(tmp_path, monkeypatch, capsys):
+    m = binary_family(12)  # every member satisfies P >= 0; the family spans several chunks
+    model, spec = tmp_path / "b.model", tmp_path / "b.spec"
+    model.write_text(write_model(m))
+    spec.write_text(write_spec(binary_spec(0.0)))
+    batches = []
+    batched = synthesis.check_members
+
+    def spy(compiled, formula, realisations):
+        batches.append(len(realisations))
+        return batched(compiled, formula, realisations)
+
+    monkeypatch.setattr(synthesis, "check_members", spy)
+    code = main(["enumerate", "--model", str(model), "--spec", str(spec), "--limit", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.split() == ["0"] * len(m.trans)
+    assert len(batches) == 1 and batches[0] < 2**12
 
 
 def test_synth_oracle_unfeasible_checks_every_member(files, tmp_path):

@@ -1,5 +1,6 @@
+import math
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -8,12 +9,15 @@ from hypersynth import (
     LimitExceeded,
     check_mc,
     enumerate_satisfying,
+    generate,
     impose,
     lift_spec_memory,
     parse_spec,
     synthesize,
     unfold_memory,
 )
+from hypersynth import synthesis
+from hypersynth.analysis import compile_model
 from hypersynth.errors import SpecError
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
@@ -28,7 +32,7 @@ from hypersynth.synthesis import (
 )
 from hypersynth.family import root_node
 
-from conftest import notes_example, random_instance
+from conftest import binary_family, binary_spec, notes_example, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +390,74 @@ def test_time_limit_can_stop_an_enumerated_box(monkeypatch):
     m, _ = notes_example()
     spec = parse_spec(STUBBORN)
     base = synthesize(m, spec, mode="complete")
-    handle = _Synthesizer._handle_singleton
+    settle = _Synthesizer._settle
 
-    def expire(self, node):
-        done = handle(self, node)
+    def expire(self, real, holds):
+        done = settle(self, real, holds)
         if self.enumerated:
             self.time_limit = 0.0  # the clock runs out after the first enumerated member
         return done
 
-    monkeypatch.setattr(_Synthesizer, "_handle_singleton", expire)
+    monkeypatch.setattr(_Synthesizer, "_settle", expire)
     seen.clear()
     with pytest.raises(LimitExceeded) as e:
         synthesize(m, spec, mode="complete", time_limit=60.0)
     stats = e.value.stats
     assert seen[0].size() == 2 and stats["enumerated_members"] == 1
     assert set(stats) == set(base.stats)
+
+
+# ---------------------------------------------------------------------------
+# members checked in chunks
+
+BINARY_K = 12  # 4,096 members, several chunks at the family's model size
+
+
+def _chunk(m, spec):
+    return compile_model(m, build_parameter_space(m, spec.n_controllers, spec.constraints)).chunk
+
+
+def _member(m, j):
+    space = build_parameter_space(m, 1)
+    return next(islice(product(*space.domains), j, None))
+
+
+def test_oracle_stops_at_first_satisfying_member_mid_chunk():
+    m = binary_family(BINARY_K)
+    chunk = _chunk(m, binary_spec(0.0))
+    j = chunk + chunk // 2  # 0-based index of the first satisfying member
+    assert 2 * chunk < 2**BINARY_K
+    out = synthesize(m, binary_spec((j - 0.5) / 2**BINARY_K), method="oracle")
+    assert out.verdict == "feasible" and out.realisation == _member(m, j)
+    assert out.stats["iterations"] == out.stats["enumerated_members"] == j + 1
+
+
+def test_iteration_limit_mid_chunk_counts_exactly():
+    m = binary_family(BINARY_K)
+    never = parse_spec("exists sigma : forall s in {0} [sigma] : P(s, F target) < 0")
+    limit = _chunk(m, never) + 7
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, never, method="oracle", max_iters=limit)
+    stats = e.value.stats
+    assert stats["iterations"] == stats["enumerated_members"] == stats["explored"] == limit
+
+
+def test_oracle_checks_members_in_chunks_only(monkeypatch):
+    m, spec = generate("timing-attack", n=6)
+    batches, imposed = [], []
+    batched = synthesis.check_members
+
+    def spy(compiled, formula, realisations):
+        batches.append(len(realisations))
+        return batched(compiled, formula, realisations)
+
+    monkeypatch.setattr(synthesis, "check_members", spy)
+    monkeypatch.setattr(synthesis, "impose", lambda *args: imposed.append(args))
+    out = synthesize(m, spec, mode="complete", method="oracle")
+    size = out.stats["family_size"]
+    assert size == 4096 and out.stats["enumerated_members"] == size == sum(batches)
+    assert len(batches) <= math.ceil(size / _chunk(m, spec)) + 1
+    assert imposed == []
 
 
 def test_memory_unfolding_can_help():
