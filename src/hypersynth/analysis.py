@@ -3,19 +3,23 @@
 Markov chains are solved directly: qualitative sets come from graph
 closures, quantities from dense linear solves, so chain results are exact
 up to machine precision.  MDP extrema (min/max over all controllers) use
-qualitative precomputation followed by Gauss-Seidel value iteration with a
-sup-norm residual stop.
+qualitative precomputation followed by policy iteration on the remaining
+states, so the values returned are those of the witness policy, each from
+one dense linear solve.
 
 Every MDP qualitative set and witness is grown by one least fixpoint,
-`_attractor`; only the prob0 set for max is a backward `_closure`.
+`_attractor`.
 
-Value iteration for reachability and for maximal reward runs from below;
-minimal expected reward runs from above, seeded with the exact cost of a
-known proper controller, because zero-reward cycles admit spurious smaller
-fixpoints.  Witness actions are greedy, ties broken toward the lowest
-action ordinal, except where plain greediness can select value-preserving
-cycles (maximal reachability, minimal reward): there a state takes the
-first near-optimal action entering the attractor grown from the target.
+Policy iteration starts from a proper policy, one under which every
+undecided state leaves the undecided states with probability one: for
+maximal reachability an action entering the attractor grown from the
+target, for minimal reward the actions of a controller reaching the target
+almost surely, and for minimal reachability and maximal reward any policy,
+since there every policy is proper.  A state switches only to an action
+whose gain beats its current action's by more than tol / 100, so every
+policy stays proper and every evaluation is well posed; zero-reward
+cycles and value-preserving loops are never entered.  The final policy is
+the witness.
 
 Members of a controller family are checked in batches on a compiled model
 (`compile_model`, `check_members`), in chunks of CHUNK_BYTES per stack of
@@ -38,10 +42,9 @@ import numpy as np
 
 from .errors import InvalidControllerError, MissingRewardsError, ModelError
 from .formulas import InstantiatedFormula, Query
-from .model import Controller, Mc, Mdp, TargetSet, impose
+from .model import Controller, Mc, Mdp, TargetSet
 
 DEFAULT_TOL = 1e-8
-MAX_SWEEPS = 10**6
 
 # Expected-visit sentinel for states of a bottom SCC hit with positive
 # probability; genuine transient counts are exact.
@@ -77,17 +80,15 @@ def _successors(mc: Mc) -> list[list[int]]:
     return [[t for t, _ in row] for row in mc.trans]
 
 
-def _predecessors(model, skip=frozenset()) -> list[list[int]]:
-    """Predecessor lists of the model's graph, without the edges leaving
-    skip; an MDP's edges are those of all its actions."""
+def _predecessors(mc: Mc, skip=frozenset()) -> list[list[int]]:
+    """Predecessor lists of the chain's graph, without the edges leaving
+    skip."""
 
-    menus = ((row,) for row in model.trans) if isinstance(model, Mc) else model.trans
-    pred = [[] for _ in range(model.num_states)]
-    for s, menu in enumerate(menus):
+    pred = [[] for _ in range(mc.num_states)]
+    for s, row in enumerate(mc.trans):
         if s not in skip:
-            for row in menu:
-                for t, _ in row:
-                    pred[t].append(s)
+            for t, _ in row:
+                pred[t].append(s)
     return pred
 
 
@@ -304,11 +305,25 @@ def _attractor(m: Mdp, seeds, joins, candidates=None):
     return inside, actions, outside
 
 
-def _prob1_max(m: Mdp, t):
-    """States where some controller reaches the target almost surely,
-    plus, per such state, an action of a controller that does."""
+def _some_action_enters(m: Mdp):
+    """An _attractor join rule: the first action entering the inside."""
 
-    universe = set(range(m.num_states))
+    def joins(s, inside):
+        for a, row in enumerate(m.trans[s]):
+            if any(succ in inside for succ, _ in row):
+                return a
+        return None
+
+    return joins
+
+
+def _prob1_max(m: Mdp, t, universe=None):
+    """States where some controller reaches the target almost surely,
+    plus, per such state, an action of a controller that does.  universe,
+    when given, holds them all, such as the states that can reach the
+    target."""
+
+    universe = set(range(m.num_states) if universe is None else universe)
 
     def joins(s, inside):
         for a, row in enumerate(m.trans[s]):
@@ -339,12 +354,6 @@ def _avoid_sets(m: Mdp, t):
                 return None
         return 0  # any action will do; the set is all that is used
 
-    def some_action_enters(s, inside):
-        for a, row in enumerate(m.trans[s]):
-            if any(succ in inside for succ, _ in row):
-                return a
-        return None
-
     _, _, left_out = _attractor(m, t, every_action_enters)
     z = set(left_out)
     actions = {}
@@ -354,22 +363,25 @@ def _avoid_sets(m: Mdp, t):
                 actions[s] = a
                 break
     b, b_actions, _ = _attractor(
-        m, z, some_action_enters, [s for s in range(m.num_states) if s not in t]
+        m, z, _some_action_enters(m), [s for s in range(m.num_states) if s not in t]
     )
     actions.update(b_actions)
     return z, b, actions
 
 
 def _qualitative(m: Mdp, t, direction: str):
-    """(prob0, prob1, actions) for the direction: for max, actions of a
-    controller reaching the target almost surely from prob1; for min, the
-    actions of _avoid_sets, which keep prob0 away from the target."""
+    """(prob0, prob1, actions) for the direction.  For max, the actions of
+    a controller reaching the target almost surely on prob1, and elsewhere
+    outside prob0 an action entering the attractor grown from the target,
+    so that the target stays reachable; for min, the actions of
+    _avoid_sets, which keep prob0 away from the target."""
 
     everything = set(range(m.num_states))
     if direction == "max":
-        prob0 = frozenset(everything - _closure(_predecessors(m), t))
-        prob1, actions = _prob1_max(m, t)
-        return prob0, prob1, actions
+        can, actions, _ = _attractor(m, t, _some_action_enters(m))
+        prob1, sure = _prob1_max(m, t, can)
+        actions.update(sure)
+        return frozenset(everything - can), prob1, actions
     if direction == "min":
         z, b, actions = _avoid_sets(m, t)
         return frozenset(z), frozenset(everything - b), actions
@@ -390,13 +402,11 @@ def qualitative_states(m: Mdp, target, direction: str):
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Per-state values with convergence metadata."""
+    """Per-state extremal values of one query and direction."""
 
     values: tuple[float, ...]
     kind: str
     direction: str
-    sweeps: int
-    residual: float
 
     def __getitem__(self, s: int) -> float:
         return self.values[s]
@@ -404,68 +414,74 @@ class ValueVector:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Extremal values over all controllers plus a witness controller that
-    attains them (up to iteration tolerance).  Witness ordinals are local
-    to the model that was analysed."""
+    """Extremal values over all controllers plus a witness controller, the
+    final policy of the policy iteration, whose own values they are.
+    Witness ordinals are local to the model that was analysed."""
 
     values: ValueVector
     witness: Controller
 
 
-def _row_value(row, v):
-    return sum(p * v[t] for t, p in row)
+def _policy_iteration(m, free, v, choice, sign, delta, reward=None, pin=None):
+    """Policy iteration on the free states, in place on v and choice.
 
+    The values of the other states are fixed.  choice must be proper on the
+    free states (every free state leaves them with probability one), and is
+    then proper after every round.  A round evaluates choice with one dense
+    solve, each row divided by the probability of leaving its state, so a
+    near-1 self-loop costs no precision.  Then each state takes its best
+    action (sign 1 maximises, -1 minimises; reward(s, a) is added for
+    reward queries; pin(s, a) admits an action) when that beats the current
+    action's gain, r + sum over t != s of p (v[t] - v[s]), by more than
+    delta.  A strict switch from a proper policy yields a proper one, since
+    rewards are nonnegative.  Stops after a round without a switch.
+    """
 
-def _gauss_seidel(m, free, v, q_of, better, tol, pin=None):
-    """In-place optimising sweeps over the free states.  q_of(s, a, v)
-    yields the action value; better(a, b) is True when a improves on b."""
-
-    sweeps = 0
-    residual = INF
-    while residual > tol:
-        if sweeps >= MAX_SWEEPS:
-            raise ModelError("value iteration failed to converge")
-        residual = 0.0
+    if not delta > 0:
+        # without a margin, rounding alone can switch tied actions back and
+        # forth for ever
+        raise ModelError("tol must be positive")
+    if not free:
+        return
+    idx = {s: i for i, s in enumerate(free)}
+    # per free state and admitted action: its reward and the transitions
+    # leaving the state
+    menus = {
+        s: {
+            a: (reward(s, a) if reward else 0.0, [(t, p) for t, p in row if t != s])
+            for a, row in enumerate(m.trans[s])
+            if pin is None or pin(s, a)
+        }
+        for s in free
+    }
+    while True:
+        mat = np.eye(len(free))
+        rhs = np.zeros(len(free))
+        for s, i in idx.items():
+            r, out = menus[s][choice[s]]
+            leave = sum(p for _, p in out)
+            for t, p in out:
+                j = idx.get(t)
+                if j is None:
+                    r += p * v[t]
+                else:
+                    mat[i, j] -= p / leave
+            rhs[i] = r / leave
+        for s, x in zip(free, np.linalg.solve(mat, rhs).tolist()):
+            v[s] = x
+        switched = False
         for s in free:
-            best = None
-            for a in range(m.num_actions(s)):
-                if pin is not None and not pin(s, a):
-                    continue
-                q = q_of(s, a, v)
-                if best is None or better(q, best):
-                    best = q
-            delta = abs(best - v[s])
-            if delta > residual:
-                residual = delta
-            v[s] = best
-        sweeps += 1
-    return sweeps, residual
-
-
-def _greedy_choice(m, v, s, q_of, better, pin=None):
-    best = None
-    pick = 0
-    for a in range(m.num_actions(s)):
-        if pin is not None and not pin(s, a):
-            continue
-        q = q_of(s, a, v)
-        if best is None or better(q, best):
-            best = q
-            pick = a
-    return pick
-
-
-def _blend_witness(m, v, choice, direction, solve):
-    """Replace iterated values by the witness chain's exact values where
-    those are sharper.  The witness value is attained by a member, so for
-    max it is a valid lower bound on the extremum and for min an upper
-    one; iteration error then survives only where the witness itself is
-    suboptimal."""
-
-    exact = solve(impose(m, Controller(tuple(choice))))
-    if direction == "max":
-        return [max(a, float(b)) for a, b in zip(v, exact)]
-    return [min(a, float(b)) for a, b in zip(v, exact)]
+            vs = v[s]
+            gains = {
+                a: sign * (r + sum(p * (v[t] - vs) for t, p in out))
+                for a, (r, out) in menus[s].items()
+            }
+            best = max(gains, key=gains.get)  # the lowest ordinal among ties
+            if gains[best] > gains[choice[s]] + delta:
+                choice[s] = best
+                switched = True
+        if not switched:
+            return
 
 
 def extremal_reach(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) -> ExtremalResult:
@@ -475,50 +491,17 @@ def extremal_reach(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) -> 
     n = m.num_states
     prob0, prob1, actions = _qualitative(m, t, direction)
     v = [0.0] * n
-    for s in t:
-        v[s] = 1.0
-    for s in prob1:
+    for s in t | prob1:
         v[s] = 1.0
     free = [s for s in range(n) if s not in t and s not in prob0 and s not in prob1]
-
-    def q_of(s, a, vec):
-        return _row_value(m.trans[s][a], vec)
-
-    if direction == "max":
-        better = lambda a, b: a > b
-    else:
-        better = lambda a, b: a < b
-    # iterate well below the guard band; the stopping residual understates
-    # the distance to the fixpoint on slowly mixing chains
-    sweeps, residual = (
-        _gauss_seidel(m, free, v, q_of, better, tol * 0.01) if free else (0, 0.0)
-    )
-
-    tie = guard_band(tol)
+    # the qualitative actions are proper on the free states: for max they
+    # lead toward the target, and for min every policy is proper off prob0
     choice = [0] * n
-    if direction == "max":
-        # a near-optimal action that enters the grown region with positive
-        # probability: the induced chain makes progress toward the target
-        def joins(s, inside):
-            for a, row in enumerate(m.trans[s]):
-                if any(succ in inside for succ, _ in row) and _row_value(row, v) >= v[s] - tie:
-                    return a
-            return None
-
-        _, joined, leftover = _attractor(m, t, joins)
-        for s, a in joined.items():
-            choice[s] = a
-        for s in leftover:
-            choice[s] = _greedy_choice(m, v, s, q_of, better)
-    else:
-        for s in range(n):
-            if s in t:
-                continue
-            # on prob0 the avoiding action realises reach probability zero
-            choice[s] = actions[s] if s in prob0 else _greedy_choice(m, v, s, q_of, better)
-
-    v = _blend_witness(m, v, choice, direction, lambda mc: reach_probs(mc, t))
-    vec = ValueVector(tuple(v), "reach", direction, sweeps, residual)
+    for s, a in actions.items():
+        choice[s] = a
+    sign = 1.0 if direction == "max" else -1.0
+    _policy_iteration(m, free, v, choice, sign, tol * 0.01)
+    vec = ValueVector(tuple(min(max(x, 0.0), 1.0) for x in v), "reach", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 
@@ -532,78 +515,33 @@ def extremal_reward(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) ->
     t = _target_states(m, target)
     n = m.num_states
     if not t:
-        vec = ValueVector((INF,) * n, "reward", direction, 0, 0.0)
-        return ExtremalResult(vec, Controller((0,) * n))
+        return ExtremalResult(ValueVector((INF,) * n, "reward", direction), Controller((0,) * n))
 
-    def q_of(s, a, vec):
-        return m.rewards[s][a] + _row_value(m.trans[s][a], vec)
-
-    tie = guard_band(tol)
     choice = [0] * n
     v = [0.0] * n
-
+    pin = None
     if direction == "max":
-        # finite exactly where every controller reaches almost surely
-        _, b, avoid_actions = _avoid_sets(m, t)
-        region = [s for s in range(n) if s not in b]
-        free = [s for s in region if s not in t]
-        for s in b:
-            v[s] = INF
-        better = lambda a, c: a > c
-        sweeps, residual = (
-            _gauss_seidel(m, free, v, q_of, better, tol * 0.01) if free else (0, 0.0)
-        )
-        for s in free:
-            choice[s] = _greedy_choice(m, v, s, q_of, better)
-        for s, a in avoid_actions.items():
-            choice[s] = a
+        # finite exactly off B, where every controller reaches almost
+        # surely; there every policy is proper, and no action enters B
+        _, infinite, actions = _avoid_sets(m, t)
+        sign = 1.0
     elif direction == "min":
-        prob1e, reach_actions = _prob1_max(m, t)
-        region = sorted(prob1e)
-        stays = lambda s, a: all(succ in prob1e for succ, _ in m.trans[s][a])
-        # seed from the exact cost of the qualitative witness controller,
-        # which is proper on the region; descending iteration then cannot
-        # be captured by zero-reward cycles below the true minimum
-        seed_choice = [reach_actions.get(s, 0) for s in range(n)]
-        seed_costs = expected_reward(impose(m, Controller(tuple(seed_choice))), t)
-        for s in range(n):
-            if s in t:
-                v[s] = 0.0
-            elif s in prob1e:
-                v[s] = float(seed_costs[s])
-            else:
-                v[s] = INF
-        free = [s for s in region if s not in t]
-        better = lambda a, c: a < c
-        sweeps, residual = (
-            _gauss_seidel(m, free, v, q_of, better, tol * 0.01, pin=stays)
-            if free
-            else (0, 0.0)
-        )
-
-        # as for maximal reachability, restricted to actions staying in the
-        # region where the target is reached almost surely
-        def joins(s, inside):
-            for a, row in enumerate(m.trans[s]):
-                if (
-                    all(succ in prob1e for succ, _ in row)
-                    and any(succ in inside for succ, _ in row)
-                    and m.rewards[s][a] + _row_value(row, v) <= v[s] + tie
-                ):
-                    return a
-            return None
-
-        _, joined, leftover = _attractor(m, t, joins)
-        for s, a in joined.items():
-            choice[s] = a
-        for s in leftover:
-            if s in prob1e and s not in t:
-                choice[s] = _greedy_choice(m, v, s, q_of, better, pin=stays)
+        # finite where some controller reaches almost surely; the actions
+        # of one that does are proper, and actions leaving that region are
+        # pinned out
+        reach, actions = _prob1_max(m, t)
+        infinite = set(range(n)) - reach
+        pin = lambda s, a: all(succ in reach for succ, _ in m.trans[s][a])
+        sign = -1.0
     else:
         raise ModelError(f"unknown direction {direction!r}")
-
-    v = _blend_witness(m, v, choice, direction, lambda mc: expected_reward(mc, t))
-    vec = ValueVector(tuple(v), "reward", direction, sweeps, residual)
+    for s in infinite:
+        v[s] = INF
+    for s, a in actions.items():
+        choice[s] = a
+    free = [s for s in range(n) if s not in t and s not in infinite]
+    _policy_iteration(m, free, v, choice, sign, tol * 0.01, m.reward, pin)
+    vec = ValueVector(tuple(max(x, 0.0) for x in v), "reward", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 

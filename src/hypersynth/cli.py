@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--memory-bits", type=int, default=0,
                     help="unfold this many bits of controller memory first")
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                    help="numeric tolerance of the value iteration")
+                    help="numeric tolerance: box bounds decide with a guard band of "
+                         "10 tol, and policy iteration switches an action only "
+                         "on a gain above tol / 100")
     sp.add_argument("--max-iters", type=int, default=None,
                     help="abort after this many iterations: refinement steps "
                          "plus members settled by the enumerator")

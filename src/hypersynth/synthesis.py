@@ -28,9 +28,12 @@ its own, such as the candidates of one open box.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
-more than analysing it: when its size times the measured seconds per
-member of the enumerator's chunks is at most the mean time of one box
-analysis (member checks made during an analysis included).  Until the
+more than settling it by analysis: when its size times the measured seconds
+per member of the enumerator's chunks is at most the price of an analysis.
+That price is the subtree an analysis leaves behind: the mean time of one
+box analysis (member checks made during it included) over the run's settle
+rate, (settling + 1) / (analyses + 2), where an analysis settles when
+members were settled during it or it found the outcome.  Until the
 enumerator has run, the seconds per member of the other member checks,
 which come in smaller batches and so cost more, stand in for its price.
 Both are measured in the current run.  The root is always analysed, since
@@ -512,10 +515,22 @@ def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: Instantiated
         yield from (real for real, ok in zip(chunk, holds) if ok)
 
 
+def subtree_price(analysis_s: float, analyses: int, settling: int) -> float | None:
+    """Expected seconds to settle a box by analysing it: the mean seconds of
+    an analysis over the share of analyses that settle something, counted
+    as (settling + 1) / (analyses + 2), since an analysis that settles
+    nothing leaves a subtree of boxes to analyse in turn.  None while no
+    analysis is measured."""
+
+    if not analyses:
+        return None
+    return analysis_s / analyses * (analyses + 2) / (settling + 1)
+
+
 def cheaper_to_enumerate(size: int, member_s: float | None, analysis_s: float | None) -> bool:
     """Whether checking all ``size`` members of a box is expected to cost no
-    more than one interval analysis of it, given the seconds per enumerated
-    member and the mean seconds of a box analysis (None while nothing is
+    more than settling it by analysis, given the seconds per enumerated
+    member and the price of analysing the box (None while nothing is
     measured)."""
 
     if member_s is None or analysis_s is None:
@@ -580,6 +595,8 @@ class _Synthesizer:
         self.checks = 0
         self.analysis_s = 0.0
         self.analyses = 0
+        # analyses during which members were settled or an outcome found
+        self.settling = 0
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -611,6 +628,8 @@ class _Synthesizer:
             "splits": self.splits,
             "ce_prunes": self.ce_prunes,
             "enumerated_members": self.enumerated,
+            "analyses": self.analyses,
+            "settling_analyses": self.settling,
             "wall_time_s": self._elapsed(),
             "limit": None,
             "witness": None,
@@ -689,7 +708,7 @@ class _Synthesizer:
         return cheaper_to_enumerate(
             node.size(),
             self._member_s(),
-            self.analysis_s / self.analyses if self.analyses else None,
+            subtree_price(self.analysis_s, self.analyses, self.settling),
         )
 
     # -- the loop ----------------------------------------------------------
@@ -719,10 +738,12 @@ class _Synthesizer:
         if node.size() == 1:
             real = node.first_realisation()
             return self._settle(real, self._check([real]).holds[0])
+        explored = self.explored
         start = time.perf_counter()
         done = self._analyse(node, stack)
         self.analysis_s += time.perf_counter() - start
         self.analyses += 1
+        self.settling += done is not None or self.explored > explored
         return done
 
     def _analyse(self, node, stack):

@@ -679,6 +679,8 @@ _STATS_KEYS = (
     "splits",
     "ce_prunes",
     "enumerated_members",
+    "analyses",
+    "settling_analyses",
     "wall_time_s",
     "limit",
     "witness",

@@ -35,7 +35,7 @@ from hypersynth.analysis import (
     compile_model,
     qualitative_states,
 )
-from hypersynth.errors import MissingRewardsError
+from hypersynth.errors import MissingRewardsError, ModelError
 from hypersynth.exact import (
     expected_reward_exact,
     expected_visits_exact,
@@ -179,7 +179,7 @@ def _extremal_oracle(m, target, kind):
 
 
 def test_extremal_reach_vs_enumeration():
-    for seed in range(40):
+    for seed in range(300):
         rng = random.Random(1000 + seed)
         m = random_model(rng, max_states=6, max_actions=3, max_multi=3)
         target = m.target("goal")
@@ -187,18 +187,18 @@ def test_extremal_reach_vs_enumeration():
         rmin = extremal_reach(m, target, "min")
         rmax = extremal_reach(m, target, "max")
         for s in range(m.num_states):
-            assert rmin.values[s] == pytest.approx(lo[s], abs=1e-7), (seed, s)
-            assert rmax.values[s] == pytest.approx(hi[s], abs=1e-7), (seed, s)
+            assert rmin.values[s] == pytest.approx(lo[s], abs=1e-10), (seed, s)
+            assert rmax.values[s] == pytest.approx(hi[s], abs=1e-10), (seed, s)
         # witnesses attain the bound they certify
         vmin = reach_probs(impose(m, rmin.witness), target)
         vmax = reach_probs(impose(m, rmax.witness), target)
         for s in range(m.num_states):
-            assert vmin[s] == pytest.approx(lo[s], abs=1e-7), (seed, s)
-            assert vmax[s] == pytest.approx(hi[s], abs=1e-7), (seed, s)
+            assert vmin[s] == pytest.approx(lo[s], abs=1e-10), (seed, s)
+            assert vmax[s] == pytest.approx(hi[s], abs=1e-10), (seed, s)
 
 
 def test_extremal_reward_vs_enumeration():
-    for seed in range(40):
+    for seed in range(300):
         rng = random.Random(2000 + seed)
         m = random_model(rng, max_states=6, max_actions=3, max_multi=3, rewards=True)
         target = m.target("goal")
@@ -210,18 +210,25 @@ def test_extremal_reward_vs_enumeration():
                 if want == INF:
                     assert got == INF, (seed, s)
                 else:
-                    assert got == pytest.approx(want, abs=1e-6), (seed, s)
+                    assert got == pytest.approx(want, abs=1e-9), (seed, s)
         wmin = expected_reward(impose(m, rmin.witness), target)
         wmax = expected_reward(impose(m, rmax.witness), target)
         for s in range(m.num_states):
             if lo[s] == INF:
                 assert wmin[s] == INF, (seed, s)
             else:
-                assert wmin[s] == pytest.approx(lo[s], abs=1e-6), (seed, s)
+                assert wmin[s] == pytest.approx(lo[s], abs=1e-9), (seed, s)
             if hi[s] == INF:
                 assert wmax[s] == INF, (seed, s)
             else:
-                assert wmax[s] == pytest.approx(hi[s], abs=1e-6), (seed, s)
+                assert wmax[s] == pytest.approx(hi[s], abs=1e-9), (seed, s)
+
+
+def test_extremal_solves_need_a_positive_tol(notes_mdp):
+    target = notes_mdp.target("target")
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ModelError):
+            extremal_reach(notes_mdp, target, "max", tol)
 
 
 def test_check_mc_on_worked_example(notes_mdp):

@@ -9,9 +9,11 @@ from hypersynth import (
     LimitExceeded,
     check_mc,
     enumerate_satisfying,
+    extremal_reach,
     generate,
     impose,
     lift_spec_memory,
+    make_mdp,
     parse_spec,
     synthesize,
     unfold_memory,
@@ -29,6 +31,7 @@ from hypersynth.synthesis import (
     max_distance_completion,
     node_distance_bound,
     realisation_distance,
+    subtree_price,
 )
 from hypersynth.family import root_node
 
@@ -217,6 +220,25 @@ def test_complete_counts_agree_on_random_instances():
 # optimal mode
 
 
+@pytest.mark.parametrize("eps", [2e-10, 1e-9, 5.5e-9, 1e-8])
+def test_near_one_self_loop(eps):
+    # action 1 at state 0 loops with 1 - 2 eps and escapes to the goal and
+    # to a sink with eps each, so it reaches the goal with probability 1/2;
+    # action 0 reaches it with 0.1 only
+    m = make_mdp(
+        [
+            [[(1, 0.1), (2, 0.9)], [(0, 1.0 - 2.0 * eps), (1, eps), (2, eps)]],
+            [[(1, 1.0)]],
+            [[(2, 1.0)]],
+        ],
+        labels={"goal": (1,)},
+    )
+    assert extremal_reach(m, m.target("goal"), "max").values[0] == pytest.approx(0.5, abs=1e-12)
+    spec = parse_spec("exists sigma : forall s in {0} [sigma] : P(s, F goal) >= 0.3")
+    for method in ("ar", "hybrid", "oracle"):
+        assert synthesize(m, spec, method=method).verdict == "feasible", method
+
+
 def test_distance_helpers(notes_mdp):
     spec = parse_spec(
         "exists a, b : forall s1 in {0} [a], forall s2 in {0} [b] : "
@@ -327,6 +349,30 @@ def test_cheaper_to_enumerate_on_fixed_costs():
     # a cost not measured yet never enumerates
     assert not cheaper_to_enumerate(1, None, 1.0)
     assert not cheaper_to_enumerate(1, 1e-6, None)
+
+
+def test_subtree_price_follows_the_settle_rate():
+    # an unmeasured run never enumerates
+    assert subtree_price(0.0, 0, 0) is None
+    assert not cheaper_to_enumerate(1, 1e-9, subtree_price(0.0, 0, 0))
+    # analyses that never settle raise the price, the more the more of them
+    never = [subtree_price(0.01 * n, n, 0) for n in (1, 10, 100)]
+    assert 0.01 < never[0] < never[1] < never[2]
+    assert never[2] == pytest.approx(0.01 * 102)
+    # analyses that always settle bring it toward the mean analysis time
+    always = [subtree_price(0.01 * n, n, n) for n in (1, 10, 100, 10_000)]
+    assert all(a > b > 0.01 for a, b in zip(always, always[1:]))
+    assert always[-1] == pytest.approx(0.01, rel=1e-3)
+
+
+def test_stats_count_analyses():
+    m, _ = notes_example()
+    spec = parse_spec(STUBBORN)
+    out = synthesize(m, spec, mode="complete")
+    assert 1 <= out.stats["analyses"] <= out.stats["iterations"]
+    assert 0 <= out.stats["settling_analyses"] <= out.stats["analyses"]
+    out = synthesize(m, spec, mode="complete", method="oracle")
+    assert out.stats["analyses"] == out.stats["settling_analyses"] == 0
 
 
 def _always_enumerate(monkeypatch):

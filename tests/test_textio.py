@@ -187,6 +187,8 @@ def test_write_stats_shape():
         "splits": 1,
         "ce_prunes": 0,
         "enumerated_members": 4,
+        "analyses": 2,
+        "settling_analyses": 1,
         "wall_time_s": 0.5,
         "limit": None,
         "witness": None,
@@ -199,6 +201,8 @@ def test_write_stats_shape():
     assert data["schema_version"] == 1
     assert data["family_size"] == 156
     assert list(data).index("enumerated_members") == list(data).index("ce_prunes") + 1
+    keys = list(data)
+    assert keys.index("settling_analyses") == keys.index("analyses") + 1 == keys.index("enumerated_members") + 2
     assert data["atoms"][0]["lb_left"] == "inf"
     # key order is stable
     assert text == write_stats(dict(reversed(list(stats.items()))))
