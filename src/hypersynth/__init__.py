@@ -46,7 +46,6 @@ from .model import (
     impose,
     make_mc,
     make_mdp,
-    restrict,
     unfold_memory,
 )
 from .specs import (
@@ -120,7 +119,6 @@ __all__ = [
     "parse_model",
     "parse_spec",
     "reach_probs",
-    "restrict",
     "root_node",
     "split_node",
     "synthesize",

@@ -10,6 +10,12 @@ one dense linear solve.
 Every MDP qualitative set and witness is grown by one least fixpoint,
 `_attractor`.
 
+The extremal solves range over the controllers choosing, in each state s,
+among the ascending action ordinals allowed[s]; by default every action.
+A box of a controller family is analysed in place this way, on the MDP
+itself: every fixpoint and policy-iteration round scans only the allowed
+actions, and witnesses come out in the MDP's own ordinals.
+
 Policy iteration starts from a proper policy, one under which every
 undecided state leaves the undecided states with probability one: for
 maximal reachability an action entering the attractor grown from the
@@ -305,19 +311,26 @@ def _attractor(m: Mdp, seeds, joins, candidates=None):
     return inside, actions, outside
 
 
-def _some_action_enters(m: Mdp):
-    """An _attractor join rule: the first action entering the inside."""
+def _every_action(m: Mdp):
+    """Per state, every action ordinal: the menus of the unrestricted MDP."""
+
+    return [range(m.num_actions(s)) for s in range(m.num_states)]
+
+
+def _some_action_enters(m: Mdp, allowed):
+    """An _attractor join rule: the first allowed action entering the
+    inside."""
 
     def joins(s, inside):
-        for a, row in enumerate(m.trans[s]):
-            if any(succ in inside for succ, _ in row):
+        for a in allowed[s]:
+            if any(succ in inside for succ, _ in m.trans[s][a]):
                 return a
         return None
 
     return joins
 
 
-def _prob1_max(m: Mdp, t, universe=None):
+def _prob1_max(m: Mdp, allowed, t, universe=None):
     """States where some controller reaches the target almost surely,
     plus, per such state, an action of a controller that does.  universe,
     when given, holds them all, such as the states that can reach the
@@ -326,7 +339,8 @@ def _prob1_max(m: Mdp, t, universe=None):
     universe = set(range(m.num_states) if universe is None else universe)
 
     def joins(s, inside):
-        for a, row in enumerate(m.trans[s]):
+        for a in allowed[s]:
+            row = m.trans[s][a]
             if all(succ in universe for succ, _ in row) and any(
                 succ in inside for succ, _ in row
             ):
@@ -340,7 +354,7 @@ def _prob1_max(m: Mdp, t, universe=None):
         universe = inside
 
 
-def _avoid_sets(m: Mdp, t):
+def _avoid_sets(m: Mdp, allowed, t):
     """Z: states with an action strategy that surely avoids the target
     forever, the complement of the states where every controller reaches
     it with positive probability.  B: states that can, avoiding the target,
@@ -349,8 +363,8 @@ def _avoid_sets(m: Mdp, t):
     (on Z, one that stays in Z)."""
 
     def every_action_enters(s, inside):
-        for row in m.trans[s]:
-            if not any(succ in inside for succ, _ in row):
+        for a in allowed[s]:
+            if not any(succ in inside for succ, _ in m.trans[s][a]):
                 return None
         return 0  # any action will do; the set is all that is used
 
@@ -358,18 +372,18 @@ def _avoid_sets(m: Mdp, t):
     z = set(left_out)
     actions = {}
     for s in left_out:
-        for a, row in enumerate(m.trans[s]):
-            if all(succ in z for succ, _ in row):
+        for a in allowed[s]:
+            if all(succ in z for succ, _ in m.trans[s][a]):
                 actions[s] = a
                 break
     b, b_actions, _ = _attractor(
-        m, z, _some_action_enters(m), [s for s in range(m.num_states) if s not in t]
+        m, z, _some_action_enters(m, allowed), [s for s in range(m.num_states) if s not in t]
     )
     actions.update(b_actions)
     return z, b, actions
 
 
-def _qualitative(m: Mdp, t, direction: str):
+def _qualitative(m: Mdp, allowed, t, direction: str):
     """(prob0, prob1, actions) for the direction.  For max, the actions of
     a controller reaching the target almost surely on prob1, and elsewhere
     outside prob0 an action entering the attractor grown from the target,
@@ -378,12 +392,12 @@ def _qualitative(m: Mdp, t, direction: str):
 
     everything = set(range(m.num_states))
     if direction == "max":
-        can, actions, _ = _attractor(m, t, _some_action_enters(m))
-        prob1, sure = _prob1_max(m, t, can)
+        can, actions, _ = _attractor(m, t, _some_action_enters(m, allowed))
+        prob1, sure = _prob1_max(m, allowed, t, can)
         actions.update(sure)
         return frozenset(everything - can), prob1, actions
     if direction == "min":
-        z, b, actions = _avoid_sets(m, t)
+        z, b, actions = _avoid_sets(m, allowed, t)
         return frozenset(z), frozenset(everything - b), actions
     raise ModelError(f"unknown direction {direction!r}")
 
@@ -392,7 +406,7 @@ def qualitative_states(m: Mdp, target, direction: str):
     """Graph-only classification: (prob0, prob1) frozensets for the given
     optimisation direction over controllers."""
 
-    prob0, prob1, _ = _qualitative(m, _target_states(m, target), direction)
+    prob0, prob1, _ = _qualitative(m, _every_action(m), _target_states(m, target), direction)
     return prob0, prob1
 
 
@@ -416,13 +430,14 @@ class ValueVector:
 class ExtremalResult:
     """Extremal values over all controllers plus a witness controller, the
     final policy of the policy iteration, whose own values they are.
-    Witness ordinals are local to the model that was analysed."""
+    Witness ordinals are the model's own, each among the actions the
+    solve allowed in its state."""
 
     values: ValueVector
     witness: Controller
 
 
-def _policy_iteration(m, free, v, choice, sign, delta, reward=None, pin=None):
+def _policy_iteration(m, allowed, free, v, choice, sign, delta, reward=None):
     """Policy iteration on the free states, in place on v and choice.
 
     The values of the other states are fixed.  choice must be proper on the
@@ -430,11 +445,11 @@ def _policy_iteration(m, free, v, choice, sign, delta, reward=None, pin=None):
     then proper after every round.  A round evaluates choice with one dense
     solve, each row divided by the probability of leaving its state, so a
     near-1 self-loop costs no precision.  Then each state takes its best
-    action (sign 1 maximises, -1 minimises; reward(s, a) is added for
-    reward queries; pin(s, a) admits an action) when that beats the current
-    action's gain, r + sum over t != s of p (v[t] - v[s]), by more than
-    delta.  A strict switch from a proper policy yields a proper one, since
-    rewards are nonnegative.  Stops after a round without a switch.
+    allowed action (sign 1 maximises, -1 minimises; reward(s, a) is added
+    for reward queries) when that beats the current action's gain,
+    r + sum over t != s of p (v[t] - v[s]), by more than delta.  A strict
+    switch from a proper policy yields a proper one, since rewards are
+    nonnegative.  Stops after a round without a switch.
     """
 
     if not delta > 0:
@@ -444,13 +459,12 @@ def _policy_iteration(m, free, v, choice, sign, delta, reward=None, pin=None):
     if not free:
         return
     idx = {s: i for i, s in enumerate(free)}
-    # per free state and admitted action: its reward and the transitions
+    # per free state and allowed action: its reward and the transitions
     # leaving the state
     menus = {
         s: {
-            a: (reward(s, a) if reward else 0.0, [(t, p) for t, p in row if t != s])
-            for a, row in enumerate(m.trans[s])
-            if pin is None or pin(s, a)
+            a: (reward(s, a) if reward else 0.0, [(t, p) for t, p in m.trans[s][a] if t != s])
+            for a in allowed[s]
         }
         for s in free
     }
@@ -484,54 +498,65 @@ def _policy_iteration(m, free, v, choice, sign, delta, reward=None, pin=None):
             return
 
 
-def extremal_reach(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) -> ExtremalResult:
-    """Minimal or maximal reachability probability over all controllers."""
+def extremal_reach(
+    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None
+) -> ExtremalResult:
+    """Minimal or maximal reachability probability over all controllers
+    choosing, in each state s, among the action ordinals allowed[s] (an
+    ascending sequence; None allows every action)."""
 
+    allowed = _every_action(m) if allowed is None else allowed
     t = _target_states(m, target)
     n = m.num_states
-    prob0, prob1, actions = _qualitative(m, t, direction)
+    prob0, prob1, actions = _qualitative(m, allowed, t, direction)
     v = [0.0] * n
     for s in t | prob1:
         v[s] = 1.0
     free = [s for s in range(n) if s not in t and s not in prob0 and s not in prob1]
     # the qualitative actions are proper on the free states: for max they
     # lead toward the target, and for min every policy is proper off prob0
-    choice = [0] * n
+    choice = [menu[0] for menu in allowed]
     for s, a in actions.items():
         choice[s] = a
     sign = 1.0 if direction == "max" else -1.0
-    _policy_iteration(m, free, v, choice, sign, tol * 0.01)
+    _policy_iteration(m, allowed, free, v, choice, sign, tol * 0.01)
     vec = ValueVector(tuple(min(max(x, 0.0), 1.0) for x in v), "reach", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 
-def extremal_reward(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) -> ExtremalResult:
+def extremal_reward(
+    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None
+) -> ExtremalResult:
     """Minimal or maximal expected reward before the target, over all
-    controllers.  States where the relevant direction cannot force
-    almost-sure reachability carry the +inf sentinel."""
+    controllers choosing among the allowed actions, as in extremal_reach.
+    States where the relevant direction cannot force almost-sure
+    reachability carry the +inf sentinel."""
 
     if m.rewards is None:
         raise MissingRewardsError("reward query on a model without rewards")
+    allowed = _every_action(m) if allowed is None else allowed
     t = _target_states(m, target)
     n = m.num_states
+    choice = [menu[0] for menu in allowed]
     if not t:
-        return ExtremalResult(ValueVector((INF,) * n, "reward", direction), Controller((0,) * n))
+        return ExtremalResult(ValueVector((INF,) * n, "reward", direction), Controller(tuple(choice)))
 
-    choice = [0] * n
     v = [0.0] * n
-    pin = None
     if direction == "max":
         # finite exactly off B, where every controller reaches almost
         # surely; there every policy is proper, and no action enters B
-        _, infinite, actions = _avoid_sets(m, t)
+        _, infinite, actions = _avoid_sets(m, allowed, t)
         sign = 1.0
     elif direction == "min":
         # finite where some controller reaches almost surely; the actions
-        # of one that does are proper, and actions leaving that region are
-        # pinned out
-        reach, actions = _prob1_max(m, t)
+        # of one that does are proper, and only actions staying in that
+        # region stay allowed
+        reach, actions = _prob1_max(m, allowed, t)
         infinite = set(range(n)) - reach
-        pin = lambda s, a: all(succ in reach for succ, _ in m.trans[s][a])
+        allowed = [
+            [a for a in menu if all(succ in reach for succ, _ in m.trans[s][a])]
+            for s, menu in enumerate(allowed)
+        ]
         sign = -1.0
     else:
         raise ModelError(f"unknown direction {direction!r}")
@@ -540,7 +565,7 @@ def extremal_reward(m: Mdp, target, direction: str, tol: float = DEFAULT_TOL) ->
     for s, a in actions.items():
         choice[s] = a
     free = [s for s in range(n) if s not in t and s not in infinite]
-    _policy_iteration(m, free, v, choice, sign, tol * 0.01, m.reward, pin)
+    _policy_iteration(m, allowed, free, v, choice, sign, tol * 0.01, m.reward)
     vec = ValueVector(tuple(max(x, 0.0) for x in v), "reward", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 

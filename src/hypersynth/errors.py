@@ -21,10 +21,6 @@ class MissingRewardsError(ModelError):
     """A reward query was issued against a model without rewards."""
 
 
-class EmptyRestrictionError(ModelError):
-    """A restriction removed every action of some state."""
-
-
 class ConstraintError(HypersynthError):
     """A structural constraint is ill-formed for the given model."""
 

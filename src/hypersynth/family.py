@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import ConstraintError, ModelError
-from .model import Controller, Mdp, restrict
+from .model import Controller, Mdp
 from .specs import Obs, Same
 
 
@@ -173,13 +173,11 @@ def induce(space: ParameterSpace, realisation, controller: int) -> Controller:
     return Controller(choices)
 
 
-def node_restrict(m: Mdp, node: FamilyNode, controller: int) -> Mdp:
-    """Restrict the MDP to the node's action choices for one controller."""
+def node_restrict(m: Mdp, node: FamilyNode, controller: int) -> list[tuple[int, ...]]:
+    """The MDP restricted to the node for one controller: per state, the
+    ascending action ordinals the node allows there."""
 
-    allowed = [
-        node.domains[node.space.class_index(controller, s)] for s in range(m.num_states)
-    ]
-    return restrict(m, allowed)
+    return [node.domains[node.space.class_index(controller, s)] for s in range(m.num_states)]
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    EmptyRestrictionError,
-    InvalidControllerError,
-    MissingRewardsError,
-    ModelError,
-)
+from .errors import InvalidControllerError, MissingRewardsError, ModelError
 
 # Tolerance for accepting a transition row as a probability distribution.
 PROB_SUM_TOL = 1e-9
@@ -38,8 +33,6 @@ class Mdp:
     tuple of (successor, probability) pairs sorted by successor.  labels is
     a sorted tuple of (name, frozenset of states).  rewards, when present,
     mirrors the shape of trans with one nonnegative float per state/action.
-    origin, when present, maps each local action ordinal back to the ordinal
-    it had before a restriction; None means the identity.
     """
 
     num_states: int
@@ -47,7 +40,6 @@ class Mdp:
     labels: tuple[tuple[str, frozenset[int]], ...] = ()
     rewards: tuple[tuple[float, ...], ...] | None = None
     action_names: tuple[tuple[str | None, ...], ...] | None = None
-    origin: tuple[tuple[int, ...], ...] | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -66,11 +58,6 @@ class Mdp:
         if self.action_names is None:
             return None
         return self.action_names[s][a]
-
-    def original_ordinal(self, s: int, a: int) -> int:
-        if self.origin is None:
-            return a
-        return self.origin[s][a]
 
     def label_states(self, name: str) -> frozenset[int]:
         for lbl, states in self.labels:
@@ -290,47 +277,6 @@ def impose(m: Mdp, controller: Controller) -> Mc:
         m.labels,
         tuple(rew) if rew is not None else None,
         choices=tuple(controller.choices),
-    )
-
-
-def restrict(m: Mdp, allowed) -> Mdp:
-    """Keep only the allowed action ordinals per state.
-
-    allowed maps each state to an iterable of ordinals (of m).  Ordinals of
-    the result are renumbered densely; origin records the mapping back.
-    Removing every action of a state raises EmptyRestrictionError.
-    """
-
-    rows = []
-    names = [] if m.action_names is not None else None
-    rew = [] if m.rewards is not None else None
-    origin = []
-    identity = True
-    for s in range(m.num_states):
-        keep = sorted(set(allowed[s]))
-        if not keep:
-            raise EmptyRestrictionError(f"restriction empties state {s}")
-        for a in keep:
-            if not (0 <= a < m.num_actions(s)):
-                raise ModelError(f"restriction names disabled action {a} at state {s}")
-        if len(keep) != m.num_actions(s):
-            identity = False
-        orig = tuple(m.original_ordinal(s, a) for a in keep)
-        origin.append(orig)
-        rows.append(tuple(m.trans[s][a] for a in keep))
-        if names is not None:
-            names.append(tuple(m.action_names[s][a] for a in keep))
-        if rew is not None:
-            rew.append(tuple(m.rewards[s][a] for a in keep))
-    if identity and m.origin is None:
-        return m
-    return Mdp(
-        m.num_states,
-        tuple(rows),
-        m.labels,
-        tuple(rew) if rew is not None else None,
-        tuple(names) if names is not None else None,
-        tuple(origin),
     )
 
 

@@ -5,9 +5,11 @@ an instantiated hyperproperty, and in complete or optimal modes, which
 members or which maximally different pair.
 
 A family node (box) is analysed atom by atom: each comparison side gets a
-value interval from optimistic and pessimistic controllers of the node's
-restricted MDP.  Atoms decided on the whole box simplify the formula; a box
-whose residual collapses is classified wholesale.  Open boxes produce
+value interval from optimistic and pessimistic controllers of the MDP
+restricted to the node, which is the MDP itself with each state's actions
+limited to those the node allows (see family.node_restrict).  Atoms
+decided on the whole box simplify the formula; a box whose residual
+collapses is classified wholesale.  Open boxes produce
 candidate members from the extremal witnesses, which are verified exactly
 before being reported.  Undecided boxes are split on the parameter class
 the witnesses disagree on most, weighted by expected-visits impact, and the
@@ -46,6 +48,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
+from math import isfinite, isnan
 
 # bench/spans.py times member checks by wrapping check_mc and impose at
 # this module's names, so both stay importable here
@@ -67,7 +70,7 @@ from .analysis import (
     _successors,
 )
 from .counterexamples import CeSide, complement_boxes, conflict_classes, grow_conflict
-from .errors import LimitExceeded, SpecError
+from .errors import LimitExceeded, ModelError, SpecError
 from .family import (
     EMPTY_ASSIGNMENT,
     FamilyNode,
@@ -78,7 +81,7 @@ from .family import (
     controller_box,
     immediate_impact,
     induce,
-    node_restrict,
+    node_restrict,  # bench/spans.py times box restriction by wrapping it here
     root_node,
     split_node,
 )
@@ -95,7 +98,7 @@ from .formulas import (
     substitute,
 )
 from .model import Controller, Mdp, impose
-from .specs import DEFAULT_EQ_EPS, HyperSpec, check_against_model, validate_spec
+from .specs import DEFAULT_EQ_EPS, HyperSpec, check_against_model, check_eq_eps, validate_spec
 from .textio import format_atom
 
 MODES = ("feasibility", "complete", "optimal")
@@ -121,6 +124,7 @@ def instantiate(spec: HyperSpec, m: Mdp, eps_eq: float = DEFAULT_EQ_EPS) -> Inst
 
     validate_spec(spec)
     check_against_model(spec, m)
+    check_eq_eps(eps_eq)
 
     atoms: list[Atom] = []
     index: dict[Atom, int] = {}
@@ -196,7 +200,7 @@ def instantiate(spec: HyperSpec, m: Mdp, eps_eq: float = DEFAULT_EQ_EPS) -> Inst
 @dataclass(frozen=True)
 class SideBounds:
     """Extremal value vectors of one (slot, kind, target) side over a box,
-    with witness controllers in the original model's ordinals."""
+    with witness controllers choosing among the box's actions."""
 
     min_values: object
     max_values: object
@@ -247,18 +251,12 @@ class NodeAnalyzer:
         got = self._bounds.get(key)
         if got is not None:
             return got
-        sub = node_restrict(self.m, node, q.slot)
-        tgt = sub.target(q.target)
+        allowed = node_restrict(self.m, node, q.slot)
+        tgt = self.m.target(q.target)
         solve = extremal_reach if q.kind == "reach" else extremal_reward
-        lo = solve(sub, tgt, "min", self.tol)
-        hi = solve(sub, tgt, "max", self.tol)
-        n = sub.num_states
-        got = SideBounds(
-            lo.values,
-            hi.values,
-            Controller(tuple(sub.original_ordinal(s, lo.witness[s]) for s in range(n))),
-            Controller(tuple(sub.original_ordinal(s, hi.witness[s]) for s in range(n))),
-        )
+        lo = solve(self.m, tgt, "min", self.tol, allowed)
+        hi = solve(self.m, tgt, "max", self.tol, allowed)
+        got = SideBounds(lo.values, hi.values, lo.witness, hi.witness)
         self._bounds[key] = got
         return got
 
@@ -996,6 +994,10 @@ def synthesize(
         raise SpecError(f"unknown mode {mode!r}")
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}")
+    if not (tol > 0 and isfinite(tol)):
+        raise ModelError(f"tol must be positive and finite, not {tol!r}")
+    if time_limit is not None and isnan(time_limit):
+        raise SpecError("time limit is NaN")
     engine = _Synthesizer(m, spec, mode, method, tol, eps_eq, max_iters, time_limit)
     if method == "oracle":
         return engine.run_oracle()

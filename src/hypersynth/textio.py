@@ -244,8 +244,6 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
 def write_model(m: Mdp) -> str:
     """Canonical text for an Mdp.  parse_model(write_model(m)) == m holds
     whenever no transition row needed renormalising.
-
-    Restriction origins are a session artifact and are not serialised.
     """
 
     lines = ["mdp", f"states {m.num_states}"]

@@ -23,6 +23,7 @@ from hypersynth import (
     extremal_reward,
     impose,
     make_mc,
+    make_mdp,
     parse_spec,
     reach_probs,
 )
@@ -55,10 +56,10 @@ def _random_mc(seed):
     return m, impose(m, ctrl)
 
 
-def _controllers(m):
-    return [
-        Controller(c) for c in product(*(range(m.num_actions(s)) for s in range(m.num_states)))
-    ]
+def _controllers(m, allowed=None):
+    if allowed is None:
+        allowed = [range(m.num_actions(s)) for s in range(m.num_states)]
+    return [Controller(c) for c in product(*allowed)]
 
 
 def test_reach_probs_vs_exact():
@@ -134,6 +135,13 @@ def test_empty_target_conventions():
     mc = make_mc([[(0, 1.0)]], labels={"none": ()}, rewards=[1.0])
     assert reach_probs(mc, mc.target("none"))[0] == 0.0
     assert expected_reward(mc, mc.target("none"))[0] == INF
+    # the extremal solves' witnesses keep to the allowed menus
+    m = make_mdp([[[(0, 1.0)], [(0, 1.0)]]], labels={"none": ()}, rewards=[[1.0, 2.0]])
+    for direction in ("min", "max"):
+        reach = extremal_reach(m, m.target("none"), direction, allowed=[(1,)])
+        assert reach.values[0] == 0.0 and reach.witness.choices == (1,)
+        reward = extremal_reward(m, m.target("none"), direction, allowed=[(1,)])
+        assert reward.values[0] == INF and reward.witness.choices == (1,)
 
 
 def test_expected_visits_transient_loop():
@@ -164,9 +172,9 @@ def test_qualitative_states():
             assert prob1 == {s for s, v in enumerate(best) if v == 1}, (seed, direction)
 
 
-def _extremal_oracle(m, target, kind):
+def _extremal_oracle(m, target, kind, allowed=None):
     outs = []
-    for ctrl in _controllers(m):
+    for ctrl in _controllers(m, allowed):
         mc = impose(m, ctrl)
         if kind == "reach":
             outs.append([float(x) for x in reach_probs_exact(mc, set(target.states))])
@@ -178,23 +186,43 @@ def _extremal_oracle(m, target, kind):
     return lo, hi
 
 
+def _sub_menus(rng, m):
+    """A random nonempty ascending sub-menu of every state's actions."""
+
+    return [
+        tuple(sorted(rng.sample(range(m.num_actions(s)), rng.randint(1, m.num_actions(s)))))
+        for s in range(m.num_states)
+    ]
+
+
+def _assert_within(m, allowed, witness, where):
+    for s in range(m.num_states):
+        menu = range(m.num_actions(s)) if allowed is None else allowed[s]
+        assert witness[s] in menu, (where, s)
+
+
 def test_extremal_reach_vs_enumeration():
+    # every action, then a random sub-menu per state, as a box allows
     for seed in range(300):
         rng = random.Random(1000 + seed)
         m = random_model(rng, max_states=6, max_actions=3, max_multi=3)
         target = m.target("goal")
-        lo, hi = _extremal_oracle(m, target, "reach")
-        rmin = extremal_reach(m, target, "min")
-        rmax = extremal_reach(m, target, "max")
-        for s in range(m.num_states):
-            assert rmin.values[s] == pytest.approx(lo[s], abs=1e-10), (seed, s)
-            assert rmax.values[s] == pytest.approx(hi[s], abs=1e-10), (seed, s)
-        # witnesses attain the bound they certify
-        vmin = reach_probs(impose(m, rmin.witness), target)
-        vmax = reach_probs(impose(m, rmax.witness), target)
-        for s in range(m.num_states):
-            assert vmin[s] == pytest.approx(lo[s], abs=1e-10), (seed, s)
-            assert vmax[s] == pytest.approx(hi[s], abs=1e-10), (seed, s)
+        for allowed in (None, _sub_menus(rng, m)):
+            where = (seed, allowed)
+            lo, hi = _extremal_oracle(m, target, "reach", allowed)
+            rmin = extremal_reach(m, target, "min", allowed=allowed)
+            rmax = extremal_reach(m, target, "max", allowed=allowed)
+            for s in range(m.num_states):
+                assert rmin.values[s] == pytest.approx(lo[s], abs=1e-10), (where, s)
+                assert rmax.values[s] == pytest.approx(hi[s], abs=1e-10), (where, s)
+            # witnesses stay in the menus and attain the bound they certify
+            _assert_within(m, allowed, rmin.witness, where)
+            _assert_within(m, allowed, rmax.witness, where)
+            vmin = reach_probs(impose(m, rmin.witness), target)
+            vmax = reach_probs(impose(m, rmax.witness), target)
+            for s in range(m.num_states):
+                assert vmin[s] == pytest.approx(lo[s], abs=1e-10), (where, s)
+                assert vmax[s] == pytest.approx(hi[s], abs=1e-10), (where, s)
 
 
 def test_extremal_reward_vs_enumeration():
@@ -202,26 +230,30 @@ def test_extremal_reward_vs_enumeration():
         rng = random.Random(2000 + seed)
         m = random_model(rng, max_states=6, max_actions=3, max_multi=3, rewards=True)
         target = m.target("goal")
-        lo, hi = _extremal_oracle(m, target, "reward")
-        rmin = extremal_reward(m, target, "min")
-        rmax = extremal_reward(m, target, "max")
-        for s in range(m.num_states):
-            for got, want in ((rmin.values[s], lo[s]), (rmax.values[s], hi[s])):
-                if want == INF:
-                    assert got == INF, (seed, s)
+        for allowed in (None, _sub_menus(rng, m)):
+            where = (seed, allowed)
+            lo, hi = _extremal_oracle(m, target, "reward", allowed)
+            rmin = extremal_reward(m, target, "min", allowed=allowed)
+            rmax = extremal_reward(m, target, "max", allowed=allowed)
+            for s in range(m.num_states):
+                for got, want in ((rmin.values[s], lo[s]), (rmax.values[s], hi[s])):
+                    if want == INF:
+                        assert got == INF, (where, s)
+                    else:
+                        assert got == pytest.approx(want, abs=1e-9), (where, s)
+            _assert_within(m, allowed, rmin.witness, where)
+            _assert_within(m, allowed, rmax.witness, where)
+            wmin = expected_reward(impose(m, rmin.witness), target)
+            wmax = expected_reward(impose(m, rmax.witness), target)
+            for s in range(m.num_states):
+                if lo[s] == INF:
+                    assert wmin[s] == INF, (where, s)
                 else:
-                    assert got == pytest.approx(want, abs=1e-9), (seed, s)
-        wmin = expected_reward(impose(m, rmin.witness), target)
-        wmax = expected_reward(impose(m, rmax.witness), target)
-        for s in range(m.num_states):
-            if lo[s] == INF:
-                assert wmin[s] == INF, (seed, s)
-            else:
-                assert wmin[s] == pytest.approx(lo[s], abs=1e-9), (seed, s)
-            if hi[s] == INF:
-                assert wmax[s] == INF, (seed, s)
-            else:
-                assert wmax[s] == pytest.approx(hi[s], abs=1e-9), (seed, s)
+                    assert wmin[s] == pytest.approx(lo[s], abs=1e-9), (where, s)
+                if hi[s] == INF:
+                    assert wmax[s] == INF, (where, s)
+                else:
+                    assert wmax[s] == pytest.approx(hi[s], abs=1e-9), (where, s)
 
 
 def test_extremal_solves_need_a_positive_tol(notes_mdp):

@@ -51,6 +51,19 @@ def test_synth_parse_error_exit_two(files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_settings_exit_two(files, capsys):
+    tmp, model, spec = files
+    good = tmp / "good.ctrl"
+    good.write_text("0 b\n1 1\n")
+    for cmd, extra in (("synth", []), ("check", ["--controller", str(good)]), ("enumerate", [])):
+        base = [cmd, "--model", model, "--spec", spec, *extra]
+        assert main(base) == 0, cmd
+        assert main([*base, "--eps-eq", "-1"]) == 2, cmd
+    assert main(["synth", "--model", model, "--spec", spec, "--tol", "0"]) == 2
+    assert main(["synth", "--model", model, "--spec", spec, "--time-limit", "nan"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_synth_limit_exit_three(files, tmp_path):
     tmp, model, _ = files
     sp = tmp_path / "stubborn.spec"

@@ -73,10 +73,9 @@ def test_node_restrict_and_first_realisation(notes_mdp):
     node = root_node(space)
     k = space.class_index(0, 0)
     child = node.with_domain(k, (1,))
-    sub = node_restrict(notes_mdp, child, 0)
-    assert sub.num_actions(0) == 1
-    assert sub.row(0, 0) == notes_mdp.row(0, 1)
-    assert sub.original_ordinal(0, 0) == 1
+    assert node_restrict(notes_mdp, node, 0) == [(0, 1), (0, 1), (0,), (0,)]
+    # the box's menus hold the model's own ordinals
+    assert node_restrict(notes_mdp, child, 0) == [(1,), (0, 1), (0,), (0,)]
     real = child.first_realisation()
     assert real[k] == 1
     assert child.contains(real)

@@ -9,7 +9,6 @@ from hypersynth import (
     impose,
     make_mc,
     make_mdp,
-    restrict,
     unfold_memory,
 )
 from hypersynth.errors import InvalidControllerError, MissingRewardsError
@@ -92,22 +91,6 @@ def test_make_mc():
     mc = make_mc([[(1, 1.0)], [(1, 1.0)]], labels={"end": (1,)})
     assert mc.num_states == 2
     assert mc.trans[0] == ((1, 1.0),)
-
-
-def test_restrict_renumbers_actions(notes_mdp):
-    sub = restrict(notes_mdp, [(1,), (0, 1), (0,), (0,)])
-    assert sub.num_actions(0) == 1
-    assert sub.row(0, 0) == notes_mdp.row(0, 1)
-    assert sub.original_ordinal(0, 0) == 1
-    assert sub.original_ordinal(1, 1) == 1
-    # identity restriction returns the model itself
-    same = restrict(notes_mdp, [(0, 1), (0, 1), (0,), (0,)])
-    assert same is notes_mdp
-
-
-def test_restrict_rejects_empty(notes_mdp):
-    with pytest.raises(ModelError):
-        restrict(notes_mdp, [(), (0,), (0,), (0,)])
 
 
 def test_reward_query_needs_rewards(notes_mdp):

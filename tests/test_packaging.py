@@ -1,5 +1,6 @@
 """Every module the package imports is standard library, the package
-itself, or a declared runtime dependency."""
+itself, or a declared runtime dependency, and every name the package
+exports resolves."""
 
 import ast
 import re
@@ -46,3 +47,12 @@ def test_imports_are_stdlib_or_declared():
         if name not in sys.stdlib_module_names and name != "hypersynth" and name not in declared
     }
     assert not undeclared, sorted(undeclared)
+
+
+def test_public_names_resolve():
+    import hypersynth
+
+    namespace = {}
+    exec("from hypersynth import *", namespace)
+    missing = sorted(name for name in hypersynth.__all__ if name not in namespace)
+    assert not missing, missing

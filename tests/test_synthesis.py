@@ -20,10 +20,11 @@ from hypersynth import (
 )
 from hypersynth import synthesis
 from hypersynth.analysis import compile_model
-from hypersynth.errors import SpecError
+from hypersynth.errors import ModelError, SpecError
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
 from hypersynth.synthesis import (
+    METHODS,
     _Synthesizer,
     cheaper_to_enumerate,
     distance_pairs,
@@ -306,6 +307,31 @@ def test_optimal_matches_oracle_on_random_instances():
 
 # ---------------------------------------------------------------------------
 # limits and memory
+
+
+@pytest.mark.parametrize("eps_eq", [-1.0, float("nan"), float("inf")])
+def test_eps_eq_is_validated(eps_eq):
+    # knuth-yao-pc's equalities take the default tolerance; with a negative
+    # or NaN one every member used to fail them, and the answer was wrong
+    m, spec = generate("knuth-yao-pc", n=1)
+    instantiate(spec, m, 0.0)
+    with pytest.raises(SpecError):
+        instantiate(spec, m, eps_eq)
+    with pytest.raises(SpecError):
+        enumerate_satisfying(m, spec, eps_eq)
+    for method in METHODS:
+        with pytest.raises(SpecError):
+            synthesize(m, spec, method=method, eps_eq=eps_eq)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tol_and_time_limit_are_validated(method):
+    m, spec = notes_example()
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ModelError):
+            synthesize(m, spec, method=method, tol=tol)
+    with pytest.raises(SpecError):
+        synthesize(m, spec, method=method, time_limit=float("nan"))
 
 
 def test_iteration_limit_raises():
