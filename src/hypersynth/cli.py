@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("enumerate", help="list all satisfying family members")
     _add_common(ep)
     ep.add_argument("--limit", type=int, default=None,
-                    help="stop after this many satisfying members")
+                    help="stop after this many satisfying members (at least 1)")
 
     gp = sub.add_parser("generate", help="write a built-in benchmark to disk")
     gp.add_argument("--bench", required=True, choices=BENCHMARKS)
@@ -209,6 +209,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise SpecError(f"--limit must be at least 1, not {args.limit}")
     m, spec = _load(args)
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
     found = 0

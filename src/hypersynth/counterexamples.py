@@ -8,13 +8,20 @@ a fresh bottom state.  With upper-bound weights the deflated reachability
 dominates the true value of every member that agrees on C; with lower-bound
 weights it is dominated by it.
 
+The deflated chain is solved collapsed onto C: its states are the kept
+non-target states plus top and bottom, an edge into the target goes to top,
+and an edge to an unkept state splits between top and bottom by that
+state's weight.  Each solve is then one chain of |C| + 2 states, whatever
+the size of the model.
+
 A violation lv > rv + offset is certified for a whole sub-box by deflating
 the large side with lower-bound weights and the small side with upper-bound
 weights: if the pessimistic left value still beats the optimistic right
 value, every member that agrees with the checked one on the kept states
 violates the comparison too.  The kept sets are grown greedily, cheapest
 state first, until the certificate closes or the reachable parts are
-exhausted.
+exhausted; each step adds one state to one side and solves only that side
+again.
 """
 
 from __future__ import annotations
@@ -25,39 +32,46 @@ from .analysis import reach_probs
 from .model import Mc
 
 
-def build_deflated(mc: Mc, keep, exit_weights) -> Mc:
-    """Deflate the chain outside the kept set.
+def deflated_reach(mc: Mc, keep, exit_weights, target, root: int) -> float:
+    """Reachability of target (plus the top state) from root in the chain
+    deflated outside keep, solved on the kept set.
 
-    States in keep retain their rows.  Every other state s moves to the top
-    state with probability exit_weights[s] and to the bottom state with the
-    rest.  Top is state n, bottom is n + 1, both absorbing.  Labels are
-    dropped; pass targets explicitly when solving.
+    The chain solved holds the kept non-target states plus top and bottom:
+    an edge into the target goes to top, and an edge to an unkept state u
+    with probability p goes to top with p * w_u and to bottom with the rest,
+    w_u being u's exit weight clipped to [0, 1].  A root in the target is
+    worth 1 and an unkept one its clipped weight, without a solve.
     """
 
-    n = mc.num_states
+    if root in target:
+        return 1.0
+    if root not in keep:
+        return _clip(exit_weights[root])
+    kept = sorted(s for s in keep if s not in target)
+    idx = {s: i for i, s in enumerate(kept)}
+    top, bottom = len(kept), len(kept) + 1
     rows = []
-    for s in range(n):
-        if s in keep:
-            rows.append(mc.trans[s])
-            continue
-        g = min(max(float(exit_weights[s]), 0.0), 1.0)
-        if g <= 0.0:
-            rows.append(((n + 1, 1.0),))
-        elif g >= 1.0:
-            rows.append(((n, 1.0),))
-        else:
-            rows.append(((n, g), (n + 1, 1.0 - g)))
-    rows.append(((n, 1.0),))
-    rows.append(((n + 1, 1.0),))
-    return Mc(n + 2, tuple(rows))
+    for s in kept:
+        row = []
+        for t, p in mc.trans[s]:
+            if t in target:
+                row.append((top, p))
+            elif t in idx:
+                row.append((idx[t], p))
+            else:
+                w = _clip(exit_weights[t])
+                if w > 0.0:
+                    row.append((top, p * w))
+                if w < 1.0:
+                    row.append((bottom, p * (1.0 - w)))
+        rows.append(tuple(row))
+    rows.append(((top, 1.0),))
+    rows.append(((bottom, 1.0),))
+    return float(reach_probs(Mc(len(kept) + 2, tuple(rows)), frozenset({top}))[idx[root]])
 
 
-def deflated_reach(mc: Mc, keep, exit_weights, target, root: int) -> float:
-    """Reachability of target (plus the top state) in the deflated chain."""
-
-    d = build_deflated(mc, keep, exit_weights)
-    t = frozenset(target) | {mc.num_states}
-    return float(reach_probs(d, t)[root])
+def _clip(w) -> float:
+    return min(max(float(w), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -80,48 +94,38 @@ def grow_conflict(left, right, offset: float, guard: float, act_counts):
     bounds) + offset + guard, which the caller arranges by passing the
     matching exit weight arrays.  Expansion picks the frontier state with
     the fewest actions in the unrestricted model, ties by state index, then
-    by side, left first.  Returns (keep_left, keep_right) or None when even
-    the full reachable sets leave the certificate open.
+    by side, left first; only the side that grew is solved again.  Returns
+    (keep_left, keep_right) or None when even the full reachable sets leave
+    the certificate open.
     """
 
-    sides = []
-    for side in (left, right):
-        if isinstance(side, CeSide):
-            sides.append({"side": side, "keep": set()})
-        else:
-            sides.append({"side": float(side), "keep": None})
+    sides = [side if isinstance(side, CeSide) else None for side in (left, right)]
+    keeps = [set() if side is not None else None for side in sides]
+    frontiers = [{side.root} if side is not None else set() for side in sides]
 
-    def value(entry):
-        side = entry["side"]
-        if not isinstance(side, CeSide):
-            return side
-        return deflated_reach(side.mc, entry["keep"], side.exit_weights, side.target, side.root)
+    def value(pos):
+        side = sides[pos]
+        if side is None:
+            return float((left, right)[pos])
+        return deflated_reach(side.mc, keeps[pos], side.exit_weights, side.target, side.root)
 
-    def certified():
-        return value(sides[0]) > value(sides[1]) + offset + guard
-
-    if certified():
-        return frozenset(sides[0]["keep"] or ()), frozenset(sides[1]["keep"] or ())
-
-    while True:
+    values = [value(0), value(1)]
+    while not values[0] > values[1] + offset + guard:
         best = None
-        for pos, entry in enumerate(sides):
-            side = entry["side"]
-            if not isinstance(side, CeSide):
+        for pos in (0, 1):
+            if sides[pos] is None:
                 continue
-            frontier = {side.root} | {
-                t for s in entry["keep"] for t, _ in side.mc.trans[s]
-            }
-            for s in frontier - entry["keep"]:
+            for s in frontiers[pos] - keeps[pos]:
                 key = (act_counts[s], s, pos)
                 if best is None or key < best[0]:
                     best = (key, pos, s)
         if best is None:
             return None
         _, pos, s = best
-        sides[pos]["keep"].add(s)
-        if certified():
-            return frozenset(sides[0]["keep"] or ()), frozenset(sides[1]["keep"] or ())
+        keeps[pos].add(s)
+        frontiers[pos].update(t for t, _ in sides[pos].mc.trans[s])
+        values[pos] = value(pos)
+    return frozenset(keeps[0] or ()), frozenset(keeps[1] or ())
 
 
 def conflict_classes(space, node, slot_left, keep_left, slot_right, keep_right):

@@ -23,10 +23,14 @@ the whole sub-box sharing the violation's local structure (see
 counterexamples).
 
 Member checks run on the model compiled once per run (see analysis).  The
-enumerator checks a box's members in chunks with one batched call each,
-then settles them one by one in lexicographic order, checking limits and
-counting iterations per member; every other member check is a batch of
-its own, such as the candidates of one open box.
+enumerator checks the members of one or more boxes as one stream, in
+chunks with one batched call each, then settles them one by one, box by box
+and in lexicographic order within a box, checking limits and counting
+iterations per member.  When refinement enumerates a box, the boxes right
+below it on the stack that it would enumerate too join the call while they
+fit in one chunk, except in optimal mode.  An open box checks its
+candidates and hybrid's member in one batch; a box of one member and an
+accepted box's recheck are batches of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
@@ -47,7 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import isfinite, isnan
 
 # bench/spans.py times member checks by wrapping check_mc and impose at
@@ -719,10 +723,28 @@ class _Synthesizer:
             if node is root or self._outranked(node) or not self._enumeration_pays(node):
                 done = self._refine(node, stack)
             else:
-                done = self._enumerate(node)
+                done = self._enumerate(self._siblings(node, stack))
             if done is not None:
                 return done
         return self._finish()
+
+    def _siblings(self, node, stack):
+        """The popped box plus the boxes right below it on the stack that
+        the switch would enumerate too, popped while they fit in the room
+        one chunk leaves.  Optimal mode takes one box at a time: a member
+        found in one box can outrank the next."""
+
+        nodes = [node]
+        room = self.compiled.chunk - node.size()
+        while (
+            self.mode != "optimal"
+            and stack
+            and stack[-1].size() <= room
+            and self._enumeration_pays(stack[-1])
+        ):
+            nodes.append(stack.pop())
+            room -= nodes[-1].size()
+        return nodes
 
     def _refine(self, node, stack):
         """One refinement step: prune the box against the incumbent, check
@@ -780,13 +802,15 @@ class _Synthesizer:
             return self._handle_allsat(node, stack)
         return self._handle_open(node, residual, verdicts, stack)
 
-    def _enumerate(self, node):
-        """Settle a box by checking its members in lexicographic order: the
-        oracle's whole run, and refinement's on cheap boxes.  Members are
-        checked a batch at a time, but limits, counts and results are taken
-        member by member, in order."""
+    def _enumerate(self, nodes):
+        """Settle boxes by checking their members, box by box and each in
+        lexicographic order: the oracle's whole run, and refinement's on
+        cheap boxes.  The members of all the boxes form one stream, checked
+        a chunk at a time, so small sibling boxes share a batch; limits,
+        counts and results are still taken member by member, in order."""
 
-        for chunk in _chunks(product(*node.domains), self.compiled.chunk):
+        members = chain.from_iterable(product(*node.domains) for node in nodes)
+        for chunk in _chunks(members, self.compiled.chunk):
             self._check_limits()
             start = time.perf_counter()
             holds = check_members(self.compiled, self.formula, chunk).holds
@@ -849,22 +873,27 @@ class _Synthesizer:
         return None
 
     def _handle_open(self, node, residual, verdicts, stack):
+        """Check the open box's candidates, and under hybrid its first
+        member, in one batch; then prune or split the box."""
+
+        candidates = []
         if self.mode != "complete":
             candidates = [pa.complete(node) for pa in _compose(residual, verdicts)]
-            holds = self._check(candidates).holds if candidates else ()
-            for real, ok in zip(candidates, holds):
-                if not ok:
-                    continue
-                if self.mode == "feasibility":
-                    return self._outcome("feasible", real, controllers(self.space, real))
-                self._note_sat(real)
-            if self._outranked(node):
-                self._decide(node.size())
-                return None
+        first = [node.first_realisation()] if self.method == "hybrid" else []
+        checks = self._check(candidates + first) if candidates or first else None
+        for j, real in enumerate(candidates):
+            if not checks.holds[j]:
+                continue
+            if self.mode == "feasibility":
+                return self._outcome("feasible", real, controllers(self.space, real))
+            self._note_sat(real)
+        if self._outranked(node):
+            self._decide(node.size())
+            return None
 
-        if self.method == "hybrid":
-            real = node.first_realisation()
-            res = self._check([real])[0]
+        if first:
+            real = first[0]
+            res = checks[len(candidates)]
             if res.holds:
                 if self.mode == "feasibility":
                     return self._outcome("feasible", real, controllers(self.space, real))
@@ -966,7 +995,7 @@ class _Synthesizer:
     # -- exhaustive enumeration ------------------------------------------
 
     def run_oracle(self) -> SynthesisOutcome:
-        done = self._enumerate(root_node(self.space))
+        done = self._enumerate([root_node(self.space)])
         return done if done is not None else self._finish()
 
 
@@ -998,6 +1027,10 @@ def synthesize(
         raise ModelError(f"tol must be positive and finite, not {tol!r}")
     if time_limit is not None and isnan(time_limit):
         raise SpecError("time limit is NaN")
+    if time_limit is not None and time_limit < 0:
+        raise SpecError(f"time limit must not be negative, not {time_limit!r}")
+    if max_iters is not None and max_iters < 0:
+        raise SpecError(f"iteration limit must not be negative, not {max_iters!r}")
     engine = _Synthesizer(m, spec, mode, method, tol, eps_eq, max_iters, time_limit)
     if method == "oracle":
         return engine.run_oracle()

@@ -160,6 +160,23 @@ def test_enumerate_limit_stops_after_one_member(files, tmp_path, capsys):
     assert "satisfying members: 1" in captured.err
 
 
+def test_enumerate_limit_below_one_exits_two(files, tmp_path, capsys):
+    tmp, model, _ = files
+    for limit in ("0", "-3"):
+        code = main(["enumerate", "--model", model, "--spec", _loose_spec(tmp_path), "--limit", limit])
+        captured = capsys.readouterr()
+        assert code == 2, limit
+        assert captured.out == "" and "error:" in captured.err
+
+
+def test_synth_negative_limits_exit_two(files, capsys):
+    tmp, model, spec = files
+    base = ["synth", "--model", model, "--spec", spec]
+    assert main([*base, "--max-iters", "-5"]) == 2
+    assert main([*base, "--time-limit", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_enumerate_matches_library_order(files, tmp_path, capsys):
     tmp, model, _ = files
     spec = _loose_spec(tmp_path)

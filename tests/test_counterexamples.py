@@ -3,34 +3,77 @@ import random
 import pytest
 
 from hypersynth import Controller, build_parameter_space, impose, reach_probs, root_node
-from hypersynth.analysis import extremal_reach
+from hypersynth import counterexamples
+from hypersynth.analysis import _closure, _successors, extremal_reach
 from hypersynth.counterexamples import (
     CeSide,
-    build_deflated,
     complement_boxes,
     conflict_classes,
     deflated_reach,
     grow_conflict,
 )
+from hypersynth.model import Mc
 
-from conftest import notes_example, random_model
+from conftest import dyadic_row, notes_example, random_model
 
 
-def test_build_deflated_shape(notes_mdp):
-    mc = impose(notes_mdp, Controller((0, 0, 0, 0)))
-    weights = (0.5, 0.5, 1.0, 0.0)
-    d = build_deflated(mc, frozenset({0}), weights)
-    n = notes_mdp.num_states
-    assert d.num_states == n + 2
-    # kept state keeps its original row
-    assert d.trans[0] == mc.trans[0]
-    # dropped states go to top with their weight, bottom with the rest
-    assert d.trans[1] == ((n, 0.5), (n + 1, 0.5))
-    assert d.trans[2] == ((n, 1.0),)
-    assert d.trans[3] == ((n + 1, 1.0),)
-    # top and bottom absorb
-    assert d.trans[n] == ((n, 1.0),)
-    assert d.trans[n + 1] == ((n + 1, 1.0),)
+def _full_deflated(mc, keep, weights):
+    """The deflated chain over every state: kept states keep their rows,
+    every other state s goes to top (state n) with its clipped weight and
+    to bottom (state n + 1) with the rest."""
+
+    n = mc.num_states
+    rows = []
+    for s in range(n):
+        if s in keep:
+            rows.append(mc.trans[s])
+            continue
+        g = min(max(weights[s], 0.0), 1.0)
+        rows.append(tuple((t, p) for t, p in ((n, g), (n + 1, 1.0 - g)) if p > 0))
+    rows += [((n, 1.0),), ((n + 1, 1.0),)]
+    return Mc(n + 2, tuple(rows))
+
+
+def _full_deflated_reach(mc, keep, weights, target, root):
+    n = mc.num_states
+    return float(reach_probs(_full_deflated(mc, keep, weights), frozenset(target) | {n})[root])
+
+
+def _random_chain(rng, n):
+    """A chain with some absorbing states, so that closed classes missing
+    the target come up."""
+
+    rows = [((s, 1.0),) if rng.random() < 0.2 else tuple(dyadic_row(rng, n)) for s in range(n)]
+    return Mc(n, tuple(rows))
+
+
+def test_deflated_reach_matches_the_full_deflated_chain():
+    rng = random.Random(11)
+    seen = {"weight 0": 0, "weight 1": 0, "weight between": 0,
+            "closed class in C": 0, "root in target": 0, "unkept root": 0}
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        mc = _random_chain(rng, n)
+        target = frozenset(rng.sample(range(n), rng.randint(0, n // 2)))
+        keep = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        weights = tuple(
+            rng.choice((0.0, 1.0, -0.25, 1.5, rng.random(), rng.random())) for _ in range(n)
+        )
+        root = rng.randrange(n)
+        got = deflated_reach(mc, keep, weights, target, root)
+        want = _full_deflated_reach(mc, keep, weights, target, root)
+        assert abs(got - want) <= 1e-12, (mc, keep, weights, target, root)
+
+        unkept = [min(max(w, 0.0), 1.0) for s, w in enumerate(weights) if s not in keep]
+        seen["weight 0"] += 0.0 in unkept
+        seen["weight 1"] += 1.0 in unkept
+        seen["weight between"] += any(0.0 < w < 1.0 for w in unkept)
+        inside = keep - target
+        succ = _successors(mc)
+        seen["closed class in C"] += any(_closure(succ, (s,)) <= inside for s in inside)
+        seen["root in target"] += root in target
+        seen["unkept root"] += root not in keep and root not in target
+    assert min(seen.values()) >= 20, seen
 
 
 def test_deflation_brackets_member_value():
@@ -80,6 +123,68 @@ def test_grow_conflict_gives_up_without_certificate():
     left = CeSide(mc, 0, frozenset({2}), tuple(lo))
     got = grow_conflict(left, 0.6, 0.0, 1e-7, [m.num_actions(s) for s in range(4)])
     assert got is None
+
+
+def _reference_growth(left, right, offset, act_counts):
+    """grow_conflict as first written: both sides re-solved on the full
+    deflated chain after every step."""
+
+    keeps = [set(), set()]
+
+    def value(pos):
+        side = (left, right)[pos]
+        return _full_deflated_reach(side.mc, keeps[pos], side.exit_weights, side.target, side.root)
+
+    while not value(0) > value(1) + offset:
+        best = None
+        for pos, side in enumerate((left, right)):
+            frontier = {side.root} | {t for s in keeps[pos] for t, _ in side.mc.trans[s]}
+            for s in frontier - keeps[pos]:
+                key = (act_counts[s], s, pos)
+                if best is None or key < best[0]:
+                    best = (key, pos, s)
+        if best is None:
+            return None
+        keeps[best[1]].add(best[2])
+    return frozenset(keeps[0]), frozenset(keeps[1])
+
+
+def test_grow_conflict_solves_once_per_step(monkeypatch):
+    # two solves to start, then one per state added: only the grown side
+    # is solved again; kept sets match re-solving both sides every step
+    solves = []
+    solve = counterexamples.deflated_reach
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(counterexamples, "deflated_reach", counted)
+    rng = random.Random(5)
+    certified = given_up = 0
+    for _ in range(150):
+        m = random_model(rng, max_states=7)
+        target = frozenset(m.target("goal").states)
+        lo = tuple(extremal_reach(m, m.target("goal"), "min").values)
+        hi = tuple(extremal_reach(m, m.target("goal"), "max").values)
+        sides = []
+        for weights in (lo, hi):
+            ctrl = Controller(tuple(rng.randrange(m.num_actions(s)) for s in range(m.num_states)))
+            sides.append(CeSide(impose(m, ctrl), rng.randrange(m.num_states), target, weights))
+        offset = rng.choice((-0.5, -0.1, 0.0, 0.1))
+        acts = [m.num_actions(s) for s in range(m.num_states)]
+        solves.clear()
+        got = grow_conflict(sides[0], sides[1], offset, 0.0, acts)
+        assert got == _reference_growth(sides[0], sides[1], offset, acts)
+        if got is None:
+            # gave up with both reachable parts kept
+            steps = sum(len(_closure(_successors(side.mc), (side.root,))) for side in sides)
+            given_up += 1
+        else:
+            steps = len(got[0]) + len(got[1])
+            certified += 1
+        assert len(solves) == 2 + steps
+    assert certified >= 20 and given_up >= 20, (certified, given_up)
 
 
 def test_complement_boxes_partition_counts():

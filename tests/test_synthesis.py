@@ -332,6 +332,15 @@ def test_tol_and_time_limit_are_validated(method):
             synthesize(m, spec, method=method, tol=tol)
     with pytest.raises(SpecError):
         synthesize(m, spec, method=method, time_limit=float("nan"))
+    for limits in ({"max_iters": -5}, {"max_iters": -1}, {"time_limit": -1.0}, {"time_limit": -1e-9}):
+        with pytest.raises(SpecError):
+            synthesize(m, spec, method=method, **limits)
+    # a limit of 0 is valid: the run stops at its first check
+    for limits in ({"max_iters": 0}, {"time_limit": 0.0}):
+        try:
+            synthesize(m, spec, method=method, **limits)
+        except LimitExceeded:
+            pass
 
 
 def test_iteration_limit_raises():
@@ -408,9 +417,9 @@ def _always_enumerate(monkeypatch):
     seen = []
     enumerate_box = _Synthesizer._enumerate
 
-    def spy(self, node):
-        seen.append(node)
-        return enumerate_box(self, node)
+    def spy(self, nodes):
+        seen.extend(nodes)
+        return enumerate_box(self, nodes)
 
     monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
     monkeypatch.setattr(_Synthesizer, "_enumerate", spy)
@@ -479,6 +488,98 @@ def test_time_limit_can_stop_an_enumerated_box(monkeypatch):
     assert set(stats) == set(base.stats)
 
 
+def _count_batches(monkeypatch):
+    """Record the size of every check_members batch."""
+
+    batches = []
+    batched = synthesis.check_members
+
+    def spy(compiled, formula, realisations):
+        batches.append(len(realisations))
+        return batched(compiled, formula, realisations)
+
+    monkeypatch.setattr(synthesis, "check_members", spy)
+    return batches
+
+
+def test_one_enumeration_settles_sibling_boxes_in_one_batch(monkeypatch):
+    m = binary_family(4)
+    spec = binary_spec(0.0)  # every member satisfies
+    engine = _Synthesizer(m, spec, "complete", "ar", 1e-8, 1e-6, None, None)
+    root = root_node(engine.space)
+    boxes = [
+        root.with_domain(1, (1,)).with_domain(2, (0,)),
+        root.with_domain(1, (0,)),
+        root.with_domain(1, (1,)).with_domain(2, (1,)),
+    ]
+    assert sum(b.size() for b in boxes) == root.size() <= engine.compiled.chunk
+    batches = _count_batches(monkeypatch)
+    settled = []
+    settle = _Synthesizer._settle
+
+    def spy(self, real, holds):
+        settled.append(real)
+        return settle(self, real, holds)
+
+    monkeypatch.setattr(_Synthesizer, "_settle", spy)
+    assert engine._enumerate(boxes) is None
+    assert batches == [root.size()]
+    # box by box, each in lexicographic order
+    assert settled == [r for b in boxes for r in product(*b.domains)]
+    assert engine.iterations == engine.enumerated == engine.explored == root.size()
+    assert [b.size() for b in engine.sat_boxes] == [1] * root.size()
+
+
+@pytest.mark.parametrize("mode", ["complete", "optimal"])
+def test_run_enumerates_stacked_siblings_together_except_in_optimal_mode(monkeypatch, mode):
+    calls = []
+    enumerate_box = _Synthesizer._enumerate
+
+    def spy(self, nodes):
+        calls.append(list(nodes))
+        return enumerate_box(self, nodes)
+
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
+    monkeypatch.setattr(_Synthesizer, "_enumerate", spy)
+    m, spec = random_instance(22)  # the root splits into three boxes of three members
+    out = synthesize(m, spec, mode=mode)
+    assert out.stats["enumerated_members"] == sum(n.size() for nodes in calls for n in nodes)
+    sizes = [[n.size() for n in nodes] for nodes in calls]
+    if mode == "optimal":
+        # an incumbent from one box may outrank the next, so one box a call
+        assert sizes == [[3], [3], [3]]
+    else:
+        assert sizes == [[3, 3, 3]]
+
+
+@pytest.mark.parametrize(
+    "bench, params, mode",
+    [("knuth-yao-pc", {"n": 1}, "feasibility"), ("maze-sd", {"variant": "checkpoint"}, "optimal")],
+)
+def test_hybrid_checks_each_open_box_in_one_batch(monkeypatch, bench, params, mode):
+    # the candidates and hybrid's first member of an open box share a batch
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: False)
+    batches = _count_batches(monkeypatch)
+    per_box = []
+    handle_open = _Synthesizer._handle_open
+
+    def spy(self, *args):
+        before = len(batches)
+        try:
+            return handle_open(self, *args)
+        finally:
+            per_box.append(batches[before:])
+
+    monkeypatch.setattr(_Synthesizer, "_handle_open", spy)
+    m, spec = generate(bench, **params)
+    out = synthesize(m, spec, mode=mode, method="hybrid")
+    assert out.verdict == "feasible"
+    assert len(per_box) > 1 and all(len(sizes) == 1 for sizes in per_box)
+    if mode == "optimal":
+        # one open box has a candidate as well as the member hybrid checks
+        assert any(sizes == [2] for sizes in per_box)
+
+
 # ---------------------------------------------------------------------------
 # members checked in chunks
 
@@ -516,14 +617,7 @@ def test_iteration_limit_mid_chunk_counts_exactly():
 
 def test_oracle_checks_members_in_chunks_only(monkeypatch):
     m, spec = generate("timing-attack", n=6)
-    batches, imposed = [], []
-    batched = synthesis.check_members
-
-    def spy(compiled, formula, realisations):
-        batches.append(len(realisations))
-        return batched(compiled, formula, realisations)
-
-    monkeypatch.setattr(synthesis, "check_members", spy)
+    batches, imposed = _count_batches(monkeypatch), []
     monkeypatch.setattr(synthesis, "impose", lambda *args: imposed.append(args))
     out = synthesize(m, spec, mode="complete", method="oracle")
     size = out.stats["family_size"]
