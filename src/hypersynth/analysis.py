@@ -38,10 +38,16 @@ by one np.linalg.solve call.  check_mc on each member's imposed chains
 stays the reference: qualitative sets and infinite values are the same,
 and finite values agree to within rounding, since each solve is padded with
 identity rows to the full state count.
+
+Every dense solve of this module is counted (`solve_count`), one per
+np.linalg.solve call whether it solves one system or a batch: a batch of
+members costs one solve per distinct query (`batch_solves`).  The synthesis
+loop prices its work in these counts.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +63,32 @@ DEFAULT_TOL = 1e-8
 VISIT_CAP = 1e6
 
 INF = float("inf")
+
+
+class _SolveCount(threading.local):
+    """Dense linear-solve calls made so far, per thread, so that runs in
+    different threads do not mix their counts."""
+
+    solves = 0
+
+
+_count = _SolveCount()
+
+
+def _dense_solve(a, b) -> np.ndarray:
+    """np.linalg.solve, counted in solve_count; every solve of this module
+    goes through here."""
+
+    _count.solves += 1
+    return np.linalg.solve(a, b)
+
+
+def solve_count() -> int:
+    """Dense linear-solve calls made so far in this thread, one per call
+    whether it solves one system or a batch.  Callers price work by the
+    difference between two reads."""
+
+    return _count.solves
 
 
 def guard_band(tol: float) -> float:
@@ -190,7 +222,7 @@ def reach_probs(mc: Mc, target) -> np.ndarray:
                 b[idx[s]] += p
             elif succ in idx:
                 a[idx[s], idx[succ]] -= p
-    x = np.linalg.solve(a, b)
+    x = _dense_solve(a, b)
     for s in mid:
         out[s] = min(max(x[idx[s]], 0.0), 1.0)
     return out
@@ -235,7 +267,7 @@ def expected_reward(mc: Mc, target) -> np.ndarray:
         for succ, p in mc.trans[s]:
             if succ in idx:
                 a[idx[s], idx[succ]] -= p
-    x = np.linalg.solve(a, b)
+    x = _dense_solve(a, b)
     for s in mid:
         out[s] = max(x[idx[s]], 0.0)
     return out
@@ -268,7 +300,7 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
         b = np.zeros(len(transient))
         if from_state in idx:
             b[idx[from_state]] = 1.0
-        x = np.linalg.solve(a, b)
+        x = _dense_solve(a, b)
         for s in transient:
             out[s] = max(x[idx[s]], 0.0) if s in reachable else 0.0
     for s in bottoms:
@@ -481,7 +513,7 @@ def _policy_iteration(m, allowed, free, v, choice, sign, delta, reward=None):
                 else:
                     mat[i, j] -= p / leave
             rhs[i] = r / leave
-        for s, x in zip(free, np.linalg.solve(mat, rhs).tolist()):
+        for s, x in zip(free, _dense_solve(mat, rhs).tolist()):
             v[s] = x
         switched = False
         for s in free:
@@ -760,7 +792,7 @@ class _Batch:
         a = self.cm.probs[rows]
         np.multiply(a, mid[:, :, None] & mid[:, None, :], out=a)
         np.subtract(np.eye(self.cm.num_states), a, out=a)
-        return np.linalg.solve(a, (b * mid)[..., None])[..., 0]
+        return _dense_solve(a, (b * mid)[..., None])[..., 0]
 
     def value(self, q: Query) -> np.ndarray:
         """The query's value in every member's chain, as a (B, n) array."""
@@ -790,6 +822,18 @@ class _Batch:
             got = np.where(t.mask, 0.0, np.where(mid, x, INF))
         self._values[key] = got
         return got
+
+
+def batch_solves(formula: InstantiatedFormula) -> int:
+    """The solves one check_members call makes on the formula, whatever the
+    batch's size: one per distinct (kind, slot, target) query."""
+
+    return len({
+        (q.kind, q.slot, q.target)
+        for atom in formula.atoms
+        for q in (atom.left, atom.right)
+        if isinstance(q, Query)
+    })
 
 
 def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations) -> MemberChecks:

@@ -132,7 +132,8 @@ def _cmd_synth(args) -> int:
     st = out.stats
     print(f"verdict: {out.verdict}")
     print(f"family size: {st['family_size']}, explored {st['explored']} "
-          f"({st['explored_fraction']:.3f}) in {st['iterations']} iterations, "
+          f"({st['explored_fraction']:.3f}) in {st['iterations']} iterations "
+          f"({st['analyses']} analyses, {st['enumerated_members']} enumerated members), "
           f"{st['splits']} splits, {st['ce_prunes']} conflict prunes, "
           f"{st['wall_time_s']:.3f}s")
     if out.feasible and out.witness is not None:

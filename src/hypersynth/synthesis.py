@@ -27,23 +27,27 @@ enumerator checks the members of one or more boxes as one stream, in
 chunks with one batched call each, then settles them one by one, box by box
 and in lexicographic order within a box, checking limits and counting
 iterations per member.  When refinement enumerates a box, the boxes right
-below it on the stack that it would enumerate too join the call while they
-fit in one chunk, except in optimal mode.  An open box checks its
+below it on the stack that it would enumerate too join the call, so that
+no box but the last ends in a part-filled chunk, except in optimal mode.  An open box checks its
 candidates and hybrid's member in one batch; a box of one member and an
 accepted box's recheck are batches of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
-more than settling it by analysis: when its size times the measured seconds
-per member of the enumerator's chunks is at most the price of an analysis.
-That price is the subtree an analysis leaves behind: the mean time of one
-box analysis (member checks made during it included) over the run's settle
-rate, (settling + 1) / (analyses + 2), where an analysis settles when
-members were settled during it or it found the outcome.  Until the
-enumerator has run, the seconds per member of the other member checks,
-which come in smaller batches and so cost more, stand in for its price.
-Both are measured in the current run.  The root is always analysed, since
-nothing is measured yet when it is popped.
+more than settling it by analysis.  Both sides are priced in dense
+linear-solve calls (analysis.solve_count), one per call whether it solves
+one system or a batch, so the same call makes the same decisions on every
+run and every machine.  A batch of member checks makes one solve per
+distinct (kind, slot, target) query of the formula, known before any check
+runs.  Enumerating a box of N members costs its share of the batches:
+queries * N / chunk, since stacked sibling boxes share a chunk, or in
+optimal mode, where each box gets its own batches, queries * ceil(N /
+chunk).  An analysis is priced by the subtree it leaves behind: the mean
+solves of one box analysis (policy-iteration rounds, chain solves and the
+member checks made during it) over the run's settle rate, (settling + 1) /
+(analyses + 2), where an analysis settles when members were settled during
+it or it found the outcome.  The root is always analysed, since no
+analysis has been counted when it is popped.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .analysis import (
     INF,
     CheckResult,
     CompiledModel,
+    batch_solves,
     check_mc,  # noqa: F401
     check_members,
     compile_model,
@@ -70,6 +75,7 @@ from .analysis import (
     extremal_reward,
     guard_band,
     reach_probs,
+    solve_count,
     _closure,
     _successors,
 )
@@ -517,27 +523,27 @@ def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: Instantiated
         yield from (real for real, ok in zip(chunk, holds) if ok)
 
 
-def subtree_price(analysis_s: float, analyses: int, settling: int) -> float | None:
-    """Expected seconds to settle a box by analysing it: the mean seconds of
+def subtree_price(analysis_solves: int, analyses: int, settling: int) -> float | None:
+    """Expected solves to settle a box by analysing it: the mean solves of
     an analysis over the share of analyses that settle something, counted
     as (settling + 1) / (analyses + 2), since an analysis that settles
     nothing leaves a subtree of boxes to analyse in turn.  None while no
-    analysis is measured."""
+    analysis is counted."""
 
     if not analyses:
         return None
-    return analysis_s / analyses * (analyses + 2) / (settling + 1)
+    return analysis_solves / analyses * (analyses + 2) / (settling + 1)
 
 
-def cheaper_to_enumerate(size: int, member_s: float | None, analysis_s: float | None) -> bool:
+def cheaper_to_enumerate(size: int, member_cost: float, price: float | None) -> bool:
     """Whether checking all ``size`` members of a box is expected to cost no
-    more than settling it by analysis, given the seconds per enumerated
-    member and the price of analysing the box (None while nothing is
-    measured)."""
+    more than settling it by analysis, given the solves per enumerated
+    member and the solves an analysis is priced at (None while no analysis
+    is counted)."""
 
-    if member_s is None or analysis_s is None:
+    if price is None:
         return False
-    return size * member_s <= analysis_s
+    return size * member_cost <= price
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +585,7 @@ class _Synthesizer:
         self.act_counts = [m.num_actions(s) for s in range(m.num_states)]
 
         self.t0 = time.perf_counter()
+        self.solves0 = solve_count()
         self.iterations = 0
         self.explored = 0
         self.decided = 0
@@ -587,17 +594,14 @@ class _Synthesizer:
         self.enumerated = 0
         self.atom_report = []
         self.sat_boxes: list[FamilyNode] = []
+        self.satisfying = 0  # members of sat_boxes
         self.incumbent: int | None = None
         self.incumbent_real = None
-        # measured costs: seconds and members of the enumerator's batches,
-        # of the other member checks, and of box analyses
-        self.enum_s = 0.0
-        self.enum_members = 0
-        self.check_s = 0.0
-        self.checks = 0
-        self.analysis_s = 0.0
+        self.batch_solves = batch_solves(self.formula)
+        # solves made by box analyses, the analyses, and those during which
+        # members were settled or an outcome found
+        self.analysis_solves = 0
         self.analyses = 0
-        # analyses during which members were settled or an outcome found
         self.settling = 0
 
     # -- bookkeeping ----------------------------------------------------
@@ -632,6 +636,7 @@ class _Synthesizer:
             "enumerated_members": self.enumerated,
             "analyses": self.analyses,
             "settling_analyses": self.settling,
+            "solves": solve_count() - self.solves0,
             "wall_time_s": self._elapsed(),
             "limit": None,
             "witness": None,
@@ -644,7 +649,7 @@ class _Synthesizer:
                 "controllers": [list(c.choices) for c in witness],
             }
         if self.mode == "complete":
-            out["satisfying_count"] = sum(b.size() for b in self.sat_boxes)
+            out["satisfying_count"] = self.satisfying
         return out
 
     def _outcome(self, verdict, realisation=None, witness=None, optimal_value=None):
@@ -666,13 +671,9 @@ class _Synthesizer:
         return compile_model(self.m, self.space)
 
     def _check(self, realisations):
-        """Check members outside the enumerator, in one timed batch."""
+        """Check members in one batch."""
 
-        start = time.perf_counter()
-        out = check_members(self.compiled, self.formula, realisations)
-        self.check_s += time.perf_counter() - start
-        self.checks += len(realisations)
-        return out
+        return check_members(self.compiled, self.formula, realisations)
 
     def _decide(self, members: int):
         """Count a box of this many members as settled, whichever way."""
@@ -697,20 +698,22 @@ class _Synthesizer:
             and node_distance_bound(node, self.pairs) <= self.incumbent
         )
 
-    def _member_s(self):
-        """Measured seconds per enumerated member.  Until the enumerator has
-        run, the other member checks stand in: they come in smaller
-        batches, so they cost at least as much per member."""
+    def _member_solves(self, size: int) -> float:
+        """Solves per member of enumerating a box of this size: a share of
+        its chunk's batch, which stacked sibling boxes share, or in optimal
+        mode a share of the box's own batches."""
 
-        if self.enum_members:
-            return self.enum_s / self.enum_members
-        return self.check_s / self.checks if self.checks else None
+        chunk = self.compiled.chunk
+        if self.mode == "optimal":
+            return self.batch_solves * -(-size // chunk) / size
+        return self.batch_solves / chunk
 
     def _enumeration_pays(self, node) -> bool:
+        size = node.size()
         return cheaper_to_enumerate(
-            node.size(),
-            self._member_s(),
-            subtree_price(self.analysis_s, self.analyses, self.settling),
+            size,
+            self._member_solves(size),
+            subtree_price(self.analysis_solves, self.analyses, self.settling),
         )
 
     # -- the loop ----------------------------------------------------------
@@ -730,25 +733,17 @@ class _Synthesizer:
 
     def _siblings(self, node, stack):
         """The popped box plus the boxes right below it on the stack that
-        the switch would enumerate too, popped while they fit in the room
-        one chunk leaves.  Optimal mode takes one box at a time: a member
-        found in one box can outrank the next."""
+        the switch would enumerate too.  Optimal mode takes one box at a
+        time: a member found in one box can outrank the next."""
 
         nodes = [node]
-        room = self.compiled.chunk - node.size()
-        while (
-            self.mode != "optimal"
-            and stack
-            and stack[-1].size() <= room
-            and self._enumeration_pays(stack[-1])
-        ):
+        while self.mode != "optimal" and stack and self._enumeration_pays(stack[-1]):
             nodes.append(stack.pop())
-            room -= nodes[-1].size()
         return nodes
 
     def _refine(self, node, stack):
         """One refinement step: prune the box against the incumbent, check
-        it if it has one member, or else analyse it, timing the analysis."""
+        it if it has one member, or else analyse it, counting its solves."""
 
         self._check_limits()
         self.iterations += 1
@@ -758,10 +753,9 @@ class _Synthesizer:
         if node.size() == 1:
             real = node.first_realisation()
             return self._settle(real, self._check([real]).holds[0])
-        explored = self.explored
-        start = time.perf_counter()
+        explored, solves = self.explored, solve_count()
         done = self._analyse(node, stack)
-        self.analysis_s += time.perf_counter() - start
+        self.analysis_solves += solve_count() - solves
         self.analyses += 1
         self.settling += done is not None or self.explored > explored
         return done
@@ -812,10 +806,7 @@ class _Synthesizer:
         members = chain.from_iterable(product(*node.domains) for node in nodes)
         for chunk in _chunks(members, self.compiled.chunk):
             self._check_limits()
-            start = time.perf_counter()
-            holds = check_members(self.compiled, self.formula, chunk).holds
-            self.enum_s += time.perf_counter() - start
-            self.enum_members += len(chunk)
+            holds = self._check(chunk).holds
             for real, ok in zip(chunk, holds.tolist()):
                 self._check_limits()
                 self.iterations += 1
@@ -844,6 +835,7 @@ class _Synthesizer:
             return self._outcome("feasible", real, controllers(self.space, real))
         if self.mode == "complete":
             self.sat_boxes.append(FamilyNode(self.space, tuple((a,) for a in real)))
+            self.satisfying += 1
             return None
         self._note_sat(real)
         return None
@@ -854,6 +846,7 @@ class _Synthesizer:
         if self.mode == "complete":
             if self._check([node.first_realisation()]).holds[0]:
                 self.sat_boxes.append(node)
+                self.satisfying += node.size()
                 self._decide(node.size())
                 return None
             self._push_fallback_split(node, stack)

@@ -679,6 +679,7 @@ _STATS_KEYS = (
     "enumerated_members",
     "analyses",
     "settling_analyses",
+    "solves",
     "wall_time_s",
     "limit",
     "witness",

@@ -7,6 +7,7 @@ regression cannot hide behind tolerance stacking.
 
 import math
 import random
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
@@ -35,6 +36,7 @@ from hypersynth.analysis import (
     check_members,
     compile_model,
     qualitative_states,
+    solve_count,
 )
 from hypersynth.errors import MissingRewardsError, ModelError
 from hypersynth.exact import (
@@ -449,3 +451,25 @@ def test_check_members_reward_query_needs_rewards():
         check_mc([impose(m, induce(space, real, 0))], formula)
     with pytest.raises(MissingRewardsError):
         check_members(compile_model(m, space), formula, [real])
+
+
+def test_solve_count_counts_each_solve_call_in_its_own_thread():
+    mc = make_mc([[(1, 0.5), (2, 0.5)], [(0, 0.5), (2, 0.5)], [(2, 1.0)]], labels={"goal": (2,)})
+    before = solve_count()
+    reach_probs(mc, mc.target("goal"))  # states 0 and 1 in one solve
+    assert solve_count() == before + 1
+    reach_probs(mc, frozenset({0, 1, 2}))  # nothing left to solve
+    assert solve_count() == before + 1
+    # another thread's solves stay out of this thread's count
+    seen = []
+
+    def other():
+        seen.append(solve_count())
+        reach_probs(mc, mc.target("goal"))
+        seen.append(solve_count())
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert seen == [0, 1] and solve_count() == before + 1

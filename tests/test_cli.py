@@ -30,6 +30,8 @@ def test_synth_feasible_exit_zero(files, capsys):
     assert data["verdict"] == "feasible"
     assert data["witness"]["realisation"] == [1, 1, 0, 0]
     assert data["atoms"] and {"case", "tag"} <= set(data["atoms"][0])
+    counts = f"in {data['iterations']} iterations ({data['analyses']} analyses, "
+    assert counts + f"{data['enumerated_members']} enumerated members)" in out
 
 
 def test_synth_unfeasible_exit_one(files, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from hypersynth import (
     unfold_memory,
 )
 from hypersynth import synthesis
-from hypersynth.analysis import compile_model
+from hypersynth.analysis import compile_model, solve_count
 from hypersynth.errors import ModelError, SpecError
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
@@ -221,11 +222,11 @@ def test_complete_counts_agree_on_random_instances():
 # optimal mode
 
 
-@pytest.mark.parametrize("eps", [2e-10, 1e-9, 5.5e-9, 1e-8])
-def test_near_one_self_loop(eps):
-    # action 1 at state 0 loops with 1 - 2 eps and escapes to the goal and
-    # to a sink with eps each, so it reaches the goal with probability 1/2;
-    # action 0 reaches it with 0.1 only
+def _self_loop(eps):
+    """Action 1 at state 0 loops with 1 - 2 eps and escapes to the goal and
+    to a sink with eps each, so it reaches the goal with probability 1/2;
+    action 0 reaches it with 0.1 only."""
+
     m = make_mdp(
         [
             [[(1, 0.1), (2, 0.9)], [(0, 1.0 - 2.0 * eps), (1, eps), (2, eps)]],
@@ -234,8 +235,13 @@ def test_near_one_self_loop(eps):
         ],
         labels={"goal": (1,)},
     )
+    return m, parse_spec("exists sigma : forall s in {0} [sigma] : P(s, F goal) >= 0.3")
+
+
+@pytest.mark.parametrize("eps", [2e-10, 1e-9, 5.5e-9, 1e-8])
+def test_near_one_self_loop(eps):
+    m, spec = _self_loop(eps)
     assert extremal_reach(m, m.target("goal"), "max").values[0] == pytest.approx(0.5, abs=1e-12)
-    spec = parse_spec("exists sigma : forall s in {0} [sigma] : P(s, F goal) >= 0.3")
     for method in ("ar", "hybrid", "oracle"):
         assert synthesize(m, spec, method=method).verdict == "feasible", method
 
@@ -376,28 +382,90 @@ STUBBORN = "exists sigma : forall s in {0} [sigma] : P(s, F target) = 0.55 ~0.00
 
 
 def test_cheaper_to_enumerate_on_fixed_costs():
-    assert cheaper_to_enumerate(4, 0.001, 0.005)
-    assert not cheaper_to_enumerate(6, 0.001, 0.005)
-    assert cheaper_to_enumerate(4, 0.25, 1.0)  # equal costs enumerate
-    assert cheaper_to_enumerate(1, 0.002, 0.002)
-    assert not cheaper_to_enumerate(2, 0.002, 0.002)
-    # a cost not measured yet never enumerates
-    assert not cheaper_to_enumerate(1, None, 1.0)
-    assert not cheaper_to_enumerate(1, 1e-6, None)
+    # costs in solves: a member's share of its batches against the price
+    # of analysing the box
+    assert cheaper_to_enumerate(40, 4 / 64, 3)
+    assert not cheaper_to_enumerate(60, 4 / 64, 3)
+    assert cheaper_to_enumerate(64, 4 / 64, 4)  # equal costs enumerate
+    assert cheaper_to_enumerate(1, 2, 2)
+    assert not cheaper_to_enumerate(2, 2, 2)
+    # a formula without queries checks members for free
+    assert cheaper_to_enumerate(10**9, 0.0, 0.0)
+    # before any analysis is counted, nothing is enumerated
+    assert not cheaper_to_enumerate(1, 0.0, None)
 
 
 def test_subtree_price_follows_the_settle_rate():
-    # an unmeasured run never enumerates
-    assert subtree_price(0.0, 0, 0) is None
-    assert not cheaper_to_enumerate(1, 1e-9, subtree_price(0.0, 0, 0))
+    # an uncounted run never enumerates
+    assert subtree_price(0, 0, 0) is None
+    assert not cheaper_to_enumerate(1, 1e-9, subtree_price(0, 0, 0))
     # analyses that never settle raise the price, the more the more of them
-    never = [subtree_price(0.01 * n, n, 0) for n in (1, 10, 100)]
-    assert 0.01 < never[0] < never[1] < never[2]
-    assert never[2] == pytest.approx(0.01 * 102)
-    # analyses that always settle bring it toward the mean analysis time
-    always = [subtree_price(0.01 * n, n, n) for n in (1, 10, 100, 10_000)]
-    assert all(a > b > 0.01 for a, b in zip(always, always[1:]))
-    assert always[-1] == pytest.approx(0.01, rel=1e-3)
+    never = [subtree_price(12 * n, n, 0) for n in (1, 10, 100)]
+    assert 12 < never[0] < never[1] < never[2]
+    assert never[2] == 12 * 102
+    # analyses that always settle bring it toward the mean solves of one
+    always = [subtree_price(12 * n, n, n) for n in (1, 10, 100, 10_000)]
+    assert all(a > b > 12 for a, b in zip(always, always[1:]))
+    assert always[-1] == pytest.approx(12, rel=1e-3)
+
+
+def test_a_batch_of_member_checks_costs_one_solve_per_query():
+    m, spec = generate("maze-sd", variant="checkpoint")
+    engine = _Synthesizer(m, spec, "optimal", "ar", 1e-8, 1e-6, None, None)
+    assert engine.batch_solves > 1
+    members = list(islice(product(*engine.space.domains), engine.compiled.chunk + 1))
+    for batch in (members[:1], members[:-1], members):
+        before = solve_count()
+        engine._check(batch)
+        assert solve_count() - before == engine.batch_solves
+    # optimal mode: each box pays for its own batches
+    chunk, q = engine.compiled.chunk, engine.batch_solves
+    assert engine._member_solves(1) == q
+    assert engine._member_solves(chunk) * chunk == pytest.approx(q)
+    assert engine._member_solves(chunk + 1) * (chunk + 1) == pytest.approx(2 * q)
+    # elsewhere sibling boxes share a chunk, so a member costs its share
+    engine.mode = "complete"
+    assert engine._member_solves(1) == engine._member_solves(chunk + 1) == q / chunk
+
+
+# the complete and search problems of the benchmark, with its modes and
+# methods; the self-loop eps is drawn there, one per band
+BENCH_PROBLEMS = [
+    ("timing-attack", {"n": 6}, "complete", "ar"),
+    ("thread-scheduling", {"h1": 4, "h2": 8}, "complete", "hybrid"),
+    ("knuth-yao-pc", {"n": 2}, "feasibility", "ar"),
+    ("knuth-yao-pc", {"n": 1}, "feasibility", "hybrid"),
+    ("maze-sd", {"variant": "checkpoint"}, "optimal", "ar"),
+    ("maze-sd", {"variant": "checkpoint"}, "optimal", "hybrid"),
+    ("thread-scheduling", {}, "feasibility", "ar"),
+    *(("self-loop", {"eps": eps}, "feasibility", method) for eps in (1e-12, 1e-9) for method in ("ar", "hybrid")),
+]
+
+
+@pytest.mark.parametrize("bench, params, mode, method", BENCH_PROBLEMS)
+def test_runs_repeat_exactly(monkeypatch, bench, params, mode, method):
+    m, spec = _self_loop(**params) if bench == "self-loop" else generate(bench, **params)
+    first = synthesize(m, spec, mode=mode, method=method)
+    # the second run reads a clock that jumps at random: only wall_time_s
+    # may follow it
+    rng = random.Random(0)
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(perf_counter=lambda: rng.uniform(0, 1e3)))
+    second = synthesize(m, spec, mode=mode, method=method)
+    for out in (first, second):
+        del out.stats["wall_time_s"]
+    assert second.stats == first.stats
+    assert second.realisation == first.realisation
+    assert second.satisfying == first.satisfying
+    assert first.stats["solves"] > 0
+
+
+def test_hybrid_settles_knuth_yao_in_few_analyses():
+    # one chunked member check settles what each analysis would prune one
+    # member of
+    m, spec = generate("knuth-yao-pc", n=1)
+    out = synthesize(m, spec, method="hybrid")
+    assert out.feasible
+    assert 1 <= out.stats["analyses"] <= 20
 
 
 def test_stats_count_analyses():
@@ -552,6 +620,20 @@ def test_run_enumerates_stacked_siblings_together_except_in_optimal_mode(monkeyp
         assert sizes == [[3, 3, 3]]
 
 
+def test_run_streams_enumerated_siblings_larger_than_a_chunk(monkeypatch):
+    # boxes of any size share their part-filled chunks, so the stream of
+    # the root's children needs no more batches than the oracle's
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
+    m, spec = binary_family(BINARY_K), binary_spec(0.3)
+    chunk, size = _chunk(m, spec), 2**BINARY_K
+    batches = _count_batches(monkeypatch)
+    out = synthesize(m, spec, mode="complete")
+    assert out.stats["analyses"] == out.stats["splits"] == 1
+    assert out.stats["enumerated_members"] == size == sum(batches)
+    assert size // 2 % chunk and len(batches) == math.ceil(size / chunk)
+    assert out.stats["satisfying_count"] == size - math.ceil(0.3 * size)
+
+
 @pytest.mark.parametrize(
     "bench, params, mode",
     [("knuth-yao-pc", {"n": 1}, "feasibility"), ("maze-sd", {"variant": "checkpoint"}, "optimal")],
@@ -624,6 +706,15 @@ def test_oracle_checks_members_in_chunks_only(monkeypatch):
     assert size == 4096 and out.stats["enumerated_members"] == size == sum(batches)
     assert len(batches) <= math.ceil(size / _chunk(m, spec)) + 1
     assert imposed == []
+
+
+def test_oracle_solves_are_its_batches(monkeypatch):
+    m, spec = generate("maze-sd", variant="checkpoint")
+    batches = _count_batches(monkeypatch)
+    out = synthesize(m, spec, mode="optimal", method="oracle")
+    queries = _Synthesizer(m, spec, "optimal", "oracle", 1e-8, 1e-6, None, None).batch_solves
+    assert len(batches) > 1 and queries > 1
+    assert out.stats["solves"] == len(batches) * queries
 
 
 def test_memory_unfolding_can_help():

@@ -189,6 +189,7 @@ def test_write_stats_shape():
         "enumerated_members": 4,
         "analyses": 2,
         "settling_analyses": 1,
+        "solves": 7,
         "wall_time_s": 0.5,
         "limit": None,
         "witness": None,
@@ -203,6 +204,7 @@ def test_write_stats_shape():
     assert list(data).index("enumerated_members") == list(data).index("ce_prunes") + 1
     keys = list(data)
     assert keys.index("settling_analyses") == keys.index("analyses") + 1 == keys.index("enumerated_members") + 2
+    assert keys.index("solves") == keys.index("settling_analyses") + 1 == keys.index("wall_time_s") - 1
     assert data["atoms"][0]["lb_left"] == "inf"
     # key order is stable
     assert text == write_stats(dict(reversed(list(stats.items()))))
