@@ -266,34 +266,3 @@ def split_node(node: FamilyNode, k: int, actions) -> list[FamilyNode]:
     if rest:
         children.append(node.with_domain(k, rest))
     return children
-
-
-def immediate_impact(m: Mdp, visits, values, kind: str = "reach"):
-    """Visit-weighted one-step value of choosing action a in state s.
-
-    For probability queries gamma(s, a) = visits(s) * sum_t P(s,a,t) v(t);
-    for reward queries the action reward is added inside the bracket.
-    visits comes from the witness chain, values from the same chain's
-    solve.  Zero visits give zero impact regardless of the values.
-    Returns {(s, a): gamma}.
-    """
-
-    if kind not in ("reach", "reward"):
-        raise ModelError(f"unknown query kind {kind!r}")
-    out = {}
-    for s in range(m.num_states):
-        ev = float(visits[s])
-        for a in range(m.num_actions(s)):
-            if ev == 0.0:
-                out[(s, a)] = 0.0
-                continue
-            acc = 0.0
-            for t, p in m.trans[s][a]:
-                val = float(values[t])
-                if val == 0.0:
-                    continue
-                acc += p * val
-            if kind == "reward":
-                acc += m.reward(s, a)
-            out[(s, a)] = ev * acc
-    return out

@@ -12,10 +12,10 @@ decided on the whole box simplify the formula; a box whose residual
 collapses is classified wholesale.  Open boxes produce
 candidate members from the extremal witnesses, which are verified exactly
 before being reported.  Undecided boxes are split on the parameter class
-the witnesses disagree on most, weighted by expected-visits impact, and the
-pieces go back on a LIFO stack.  Every verdict that leaves the engine rests
-on exact member checks or on interval bounds with a guard band, never on
-iteration noise.
+where the witnesses of the first conflicting open atom use the most
+actions, and the pieces go back on a LIFO stack.  Every verdict that
+leaves the engine rests on exact member checks or on interval bounds with
+a guard band, never on iteration noise.
 
 The hybrid method additionally checks one concrete member per open box and,
 when that member violates a mandatory reachability comparison, prunes away
@@ -58,23 +58,23 @@ from functools import cached_property
 from itertools import chain, islice, product
 from math import isfinite, isnan
 
-# bench/spans.py times member checks by wrapping check_mc and impose at
-# this module's names, so both stay importable here
+# bench/spans.py times member checks by wrapping check_mc and impose, and
+# chain solves by wrapping reach_probs, expected_reward and expected_visits,
+# at this module's names, so all of them stay importable here
 from .analysis import (
     DEFAULT_TOL,
-    INF,
     CheckResult,
     CompiledModel,
     batch_solves,
     check_mc,  # noqa: F401
     check_members,
     compile_model,
-    expected_reward,
-    expected_visits,
+    expected_reward,  # noqa: F401
+    expected_visits,  # noqa: F401
     extremal_reach,
     extremal_reward,
     guard_band,
-    reach_probs,
+    reach_probs,  # noqa: F401
     solve_count,
     _closure,
     _successors,
@@ -89,7 +89,6 @@ from .family import (
     build_parameter_space,
     consistency_conflicts,
     controller_box,
-    immediate_impact,
     induce,
     node_restrict,  # bench/spans.py times box restriction by wrapping it here
     root_node,
@@ -219,14 +218,6 @@ class SideBounds:
 
 
 @dataclass
-class _SideRecord:
-    query: Query
-    witness: Controller
-    relevant: frozenset
-    conflicts: dict
-
-
-@dataclass
 class AtomVerdict:
     index: int
     case: str  # "allsat" | "allunsat" | "open"
@@ -236,7 +227,6 @@ class AtomVerdict:
     candidates: tuple[PartialAssignment, ...] = ()
     disagreements: tuple[tuple[int, int, int], ...] = ()
     conflict_actions: dict = field(default_factory=dict)
-    records: tuple[_SideRecord, ...] = ()
 
 
 class NodeAnalyzer:
@@ -270,12 +260,6 @@ class NodeAnalyzer:
         self._bounds[key] = got
         return got
 
-    def _side_record(self, node: FamilyNode, q: Query, witness: Controller) -> _SideRecord:
-        mc = impose(self.m, witness)
-        relevant = frozenset(_closure(_successors(mc), (q.state,)))
-        conflicts = consistency_conflicts(self.space, q.slot, witness, relevant)
-        return _SideRecord(q, witness, relevant, conflicts)
-
     def atom_verdict(self, node: FamilyNode, i: int) -> AtomVerdict:
         atom = self.formula.atoms[i]
         off = atom.offset
@@ -302,7 +286,6 @@ class NodeAnalyzer:
                 return AtomVerdict(i, "allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
 
         # open: mine the satisfaction-directed witnesses for candidates
-        records = []
         boxes = {}
         conflict_actions: dict = {}
         for side_name, q, sb, wit_attr in (
@@ -312,15 +295,16 @@ class NodeAnalyzer:
             if not isinstance(q, Query):
                 boxes[side_name] = EMPTY_ASSIGNMENT
                 continue
-            rec = self._side_record(node, q, getattr(sb, wit_attr))
-            records.append(rec)
-            if rec.conflicts:
+            witness = getattr(sb, wit_attr)
+            relevant = frozenset(_closure(_successors(impose(self.m, witness)), (q.state,)))
+            conflicts = consistency_conflicts(self.space, q.slot, witness, relevant)
+            if conflicts:
                 boxes[side_name] = None
-                for k, acts in rec.conflicts.items():
+                for k, acts in conflicts.items():
                     merged = set(conflict_actions.get(k, ())) | set(acts)
                     conflict_actions[k] = tuple(sorted(merged))
             else:
-                boxes[side_name] = controller_box(self.space, q.slot, rec.witness, rec.relevant)
+                boxes[side_name] = controller_box(self.space, q.slot, witness, relevant)
 
         # margin requirements: a strict atom's candidate must be able to
         # satisfy strictly, not just touch the bound
@@ -354,43 +338,15 @@ class NodeAnalyzer:
 
         return AtomVerdict(
             i, "open", tag, (lo_l, hi_l), (lo_r, hi_r),
-            candidates, disagreements, conflict_actions, tuple(records),
+            candidates, disagreements, conflict_actions,
         )
 
-    # -- split scoring -------------------------------------------------
+    def score_conflicts(self, verdict: AtomVerdict) -> dict:
+        """Split score per conflicting class: how many actions the
+        witnesses use on it.  bench/spans.py times it as the split-score
+        layer."""
 
-    def score_conflicts(self, node: FamilyNode, verdict: AtomVerdict) -> dict:
-        """Impact spread per conflicting class, from the witness that
-        exhibited the conflict; the larger, the more the choice matters."""
-
-        scores: dict = {}
-        for rec in verdict.records:
-            if not rec.conflicts:
-                continue
-            q = rec.query
-            mc = impose(self.m, rec.witness)
-            visits = expected_visits(mc, q.state)
-            tgt = mc.target(q.target)
-            values = reach_probs(mc, tgt) if q.kind == "reach" else expected_reward(mc, tgt)
-            gamma = immediate_impact(self.m, visits, values, q.kind)
-            for k in rec.conflicts:
-                states = [s for slot, s in self.space.members[k] if slot == q.slot]
-                spreads = [
-                    _spread([gamma[(s, a)] for a in node.domain(k)]) for s in states
-                ]
-                score = sum(spreads) / len(spreads) if spreads else 0.0
-                if k not in scores or score > scores[k]:
-                    scores[k] = score
-        return scores
-
-
-def _spread(vals) -> float:
-    hi, lo = max(vals), min(vals)
-    if hi == lo:
-        return 0.0
-    if hi == INF:
-        return INF
-    return hi - lo
+        return {k: len(acts) for k, acts in verdict.conflict_actions.items()}
 
 
 def _compose(residual, verdicts, cap: int = COMPOSE_CAP):
@@ -849,7 +805,7 @@ class _Synthesizer:
                 self.satisfying += node.size()
                 self._decide(node.size())
                 return None
-            self._push_fallback_split(node, stack)
+            self._split(node, stack)
             return None
         if self.mode == "optimal":
             real = max_distance_completion(node, self.pairs)
@@ -857,12 +813,12 @@ class _Synthesizer:
                 self._note_sat(real)
                 self._decide(node.size())
                 return None
-            self._push_fallback_split(node, stack)
+            self._split(node, stack)
             return None
         real = node.first_realisation()
         if self._check([real]).holds[0]:
             return self._outcome("feasible", real, controllers(self.space, real))
-        self._push_fallback_split(node, stack)
+        self._split(node, stack)
         return None
 
     def _handle_open(self, node, residual, verdicts, stack):
@@ -898,41 +854,38 @@ class _Synthesizer:
                     stack.extend(rest)
                     return None
 
-        k, actions = self._choose_split(node, residual, verdicts)
-        self.splits += 1
-        stack.extend(split_node(node, k, actions))
+        self._split(node, stack, verdicts)
         return None
 
-    def _push_fallback_split(self, node, stack):
-        for k, dom in enumerate(node.domains):
-            if len(dom) > 1:
-                self.splits += 1
-                stack.extend(split_node(node, k, dom))
-                return
-        raise AssertionError("fallback split on a singleton box")
+    def _split(self, node, stack, verdicts=None):
+        """Split the box and push the pieces.  Of the open atoms, in atom
+        order, the first whose witnesses conflict splits on its widest
+        conflicting class (the lowest on ties), else the first whose
+        candidates disagree splits on that class.  Without such an atom,
+        or without verdicts, the first class with two or more actions gets
+        one child per action."""
 
-    # -- refinement choice ---------------------------------------------
-
-    def _choose_split(self, node, residual, verdicts):
-        open_atoms = [
-            i for i in self.formula.atom_order()
-            if verdicts[i].case == "open"
-        ]
-        for i in open_atoms:
-            v = verdicts[i]
-            if v.conflict_actions:
-                scores = self.analyzer.score_conflicts(node, v)
-                k = max(sorted(v.conflict_actions), key=lambda kk: scores.get(kk, 0.0))
-                return k, v.conflict_actions[k]
-        for i in open_atoms:
-            v = verdicts[i]
-            if v.disagreements:
-                k, a_left, a_right = v.disagreements[0]
-                return k, (a_left, a_right)
-        for k, dom in enumerate(node.domains):
-            if len(dom) > 1:
-                return k, dom
-        raise AssertionError("split requested on a singleton box")
+        open_verdicts = []
+        if verdicts:
+            open_verdicts = [
+                verdicts[i] for i in self.formula.atom_order() if verdicts[i].case == "open"
+            ]
+        conflicting = [v for v in open_verdicts if v.conflict_actions]
+        disagreeing = [v for v in open_verdicts if v.disagreements]
+        if conflicting:
+            scores = self.analyzer.score_conflicts(conflicting[0])
+            k = max(sorted(scores), key=scores.get)
+            actions = conflicting[0].conflict_actions[k]
+        elif disagreeing:
+            k, a_left, a_right = disagreeing[0].disagreements[0]
+            actions = (a_left, a_right)
+        else:
+            k = next((k for k, dom in enumerate(node.domains) if len(dom) > 1), None)
+            if k is None:
+                raise AssertionError("split requested on a singleton box")
+            actions = node.domains[k]
+        self.splits += 1
+        stack.extend(split_node(node, k, actions))
 
     # -- hybrid counterexamples ------------------------------------------
 

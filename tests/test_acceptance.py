@@ -11,17 +11,16 @@ from __future__ import annotations
 import json
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from hypersynth import (
+    DEFAULT_EQ_EPS,
     Controller,
     ParseError,
     SpecError,
     check_mc,
     expected_reward,
-    expected_visits,
     extremal_reach,
     generate,
     impose,
@@ -39,13 +38,12 @@ from hypersynth import (
 from hypersynth.counterexamples import complement_boxes, deflated_reach
 from hypersynth.family import (
     build_parameter_space,
-    immediate_impact,
     induce,
     root_node,
     split_node,
 )
 from hypersynth.formulas import Query
-from hypersynth.synthesis import AtomVerdict, NodeAnalyzer, _SideRecord
+from hypersynth.synthesis import AtomVerdict, NodeAnalyzer, _Synthesizer
 
 from conftest import random_instance, random_model
 
@@ -346,102 +344,64 @@ def test_c06_partition_laws():
             comps += 1
 
 
-# -- criterion 7: impact scores match closed forms ---------------------------
+# -- criterion 7: splits take the widest conflict ----------------------------
 
 
-def test_c07_impact_scores_and_split_choice():
-    """Visit-weighted one-step impact on three hand-solved chains, to
-    1e-10, and the split chooser picks the class with the larger spread
-    (smallest index on ties)."""
+def test_c07_split_takes_the_widest_conflict():
+    """A conflicting box splits on the class its witnesses use the most
+    actions on, the lowest class on ties, and a box without verdicts on its
+    first class with two or more actions; on maze-sd checkpoint optimal
+    that one split leaves 1,024 members to enumerate."""
 
-    # chain A: s0 -> {s1: 2/3, goal: 1/3}; s1 has two rows back to s0.
-    # Under row 0 the transient part is Q = [[0, 2/3], [1/2, 0]], so the
-    # visit counts from s0 are the first row of (I - Q)^-1 = (3/2, 1) and
-    # the values solve v0 = 1/3 + 2/3 v1, v1 = v0 / 2, giving (1/2, 1/4).
-    ma = make_mdp(
+    # s0 branches to s1 (two actions) and s2 (three actions)
+    m = make_mdp(
         [
-            [((1, Fraction(2, 3)), (2, Fraction(1, 3)))],
-            [((0, 0.5), (3, 0.5)), ((0, 0.75), (3, 0.25))],
-            [((2, 1.0),)],
-            [((3, 1.0),)],
-        ],
-        labels={"goal": (2,)},
-    )
-    mca = impose(ma, Controller((0, 0, 0, 0)))
-    vis = expected_visits(mca, 0)
-    vals = reach_probs(mca, ma.target("goal"))
-    ga = immediate_impact(ma, vis, vals, "reach")
-    assert abs(ga[(1, 0)] - 0.25) <= 1e-10    # 1 * (1/2 * 1/2)
-    assert abs(ga[(1, 1)] - 0.375) <= 1e-10   # 1 * (3/4 * 1/2)
-    assert abs(ga[(0, 0)] - 0.75) <= 1e-10    # 3/2 * (2/3 * 1/4 + 1/3)
-
-    # chain B: reward form.  Row 0 loops on s0 with prob 3/4 at reward 2,
-    # so visits(s0) = 4 and val(s0) = 8; the alternative row pays 1 at a
-    # half-strength loop.
-    mb = make_mdp(
-        [
-            [((0, 0.75), (1, 0.25)), ((0, 0.5), (1, 0.5))],
-            [((1, 1.0),)],
-        ],
-        labels={"goal": (1,)},
-        rewards={(0, 0): 2.0, (0, 1): 1.0},
-    )
-    mcb = impose(mb, Controller((0, 0)))
-    gb = immediate_impact(
-        mb, expected_visits(mcb, 0), expected_reward(mcb, mb.target("goal")), "reward"
-    )
-    assert abs(gb[(0, 0)] - 32.0) <= 1e-10  # 4 * (3/4 * 8 + 2)
-    assert abs(gb[(0, 1)] - 20.0) <= 1e-10  # 4 * (1/2 * 8 + 1)
-
-    # chain C: s0 branches 3/4 to s1 and 1/4 to s2; each can jump to goal
-    # or a sink, so the spread at s1 is 3/4 and at s2 only 1/4.
-    mcmod = make_mdp(
-        [
-            [((1, 0.75), (2, 0.25))],
+            [((1, 0.5), (2, 0.5))],
             [((3, 1.0),), ((4, 1.0),)],
-            [((3, 1.0),), ((4, 1.0),)],
+            [((3, 1.0),), ((4, 1.0),), ((2, 1.0),)],
             [((3, 1.0),)],
             [((4, 1.0),)],
         ],
         labels={"goal": (3,)},
     )
-    mcc = impose(mcmod, Controller((0,) * 5))
-    gc = immediate_impact(
-        mcmod, expected_visits(mcc, 0), reach_probs(mcc, mcmod.target("goal")), "reach"
-    )
-    assert abs(gc[(1, 0)] - 0.75) <= 1e-10
-    assert abs(gc[(1, 1)] - 0.0) <= 1e-10
-    assert abs(gc[(2, 0)] - 0.25) <= 1e-10
-    assert abs(gc[(2, 1)] - 0.0) <= 1e-10
-
-    # the split chooser prefers the high-spread class.  Class indices here
-    # coincide with states (one controller, no constraints).
     spec = parse_spec("exists c : forall s in {0} [c] : P(s, F goal) <= 1\n")
-    formula = instantiate(spec, mcmod)
-    space = build_parameter_space(mcmod, 1, ())
-    analyzer = NodeAnalyzer(mcmod, space, formula, 1e-8)
+    engine = _Synthesizer(m, spec, "feasibility", "ar", 1e-8, DEFAULT_EQ_EPS, None, None)
+    space = engine.space
+    k1, k2 = space.class_index(0, 1), space.class_index(0, 2)
+    assert k1 < k2
     node = root_node(space)
-    conflicts = {space.class_index(0, 1): (0, 1), space.class_index(0, 2): (0, 1)}
-    rec = _SideRecord(
-        query=Query("reach", 0, 0, "goal"),
-        witness=Controller((0,) * 5),
-        relevant=frozenset(range(5)),
-        conflicts=conflicts,
+
+    def split_on(conflicts):
+        verdict = AtomVerdict(
+            index=0, case="open", tag="0", left=(0.0, 1.0), right=(0.0, 1.0),
+            conflict_actions=conflicts,
+        )
+        stack = []
+        engine._split(node, stack, {0: verdict} if conflicts is not None else None)
+        changed = {
+            k for child in stack for k, dom in enumerate(child.domains)
+            if dom != node.domains[k]
+        }
+        return changed, sorted(child.domains[min(changed)] for child in stack)
+
+    # the widest conflict wins over a lower class index
+    wide = AtomVerdict(
+        0, "open", "0", (0.0, 1.0), (0.0, 1.0), conflict_actions={k1: (0, 1), k2: (0, 1, 2)},
     )
-    verdict = AtomVerdict(
-        index=0, case="open", tag="0", left=(0.0, 1.0), right=(0.0, 1.0),
-        conflict_actions=conflicts, records=(rec,),
-    )
-    scores = analyzer.score_conflicts(node, verdict)
-    k1 = space.class_index(0, 1)
-    k2 = space.class_index(0, 2)
-    assert abs(scores[k1] - 0.75) <= 1e-10
-    assert abs(scores[k2] - 0.25) <= 1e-10
-    pick = max(sorted(conflicts), key=lambda kk: scores.get(kk, 0.0))
-    assert pick == k1
-    # ties resolve to the smallest class index
-    tied = {k1: 1.0, k2: 1.0}
-    assert max(sorted(conflicts), key=lambda kk: tied[kk]) == min(k1, k2)
+    assert engine.analyzer.score_conflicts(wide) == {k1: 2, k2: 3}
+    assert split_on({k1: (0, 1), k2: (0, 1, 2)}) == ({k2}, [(0,), (1,), (2,)])
+    # ties go to the lowest class index, whatever the order of the verdict
+    assert split_on({k2: (0, 1), k1: (0, 1)}) == ({k1}, [(0,), (1,)])
+    # without verdicts: the first class with two or more actions
+    assert split_on(None) == ({k1}, [(0,), (1,)])
+    assert engine.splits == 3
+
+    mm, sm = generate("maze-sd", variant="checkpoint")
+    for method in ("ar", "hybrid"):
+        out = synthesize(mm, sm, mode="optimal", method=method)
+        assert out.optimal_value == 3, method
+        assert out.stats["splits"] == 1, method
+        assert out.stats["enumerated_members"] == 1024, method
 
 
 # -- criterion 8: deflation brackets the true value --------------------------

@@ -7,19 +7,16 @@ from hypersynth import (
     ConstraintError,
     Controller,
     build_parameter_space,
-    impose,
     induce,
     node_restrict,
     root_node,
     split_node,
 )
-from hypersynth.analysis import expected_visits, reach_probs
 from hypersynth.family import (
     EMPTY_ASSIGNMENT,
     PartialAssignment,
     consistency_conflicts,
     controller_box,
-    immediate_impact,
 )
 from hypersynth.specs import Obs, Same
 
@@ -141,19 +138,6 @@ def test_consistency_conflicts_and_box(notes_mdp):
     box = controller_box(space, 0, ctrl, frozenset({1}))
     assert box is not None and box.as_dict()[k] == 1
     assert controller_box(space, 0, ctrl, frozenset({0, 1})) is None
-
-
-def test_immediate_impact_matches_hand_solve(notes_mdp):
-    ctrl = Controller((0, 0, 0, 0))
-    mc = impose(notes_mdp, ctrl)
-    visits = expected_visits(mc, 0)
-    values = reach_probs(mc, notes_mdp.target("target"))
-    gamma = immediate_impact(notes_mdp, visits, values)
-    # from state 0 (visited once): action a scores 0.7, action b 0.4
-    assert gamma[(0, 0)] == pytest.approx(0.7, abs=1e-9)
-    assert gamma[(0, 1)] == pytest.approx(0.4, abs=1e-9)
-    # state 1 is unreachable from 0: no weight
-    assert gamma[(1, 0)] == 0.0
 
 
 def test_family_sizes_match_enumeration():

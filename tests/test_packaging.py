@@ -1,6 +1,6 @@
 """Every module the package imports is standard library, the package
-itself, or a declared runtime dependency, and every name the package
-exports resolves."""
+itself, or a declared runtime dependency, every module-level import is
+used, and every name the package exports resolves."""
 
 import ast
 import re
@@ -56,3 +56,38 @@ def test_public_names_resolve():
     exec("from hypersynth import *", namespace)
     missing = sorted(name for name in hypersynth.__all__ if name not in namespace)
     assert not missing, missing
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports of the file that nothing in it uses, that
+    ``__all__`` does not list and whose line carries no ``# noqa: F401``."""
+
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name in used or name in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    sources = sorted((ROOT / "src" / "hypersynth").glob("*.py"))
+    assert sources
+    unused = [entry for path in sources for entry in _unused_imports(path)]
+    assert not unused, unused
