@@ -33,22 +33,25 @@ chains.  A batch gathers its members' chains into one (members x states x
 states) stack per controller slot.  Their qualitative sets come from one
 reflexive-transitive closure per slot, built by repeated boolean squaring
 and shared by every query on that slot; a reward query adds one closure
-avoiding its target.  Each distinct query is then solved for all members
-by one np.linalg.solve call.  check_mc on each member's imposed chains
-stays the reference: qualitative sets and infinite values are the same,
-and finite values agree to within rounding, since each solve is padded with
-identity rows to the full state count.
+avoiding its target.  The queries are then solved for all members a query
+group at a time, one np.linalg.solve call per group (`solve_plan`): the
+reach queries of a slot whose targets are closed (no action leaves them)
+and pairwise disjoint share one system, with one right-hand side per
+target; every other query is a group of its own.  check_mc on each
+member's imposed chains stays the reference: qualitative sets and infinite
+values are the same, and finite values agree to within rounding, since
+each solve is padded with identity rows to the full state count.
 
 Every dense solve of this module is counted (`solve_count`), one per
 np.linalg.solve call whether it solves one system or a batch: a batch of
-members costs one solve per distinct query (`batch_solves`).  The synthesis
+members costs one solve per query group (`batch_solves`).  The synthesis
 loop prices its work in these counts.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -662,6 +665,7 @@ CHUNK_BYTES = 1 << 18
 class _Label:
     mask: np.ndarray  # (n,) bool: the label's states
     into: np.ndarray  # per row, the probability of stepping into the label
+    closed: bool  # no action of the label's states leaves it
 
 
 @dataclass(frozen=True)
@@ -680,6 +684,8 @@ class CompiledModel:
     rewards: np.ndarray | None
     classes: tuple[np.ndarray, ...]
     labels: dict
+    # the last formula's solve plan, as [formula, plan]
+    _plan: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def num_states(self) -> int:
@@ -696,6 +702,15 @@ class CompiledModel:
             return self.labels[name]
         except KeyError:
             raise ModelError(f"unknown label {name!r}") from None
+
+    def plan(self, formula: InstantiatedFormula) -> dict:
+        """solve_plan(self, formula), worked out once for a run of batches
+        on one formula."""
+
+        last = self._plan
+        if not last or last[0] is not formula:
+            last[:] = (formula, solve_plan(self, formula))
+        return last[1]
 
 
 def compile_model(m: Mdp, space) -> CompiledModel:
@@ -717,6 +732,8 @@ def compile_model(m: Mdp, space) -> CompiledModel:
         np.array([space.class_index(i, s) for s in range(n)], dtype=np.intp)
         for i in range(space.n_controllers)
     )
+    edges = probs > 0
+    row_state = np.repeat(np.arange(n), counts)
     labels = {}
     for name, states in m.labels:
         mask = np.zeros(n, dtype=bool)
@@ -724,8 +741,9 @@ def compile_model(m: Mdp, space) -> CompiledModel:
         into = np.zeros(len(rows))
         for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
             into += probs[:, t]
-        labels[name] = _Label(mask, into)
-    return CompiledModel(offsets, counts, probs, probs > 0, rewards, classes, labels)
+        closed = not edges[mask[row_state]][:, ~mask].any()
+        labels[name] = _Label(mask, into, closed)
+    return CompiledModel(offsets, counts, probs, edges, rewards, classes, labels)
 
 
 @dataclass(frozen=True)
@@ -757,12 +775,61 @@ def _reach_closure(adj: np.ndarray) -> np.ndarray:
     return reach > 0
 
 
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """Queries of one kind and slot that a batch answers with one solve:
+    one target, or several closed and pairwise disjoint reach targets.
+    inside marks the states of every target, and into[r, k] is the
+    probability of stepping from row r into target k."""
+
+    kind: str
+    slot: int
+    targets: tuple[str, ...]
+    inside: np.ndarray
+    into: np.ndarray
+
+
+def solve_plan(cm: CompiledModel, formula: InstantiatedFormula) -> dict:
+    """The group answering each distinct (kind, slot, target) query of the
+    formula.  The reach queries of a slot whose targets are closed, and
+    disjoint from every other such target of the slot, form one group;
+    every other query is a group of its own."""
+
+    keys = dict.fromkeys(
+        (q.kind, q.slot, q.target)
+        for atom in formula.atoms
+        for q in (atom.left, atom.right)
+        if isinstance(q, Query)
+    )
+    groups = {(kind, slot, t): (kind, slot, (t,)) for kind, slot, t in keys}
+    closed: dict[int, list[str]] = {}
+    for kind, slot, target in keys:
+        if kind == "reach" and cm.label(target).closed:
+            closed.setdefault(slot, []).append(target)
+    for slot, targets in closed.items():
+        masks = {t: cm.label(t).mask for t in targets}
+        group = tuple(
+            t for t in targets if not any((masks[t] & masks[u]).any() for u in targets if u != t)
+        )
+        for t in group:
+            groups["reach", slot, t] = ("reach", slot, group)
+    plan = {}
+    for kind, slot, targets in dict.fromkeys(groups.values()):
+        labels = [cm.label(t) for t in targets]
+        inside = np.logical_or.reduce([t.mask for t in labels])
+        into = np.stack([t.into for t in labels], axis=-1)
+        plan[kind, slot, targets] = _Group(kind, slot, targets, inside, into)
+    return {key: plan[group] for key, group in groups.items()}
+
+
 class _Batch:
     """One batch of members: per-slot transition rows and reachability
-    closures, and the value of each query, each computed on first use."""
+    closures, and the value of each query, each computed on first use, a
+    group of the plan at a time."""
 
-    def __init__(self, cm: CompiledModel, realisations):
+    def __init__(self, cm: CompiledModel, plan: dict, realisations):
         self.cm = cm
+        self.plan = plan
         self.real = np.asarray(realisations, dtype=np.intp).reshape(len(realisations), -1)
         self._slots: dict = {}
         self._values: dict = {}
@@ -785,55 +852,68 @@ class _Batch:
 
     def _solve(self, rows, mid, b) -> np.ndarray:
         """Solve x = P x + b on the mid states of every member's chain at
-        once.  Rows outside mid are identity rows with a zero right-hand
-        side; on mid rows the matrix entries are those reach_probs and
-        expected_reward build."""
+        once, for each column of b, a (B, n, columns) array.  Rows outside
+        mid are identity rows with a zero right-hand side; on mid rows the
+        matrix entries are those reach_probs and expected_reward build."""
 
         a = self.cm.probs[rows]
         np.multiply(a, mid[:, :, None] & mid[:, None, :], out=a)
         np.subtract(np.eye(self.cm.num_states), a, out=a)
-        return _dense_solve(a, (b * mid)[..., None])[..., 0]
+        return _dense_solve(a, b * mid[..., None])
 
     def value(self, q: Query) -> np.ndarray:
         """The query's value in every member's chain, as a (B, n) array."""
 
         key = (q.kind, q.slot, q.target)
         got = self._values.get(key)
-        if got is not None:
-            return got
-        cm = self.cm
-        t = cm.label(q.target)
-        if q.kind == "reward" and cm.rewards is None:
-            raise MissingRewardsError("expected_reward on a chain without rewards")
-        rows, reach = self.slot(q.slot)
-        can = reach[:, :, t.mask].any(axis=-1)
-        if q.kind == "reach":
-            mid = can & ~t.mask
-            x = np.minimum(np.maximum(self._solve(rows, mid, t.into[rows]), 0.0), 1.0)
-            got = np.where(t.mask, 1.0, np.where(mid, x, 0.0))
-        else:
-            # reached almost surely: no state unable to reach the target is
-            # reachable along a path avoiding it
-            avoid = cm.edges[rows]
-            avoid[:, t.mask, :] = False
-            missed = (_reach_closure(avoid) & ~can[:, None, :]).any(axis=-1)
-            mid = ~missed & ~t.mask
-            x = np.maximum(self._solve(rows, mid, cm.rewards[rows]), 0.0)
-            got = np.where(t.mask, 0.0, np.where(mid, x, INF))
-        self._values[key] = got
+        if got is None:
+            group = self.plan[key]
+            if group.kind == "reach":
+                self._reach(group)
+            else:
+                self._reward(group)
+            got = self._values[key]
         return got
 
+    def _reach(self, g: _Group):
+        """The reach values of the slot's chains on the group's targets,
+        from one solve with one column per target.  mid is the states that
+        can reach some target, outside them all; a state that cannot reach
+        a target keeps an exact 0 for it."""
 
-def batch_solves(formula: InstantiatedFormula) -> int:
+        rows, reach = self.slot(g.slot)
+        mid = reach[:, :, g.inside].any(axis=-1) & ~g.inside
+        x = np.minimum(np.maximum(self._solve(rows, mid, g.into[rows]), 0.0), 1.0)
+        for k, name in enumerate(g.targets):
+            mask = self.cm.label(name).mask
+            # a lone target's can set is mid's
+            own = mid if len(g.targets) == 1 else mid & reach[:, :, mask].any(axis=-1)
+            self._values["reach", g.slot, name] = np.where(mask, 1.0, np.where(own, x[..., k], 0.0))
+
+    def _reward(self, g: _Group):
+        """The expected reward of the slot's chains before the group's one
+        target."""
+
+        cm = self.cm
+        if cm.rewards is None:
+            raise MissingRewardsError("expected_reward on a chain without rewards")
+        rows, reach = self.slot(g.slot)
+        can = reach[:, :, g.inside].any(axis=-1)
+        # reached almost surely: no state unable to reach the target is
+        # reachable along a path avoiding it
+        avoid = cm.edges[rows]
+        avoid[:, g.inside, :] = False
+        missed = (_reach_closure(avoid) & ~can[:, None, :]).any(axis=-1)
+        mid = ~missed & ~g.inside
+        x = np.maximum(self._solve(rows, mid, cm.rewards[rows][..., None])[..., 0], 0.0)
+        self._values["reward", g.slot, g.targets[0]] = np.where(g.inside, 0.0, np.where(mid, x, INF))
+
+
+def batch_solves(cm: CompiledModel, formula: InstantiatedFormula) -> int:
     """The solves one check_members call makes on the formula, whatever the
-    batch's size: one per distinct (kind, slot, target) query."""
+    batch's size: one per query group of its solve plan."""
 
-    return len({
-        (q.kind, q.slot, q.target)
-        for atom in formula.atoms
-        for q in (atom.left, atom.right)
-        if isinstance(q, Query)
-    })
+    return len(set(cm.plan(formula).values()))
 
 
 def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations) -> MemberChecks:
@@ -842,11 +922,11 @@ def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations)
 
     The members' chains are gathered into one stack per slot.  Qualitative
     sets come from one reachability closure per slot (plus one avoiding the
-    target per reward query), and each distinct query is solved for every
-    member with one np.linalg.solve call.
+    target per reward query), and each query group of the solve plan is
+    solved for every member with one np.linalg.solve call.
     """
 
-    batch = _Batch(cm, realisations)
+    batch = _Batch(cm, cm.plan(formula), realisations)
     size = len(batch.real)
     atoms = formula.atoms
     values = np.empty((size, len(atoms), 2))

@@ -38,16 +38,16 @@ more than settling it by analysis.  Both sides are priced in dense
 linear-solve calls (analysis.solve_count), one per call whether it solves
 one system or a batch, so the same call makes the same decisions on every
 run and every machine.  A batch of member checks makes one solve per
-distinct (kind, slot, target) query of the formula, known before any check
-runs.  Enumerating a box of N members costs its share of the batches:
-queries * N / chunk, since stacked sibling boxes share a chunk, or in
-optimal mode, where each box gets its own batches, queries * ceil(N /
-chunk).  An analysis is priced by the subtree it leaves behind: the mean
-solves of one box analysis (policy-iteration rounds, chain solves and the
-member checks made during it) over the run's settle rate, (settling + 1) /
-(analyses + 2), where an analysis settles when members were settled during
-it or it found the outcome.  The root is always analysed, since no
-analysis has been counted when it is popped.
+query group of the formula (analysis.solve_plan), known from the compiled
+model before any check runs.  Enumerating a box of N members costs its
+share of the batches: groups * N / chunk, since stacked sibling boxes share
+a chunk, or in optimal mode, where each box gets its own batches, groups *
+ceil(N / chunk).  An analysis is priced by the subtree it leaves behind:
+the mean solves of one box analysis (policy-iteration rounds, chain solves
+and the member checks made during it) over the run's settle rate,
+(settling + 1) / (analyses + 2), where an analysis settles when members
+were settled during it or it found the outcome.  The root is always
+analysed, since no analysis has been counted when it is popped.
 """
 
 from __future__ import annotations
@@ -553,7 +553,6 @@ class _Synthesizer:
         self.satisfying = 0  # members of sat_boxes
         self.incumbent: int | None = None
         self.incumbent_real = None
-        self.batch_solves = batch_solves(self.formula)
         # solves made by box analyses, the analyses, and those during which
         # members were settled or an outcome found
         self.analysis_solves = 0
@@ -625,6 +624,12 @@ class _Synthesizer:
         """The model compiled for member checks, on the run's first one."""
 
         return compile_model(self.m, self.space)
+
+    @cached_property
+    def batch_solves(self) -> int:
+        """Solves per batch of member checks, once the model is compiled."""
+
+        return batch_solves(self.compiled, self.formula)
 
     def _check(self, realisations):
         """Check members in one batch."""

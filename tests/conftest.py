@@ -208,3 +208,24 @@ def random_instance(seed: int, rewards: bool | None = None, max_controllers: int
     m = random_model(rng, rewards=rewards)
     spec = random_spec(rng, m, max_controllers=max_controllers)
     return m, spec
+
+
+def multi_sink_instance(seed: int, sinks: int = 3):
+    """A random model whose last states are absorbing sinks, each the only
+    state of its label d0, d1, ...: closed, pairwise disjoint reach targets,
+    as knuth-yao-pc's die outcomes are.  The spec compares reaching them
+    from states 0 and 1 under one controller, with thresholds drawn from
+    the seed."""
+
+    rng = random.Random(70_000 + seed)
+    n = rng.randint(2, 5) + sinks
+    trans = [[dyadic_row(rng, n) for _ in range(rng.randint(1, 3))] for _ in range(n - sinks)]
+    trans += [[[(s, 1.0)]] for s in range(n - sinks, n)]
+    m = make_mdp(trans, labels={f"d{i}": (n - sinks + i,) for i in range(sinks)})
+    low, high = rng.choice((0.125, 0.25, 0.375)), rng.choice((0.25, 0.5, 0.625))
+    spec = parse_spec(
+        "exists sigma : forall s1 in {0} [sigma], forall s2 in {1} [sigma] : "
+        f"P(s1, F d0) >= {low} & P(s2, F d1) <= {high} "
+        f"& P(s1, F d2) = P(s2, F d2) ~{rng.choice((0.0625, 0.125))}"
+    )
+    return m, spec

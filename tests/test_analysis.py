@@ -33,10 +33,12 @@ from hypersynth.analysis import (
     _bottom_scc_states,
     _closure,
     _mc_almost_sure_reach,
+    batch_solves,
     check_members,
     compile_model,
     qualitative_states,
     solve_count,
+    solve_plan,
 )
 from hypersynth.errors import MissingRewardsError, ModelError
 from hypersynth.exact import (
@@ -48,7 +50,7 @@ from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Atom, InstantiatedFormula, Query
 from hypersynth.synthesis import instantiate
 
-from conftest import dyadic_row, random_instance, random_model
+from conftest import dyadic_row, multi_sink_instance, random_instance, random_model
 
 
 def _random_mc(seed):
@@ -473,3 +475,116 @@ def test_solve_count_counts_each_solve_call_in_its_own_thread():
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert seen == [0, 1] and solve_count() == before + 1
+
+
+# ---------------------------------------------------------------------------
+# query groups: closed, disjoint reach targets share one solve
+
+
+def _sinks_model():
+    """Absorbing sinks 4, 5 and 6 (labels D, A and B), a trap 9 in no
+    label, and state 7 (label leak), which steps into A.  State 2 can reach
+    B, and under its second action the trap, but never A or D.  AL, A plus
+    state 7, is closed and overlaps A: solved together, state 7 would get 0
+    for A."""
+
+    trans = [
+        [[(1, 0.5), (2, 0.5)], [(3, 0.25), (8, 0.75)]],
+        [[(5, 0.25), (6, 0.75)], [(1, 0.5), (5, 0.5)]],
+        [[(6, 1.0)], [(2, 0.5), (6, 0.25), (9, 0.25)]],
+        [[(7, 0.5), (0, 0.5)]],
+        [[(4, 1.0)]],
+        [[(5, 1.0)]],
+        [[(6, 1.0)]],
+        [[(5, 1.0)]],
+        [[(4, 0.5), (8, 0.25), (2, 0.25)], [(8, 0.5), (0, 0.5)]],
+        [[(9, 1.0)]],
+    ]
+    rewards = [[1.0] * len(menu) for menu in trans]
+    labels = {"A": (5,), "B": (6,), "D": (4,), "leak": (7,), "AL": (5, 7)}
+    return make_mdp(trans, labels=labels, rewards=rewards)
+
+
+def _reach_formula(m, slots, labels, reward=None):
+    """One reach atom per slot, state and label, plus one reward atom per
+    slot when a reward target is named."""
+
+    atoms = [
+        Atom(Query("reach", slot, s, label), 0.5)
+        for slot in slots
+        for s in range(m.num_states)
+        for label in labels
+    ]
+    if reward is not None:
+        atoms += [Atom(Query("reward", slot, 0, reward), 4.0) for slot in slots]
+    return InstantiatedFormula(tuple(atoms), ("and", tuple(("atom", i) for i in range(len(atoms)))))
+
+
+@pytest.mark.parametrize(
+    "labels, reward, groups",
+    [
+        # disjoint closed sinks: one group per slot
+        (("A", "B", "D"), None, [("A", "B", "D")]),
+        # a target with a leaving action is solved on its own
+        (("A", "leak", "B"), None, [("A", "B"), ("leak",)]),
+        # AL overlaps A, so neither joins B and D
+        (("A", "B", "AL", "D"), None, [("B", "D"), ("A",), ("AL",)]),
+        # a reward query keeps its own solve
+        (("A", "B"), "D", [("A", "B"), ("D",)]),
+    ],
+)
+def test_check_members_groups_closed_disjoint_targets(labels, reward, groups):
+    m = _sinks_model()
+    space = build_parameter_space(m, 2, ())
+    compiled = compile_model(m, space)
+    formula = _reach_formula(m, (0, 1), labels, reward)
+    plan = solve_plan(compiled, formula)
+    assert sorted({group.targets for group in plan.values()}) == sorted(groups)
+    members = list(product(*space.domains))
+    before = solve_count()
+    got = check_members(compiled, formula, members)
+    assert solve_count() - before == batch_solves(compiled, formula) == 2 * len(groups)
+    partial = 0
+    for b, real in enumerate(members):
+        mcs = [impose(m, induce(space, real, i)) for i in range(2)]
+        exact = {
+            key: (reach_probs_exact if key[0] == "reach" else expected_reward_exact)(
+                mcs[key[1]], mcs[key[1]].target(key[2])
+            )
+            for key in plan
+        }
+        for i, atom in enumerate(formula.atoms):
+            q, value = atom.left, got.values[b, i, 0]
+            want = exact[q.kind, q.slot, q.target][q.state]
+            if want is None:
+                assert value == INF, (real, atom)
+            elif want == 0:
+                assert value == 0.0, (real, atom)  # exactly, not rounding noise
+                # the state reaches another target of its group
+                targets = plan[q.kind, q.slot, q.target].targets
+                partial += any(exact[q.kind, q.slot, t][q.state] > 0 for t in targets)
+            else:
+                assert abs(value - float(want)) <= 1e-12, (real, atom)
+    assert partial > 0
+
+
+def test_check_members_keep_exact_zeros_on_random_multi_sink_models():
+    # in one solve of several sinks, a state that reaches some of them but
+    # not another comes out of the solve with rounding noise for that one
+    zeros = 0
+    for seed in range(30):
+        m, _ = multi_sink_instance(seed)
+        space = build_parameter_space(m, 1, ())
+        compiled = compile_model(m, space)
+        formula = _reach_formula(m, (0,), m.label_names())
+        assert batch_solves(compiled, formula) == 1
+        members = list(product(*space.domains))
+        got = check_members(compiled, formula, members).values[:, :, 0]
+        for b, real in enumerate(members):
+            mc = impose(m, induce(space, real, 0))
+            exact = {name: reach_probs_exact(mc, mc.target(name)) for name in m.label_names()}
+            want = np.array([float(exact[atom.left.target][atom.left.state]) for atom in formula.atoms])
+            assert (got[b][want == 0] == 0.0).all(), (seed, real)
+            assert np.abs(got[b] - want).max() <= 1e-12, (seed, real)
+            zeros += (want == 0).sum()
+    assert zeros > 1000

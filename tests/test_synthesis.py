@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import islice, product
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from hypersynth import (
 from hypersynth import synthesis
 from hypersynth.analysis import compile_model, solve_count
 from hypersynth.errors import ModelError, SpecError
+from hypersynth.exact import reach_probs_exact
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
 from hypersynth.synthesis import (
@@ -37,7 +39,7 @@ from hypersynth.synthesis import (
 )
 from hypersynth.family import root_node
 
-from conftest import binary_family, binary_spec, notes_example, random_instance
+from conftest import binary_family, binary_spec, multi_sink_instance, notes_example, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +411,21 @@ def test_subtree_price_follows_the_settle_rate():
     assert always[-1] == pytest.approx(12, rel=1e-3)
 
 
-def test_a_batch_of_member_checks_costs_one_solve_per_query():
-    m, spec = generate("maze-sd", variant="checkpoint")
-    engine = _Synthesizer(m, spec, "optimal", "ar", 1e-8, 1e-6, None, None)
-    assert engine.batch_solves > 1
+@pytest.mark.parametrize(
+    "bench, params, mode, groups",
+    [
+        # six reach queries on the closed, disjoint die sinks: one group
+        ("knuth-yao-pc", {"n": 1}, "feasibility", 1),
+        # two reward queries, each a group of its own
+        ("maze-sd", {"variant": "checkpoint"}, "optimal", 2),
+    ],
+    ids=["knuth-yao-pc", "maze-sd"],
+)
+def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode, groups):
+    m, spec = generate(bench, **params)
+    engine = _Synthesizer(m, spec, mode, "ar", 1e-8, 1e-6, None, None)
+    assert "compiled" not in vars(engine)  # nothing compiles before it is needed
+    assert engine.batch_solves == groups
     members = list(islice(product(*engine.space.domains), engine.compiled.chunk + 1))
     for batch in (members[:1], members[:-1], members):
         before = solve_count()
@@ -420,6 +433,7 @@ def test_a_batch_of_member_checks_costs_one_solve_per_query():
         assert solve_count() - before == engine.batch_solves
     # optimal mode: each box pays for its own batches
     chunk, q = engine.compiled.chunk, engine.batch_solves
+    engine.mode = "optimal"
     assert engine._member_solves(1) == q
     assert engine._member_solves(chunk) * chunk == pytest.approx(q)
     assert engine._member_solves(chunk + 1) * (chunk + 1) == pytest.approx(2 * q)
@@ -457,6 +471,46 @@ def test_runs_repeat_exactly(monkeypatch, bench, params, mode, method):
     assert second.realisation == first.realisation
     assert second.satisfying == first.satisfying
     assert first.stats["solves"] > 0
+
+
+def _holds_exactly(m, spec, witness) -> bool:
+    """The instantiated reach formula on the witness controllers, evaluated
+    in rationals."""
+
+    formula = instantiate(spec, m)
+    probs = {}
+
+    def value(side):
+        if not isinstance(side, Query):
+            return Fraction(side)
+        key = (side.slot, side.target)
+        if key not in probs:
+            mc = impose(m, witness[side.slot])
+            probs[key] = reach_probs_exact(mc, mc.target(side.target))
+        return probs[key][side.state]
+
+    truth = {}
+    for i, atom in enumerate(formula.atoms):
+        bound = value(atom.right) + Fraction(atom.offset)
+        truth[i] = value(atom.left) < bound if atom.strict else value(atom.left) <= bound
+    return formula.evaluate(truth)
+
+
+def test_methods_agree_where_sink_queries_share_a_solve():
+    # every reach query of these specs is on a closed sink of its own, so a
+    # batch of member checks is one solve, which changes what the switch
+    # enumerates; verdicts stay the oracle's and witnesses hold exactly
+    cases = [generate("knuth-yao-pc", n=1)] + [multi_sink_instance(seed) for seed in range(20)]
+    verdicts = []
+    for m, spec in cases:
+        assert _Synthesizer(m, spec, "feasibility", "ar", 1e-8, 1e-6, None, None).batch_solves == 1
+        outs = {method: synthesize(m, spec, method=method) for method in ("ar", "hybrid", "oracle")}
+        assert len({out.verdict for out in outs.values()}) == 1, {k: o.verdict for k, o in outs.items()}
+        for method, out in outs.items():
+            if out.feasible:
+                assert _holds_exactly(m, spec, out.witness), method
+        verdicts.append(outs["oracle"].verdict)
+    assert verdicts[0] == "feasible" and "unfeasible" in verdicts
 
 
 def test_hybrid_settles_knuth_yao_in_few_analyses():
