@@ -8,13 +8,21 @@ states, so the values returned are those of the witness policy, each from
 one dense linear solve.
 
 Every MDP qualitative set and witness is grown by one least fixpoint,
-`_attractor`.
+`_attractor`, on state sets held as integer bitmasks.  It scans the states
+in index order, and a state joins as soon as its scan finds an entering
+action, with the lowest such ordinal, so a state may enter through one that
+joined earlier in the same round.
 
 The extremal solves range over the controllers choosing, in each state s,
 among the ascending action ordinals allowed[s]; by default every action.
-A box of a controller family is analysed in place this way, on the MDP
-itself: every fixpoint and policy-iteration round scans only the allowed
-actions, and witnesses come out in the MDP's own ordinals.
+A box of a controller family is analysed in place this way, on the MDP's
+row tables (`row_table`), built once per model: per state and action, the
+row's successors as one bitmask, and its transitions leaving the state
+with their total probability.  Every fixpoint and policy-iteration round
+scans only the allowed actions' rows: a join test is an integer and of a
+row's mask with the set grown so far, and policy iteration reads the
+leaving transitions and their mass from the table.  Witnesses come out in
+the MDP's own ordinals.
 
 Policy iteration starts from a proper policy, one under which every
 undecided state leaves the undecided states with probability one: for
@@ -313,23 +321,84 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# MDP qualitative analysis
+# MDP row tables and qualitative analysis
 
 
-def _attractor(m: Mdp, seeds, joins, candidates=None):
-    """Least fixpoint grown from the seeds in rounds.
+@dataclass(frozen=True, eq=False)
+class RowTable:
+    """The MDP's transition rows as the extremal solves read them, built
+    once per model (`row_table`).  For action a of state s: succ[s][a] is
+    the row's successors as a bitmask (bit t set when t is one), out[s][a]
+    its transitions to other states in successor order, and leave[s][a]
+    their total probability."""
 
-    Each round scans the candidates (default: every state) still outside, in
-    index order; a state joins at once, with the action joins(s, inside)
-    names, or stays out when that is None.  Growth stops after a round with
-    no joins.  Returns (inside, actions of the joined states, states left
-    out in index order).
+    num_states: int
+    succ: tuple[tuple[int, ...], ...]
+    out: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
+    leave: tuple[tuple[float, ...], ...]
+
+    @property
+    def everything(self) -> int:
+        """The bitmask of every state."""
+
+        return (1 << self.num_states) - 1
+
+    def reachable(self, controller, state: int) -> list[int]:
+        """The states reachable from state in the controller's chain, in
+        ascending order."""
+
+        seen = frontier = 1 << state
+        while frontier:
+            step = 0
+            for s in _states(frontier):
+                step |= self.succ[s][controller[s]]
+            frontier = step & ~seen
+            seen |= frontier
+        return _states(seen)
+
+
+def row_table(m: Mdp) -> RowTable:
+    """The row tables of the MDP."""
+
+    succ = tuple(tuple(sum(1 << t for t, _ in row) for row in menu) for menu in m.trans)
+    out = tuple(
+        tuple(tuple((t, p) for t, p in row if t != s) for row in menu)
+        for s, menu in enumerate(m.trans)
+    )
+    leave = tuple(tuple(sum(p for _, p in row) for row in menu) for menu in out)
+    return RowTable(m.num_states, succ, out, leave)
+
+
+def _mask(states) -> int:
+    """The bitmask of distinct states."""
+
+    return sum(1 << s for s in states)
+
+
+def _states(mask: int) -> list[int]:
+    """The states of a bitmask, in ascending order."""
+
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _attractor(seeds: int, joins, candidates: int):
+    """Least fixpoint grown from the seeds in rounds, the sets as
+    bitmasks.
+
+    Each round scans the candidates still outside, in index order; a state
+    joins at once, with the action joins(s, inside) names, or stays out
+    when that is None.  Growth stops after a round with no joins.  Returns
+    (inside, actions of the joined states, states left out in index order).
     """
 
-    inside = set(seeds)
+    inside = seeds
     actions = {}
-    pool = range(m.num_states) if candidates is None else sorted(candidates)
-    outside = [s for s in pool if s not in inside]
+    outside = _states(candidates & ~inside)
     grew = True
     while grew:
         grew = False
@@ -339,7 +408,7 @@ def _attractor(m: Mdp, seeds, joins, candidates=None):
             if a is None:
                 left.append(s)
             else:
-                inside.add(s)
+                inside |= 1 << s
                 actions[s] = a
                 grew = True
         outside = left
@@ -352,97 +421,106 @@ def _every_action(m: Mdp):
     return [range(m.num_actions(s)) for s in range(m.num_states)]
 
 
-def _some_action_enters(m: Mdp, allowed):
+def _some_action_enters(rows: RowTable, allowed):
     """An _attractor join rule: the first allowed action entering the
     inside."""
 
+    succ = rows.succ
+
     def joins(s, inside):
+        row = succ[s]
         for a in allowed[s]:
-            if any(succ in inside for succ, _ in m.trans[s][a]):
+            if row[a] & inside:
                 return a
         return None
 
     return joins
 
 
-def _prob1_max(m: Mdp, allowed, t, universe=None):
-    """States where some controller reaches the target almost surely,
-    plus, per such state, an action of a controller that does.  universe,
-    when given, holds them all, such as the states that can reach the
-    target."""
+def _prob1_max(rows: RowTable, allowed, t: int, universe=None):
+    """States where some controller reaches the target almost surely, as a
+    bitmask, plus, per such state, an action of a controller that does.
+    universe, a bitmask when given, holds them all, such as the states that
+    can reach the target."""
 
-    universe = set(range(m.num_states) if universe is None else universe)
+    succ = rows.succ
+    universe = rows.everything if universe is None else universe
 
     def joins(s, inside):
+        row = succ[s]
         for a in allowed[s]:
-            row = m.trans[s][a]
-            if all(succ in universe for succ, _ in row) and any(
-                succ in inside for succ, _ in row
-            ):
+            if not row[a] & off and row[a] & inside:
                 return a
         return None
 
     while True:
-        inside, actions, _ = _attractor(m, t, joins, universe)
+        off = ~universe  # the states an action joining may not step into
+        inside, actions, _ = _attractor(t, joins, universe)
         if inside == universe:
-            return frozenset(universe), actions
+            return universe, actions
         universe = inside
 
 
-def _avoid_sets(m: Mdp, allowed, t):
+def _avoid_sets(rows: RowTable, allowed, t: int):
     """Z: states with an action strategy that surely avoids the target
     forever, the complement of the states where every controller reaches
     it with positive probability.  B: states that can, avoiding the target,
-    reach Z with positive probability.  Returns (Z, B, actions) where
-    actions give, for each state of B, a choice realising the avoidance
-    (on Z, one that stays in Z)."""
+    reach Z with positive probability.  Returns (Z, B, actions) with Z and
+    B as bitmasks, where actions give, for each state of B, a choice
+    realising the avoidance (on Z, one that stays in Z)."""
+
+    succ = rows.succ
 
     def every_action_enters(s, inside):
+        row = succ[s]
         for a in allowed[s]:
-            if not any(succ in inside for succ, _ in m.trans[s][a]):
+            if not row[a] & inside:
                 return None
         return 0  # any action will do; the set is all that is used
 
-    _, _, left_out = _attractor(m, t, every_action_enters)
-    z = set(left_out)
+    _, _, left_out = _attractor(t, every_action_enters, rows.everything)
+    z = _mask(left_out)
+    off = ~z
     actions = {}
     for s in left_out:
+        row = succ[s]
         for a in allowed[s]:
-            if all(succ in z for succ, _ in m.trans[s][a]):
+            if not row[a] & off:
                 actions[s] = a
                 break
-    b, b_actions, _ = _attractor(
-        m, z, _some_action_enters(m, allowed), [s for s in range(m.num_states) if s not in t]
-    )
+    b, b_actions, _ = _attractor(z, _some_action_enters(rows, allowed), rows.everything & ~t)
     actions.update(b_actions)
     return z, b, actions
 
 
-def _qualitative(m: Mdp, allowed, t, direction: str):
-    """(prob0, prob1, actions) for the direction.  For max, the actions of
-    a controller reaching the target almost surely on prob1, and elsewhere
-    outside prob0 an action entering the attractor grown from the target,
-    so that the target stays reachable; for min, the actions of
-    _avoid_sets, which keep prob0 away from the target."""
+def _qualitative(rows: RowTable, allowed, t: int, direction: str):
+    """(prob0, prob1, actions) for the direction, the sets as bitmasks.
+    For max, the actions of a controller reaching the target almost surely
+    on prob1, and elsewhere outside prob0 an action entering the attractor
+    grown from the target, so that the target stays reachable; for min, the
+    actions of _avoid_sets, which keep prob0 away from the target."""
 
-    everything = set(range(m.num_states))
+    everything = rows.everything
     if direction == "max":
-        can, actions, _ = _attractor(m, t, _some_action_enters(m, allowed))
-        prob1, sure = _prob1_max(m, allowed, t, can)
+        can, actions, _ = _attractor(t, _some_action_enters(rows, allowed), everything)
+        prob1, sure = _prob1_max(rows, allowed, t, can)
         actions.update(sure)
-        return frozenset(everything - can), prob1, actions
+        return everything & ~can, prob1, actions
     if direction == "min":
-        z, b, actions = _avoid_sets(m, allowed, t)
-        return frozenset(z), frozenset(everything - b), actions
+        z, b, actions = _avoid_sets(rows, allowed, t)
+        return z, everything & ~b, actions
     raise ModelError(f"unknown direction {direction!r}")
 
 
-def qualitative_states(m: Mdp, target, direction: str):
+def qualitative_states(m: Mdp, target, direction: str, allowed=None):
     """Graph-only classification: (prob0, prob1) frozensets for the given
-    optimisation direction over controllers."""
+    optimisation direction over the controllers choosing among the allowed
+    actions, as in extremal_reach."""
 
-    prob0, prob1, _ = _qualitative(m, _every_action(m), _target_states(m, target), direction)
-    return prob0, prob1
+    allowed = _every_action(m) if allowed is None else allowed
+    t = _mask(_target_states(m, target))
+    prob0, prob1, _ = _qualitative(row_table(m), allowed, t, direction)
+    return frozenset(_states(prob0)), frozenset(_states(prob1))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +550,7 @@ class ExtremalResult:
     witness: Controller
 
 
-def _policy_iteration(m, allowed, free, v, choice, sign, delta, reward=None):
+def _policy_iteration(rows: RowTable, allowed, free, v, choice, sign, delta, reward=None):
     """Policy iteration on the free states, in place on v and choice.
 
     The values of the other states are fixed.  choice must be proper on the
@@ -484,7 +562,8 @@ def _policy_iteration(m, allowed, free, v, choice, sign, delta, reward=None):
     for reward queries) when that beats the current action's gain,
     r + sum over t != s of p (v[t] - v[s]), by more than delta.  A strict
     switch from a proper policy yields a proper one, since rewards are
-    nonnegative.  Stops after a round without a switch.
+    nonnegative.  Stops after a round without a switch.  The transitions
+    leaving each state and their mass come from the row tables.
     """
 
     if not delta > 0:
@@ -494,37 +573,30 @@ def _policy_iteration(m, allowed, free, v, choice, sign, delta, reward=None):
     if not free:
         return
     idx = {s: i for i, s in enumerate(free)}
-    # per free state and allowed action: its reward and the transitions
-    # leaving the state
-    menus = {
-        s: {
-            a: (reward(s, a) if reward else 0.0, [(t, p) for t, p in m.trans[s][a] if t != s])
-            for a in allowed[s]
-        }
-        for s in free
-    }
+    out, leave = rows.out, rows.leave
     while True:
         mat = np.eye(len(free))
         rhs = np.zeros(len(free))
         for s, i in idx.items():
-            r, out = menus[s][choice[s]]
-            leave = sum(p for _, p in out)
-            for t, p in out:
+            a = choice[s]
+            r = reward(s, a) if reward else 0.0
+            mass = leave[s][a]
+            for t, p in out[s][a]:
                 j = idx.get(t)
                 if j is None:
                     r += p * v[t]
                 else:
-                    mat[i, j] -= p / leave
-            rhs[i] = r / leave
+                    mat[i, j] -= p / mass
+            rhs[i] = r / mass
         for s, x in zip(free, _dense_solve(mat, rhs).tolist()):
             v[s] = x
         switched = False
         for s in free:
             vs = v[s]
-            gains = {
-                a: sign * (r + sum(p * (v[t] - vs) for t, p in out))
-                for a, (r, out) in menus[s].items()
-            }
+            gains = {}
+            for a in allowed[s]:
+                r = reward(s, a) if reward else 0.0
+                gains[a] = sign * (r + sum(p * (v[t] - vs) for t, p in out[s][a]))
             best = max(gains, key=gains.get)  # the lowest ordinal among ties
             if gains[best] > gains[choice[s]] + delta:
                 choice[s] = best
@@ -534,33 +606,36 @@ def _policy_iteration(m, allowed, free, v, choice, sign, delta, reward=None):
 
 
 def extremal_reach(
-    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None
+    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None, rows=None
 ) -> ExtremalResult:
     """Minimal or maximal reachability probability over all controllers
     choosing, in each state s, among the action ordinals allowed[s] (an
-    ascending sequence; None allows every action)."""
+    ascending sequence; None allows every action).  rows is the model's
+    row_table; a caller solving many boxes of one model passes it, and
+    without it the table is built for this call."""
 
+    rows = row_table(m) if rows is None else rows
     allowed = _every_action(m) if allowed is None else allowed
-    t = _target_states(m, target)
+    t = _mask(_target_states(m, target))
     n = m.num_states
-    prob0, prob1, actions = _qualitative(m, allowed, t, direction)
+    prob0, prob1, actions = _qualitative(rows, allowed, t, direction)
     v = [0.0] * n
-    for s in t | prob1:
+    for s in _states(t | prob1):
         v[s] = 1.0
-    free = [s for s in range(n) if s not in t and s not in prob0 and s not in prob1]
+    free = _states(rows.everything & ~(t | prob0 | prob1))
     # the qualitative actions are proper on the free states: for max they
     # lead toward the target, and for min every policy is proper off prob0
     choice = [menu[0] for menu in allowed]
     for s, a in actions.items():
         choice[s] = a
     sign = 1.0 if direction == "max" else -1.0
-    _policy_iteration(m, allowed, free, v, choice, sign, tol * 0.01)
+    _policy_iteration(rows, allowed, free, v, choice, sign, tol * 0.01)
     vec = ValueVector(tuple(min(max(x, 0.0), 1.0) for x in v), "reach", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 
 def extremal_reward(
-    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None
+    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None, rows=None
 ) -> ExtremalResult:
     """Minimal or maximal expected reward before the target, over all
     controllers choosing among the allowed actions, as in extremal_reach.
@@ -569,8 +644,9 @@ def extremal_reward(
 
     if m.rewards is None:
         raise MissingRewardsError("reward query on a model without rewards")
+    rows = row_table(m) if rows is None else rows
     allowed = _every_action(m) if allowed is None else allowed
-    t = _target_states(m, target)
+    t = _mask(_target_states(m, target))
     n = m.num_states
     choice = [menu[0] for menu in allowed]
     if not t:
@@ -580,27 +656,27 @@ def extremal_reward(
     if direction == "max":
         # finite exactly off B, where every controller reaches almost
         # surely; there every policy is proper, and no action enters B
-        _, infinite, actions = _avoid_sets(m, allowed, t)
+        _, infinite, actions = _avoid_sets(rows, allowed, t)
         sign = 1.0
     elif direction == "min":
         # finite where some controller reaches almost surely; the actions
         # of one that does are proper, and only actions staying in that
         # region stay allowed
-        reach, actions = _prob1_max(m, allowed, t)
-        infinite = set(range(n)) - reach
+        reach, actions = _prob1_max(rows, allowed, t)
+        infinite = rows.everything & ~reach
         allowed = [
-            [a for a in menu if all(succ in reach for succ, _ in m.trans[s][a])]
+            [a for a in menu if not rows.succ[s][a] & infinite]
             for s, menu in enumerate(allowed)
         ]
         sign = -1.0
     else:
         raise ModelError(f"unknown direction {direction!r}")
-    for s in infinite:
+    for s in _states(infinite):
         v[s] = INF
     for s, a in actions.items():
         choice[s] = a
-    free = [s for s in range(n) if s not in t and s not in infinite]
-    _policy_iteration(m, allowed, free, v, choice, sign, tol * 0.01, m.reward)
+    free = _states(rows.everything & ~(t | infinite))
+    _policy_iteration(rows, allowed, free, v, choice, sign, tol * 0.01, m.reward)
     vec = ValueVector(tuple(max(x, 0.0) for x in v), "reward", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
@@ -923,13 +999,17 @@ def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations)
     The members' chains are gathered into one stack per slot.  Qualitative
     sets come from one reachability closure per slot (plus one avoiding the
     target per reward query), and each query group of the solve plan is
-    solved for every member with one np.linalg.solve call.
+    solved for every member with one np.linalg.solve call.  An empty batch
+    makes no solve.
     """
 
-    batch = _Batch(cm, cm.plan(formula), realisations)
-    size = len(batch.real)
+    size = len(realisations)
     atoms = formula.atoms
     values = np.empty((size, len(atoms), 2))
+    if not size:
+        empty = np.zeros((0, len(atoms)), dtype=bool)
+        return MemberChecks(empty.any(axis=1), values, empty)
+    batch = _Batch(cm, cm.plan(formula), realisations)
     for i, atom in enumerate(atoms):
         for j, side in enumerate((atom.left, atom.right)):
             values[:, i, j] = batch.value(side)[:, side.state] if isinstance(side, Query) else side

@@ -65,6 +65,7 @@ from .analysis import (
     DEFAULT_TOL,
     CheckResult,
     CompiledModel,
+    RowTable,
     batch_solves,
     check_mc,  # noqa: F401
     check_members,
@@ -75,9 +76,8 @@ from .analysis import (
     extremal_reward,
     guard_band,
     reach_probs,  # noqa: F401
+    row_table,
     solve_count,
-    _closure,
-    _successors,
 )
 from .counterexamples import CeSide, complement_boxes, conflict_classes, grow_conflict
 from .errors import LimitExceeded, ModelError, SpecError
@@ -238,24 +238,35 @@ class NodeAnalyzer:
         self.formula = formula
         self.tol = tol
         self.guard = guard_band(tol)
-        # bounds of the box last asked about, keyed by (slot, kind, target);
-        # a box's sides are only asked for while that box is analysed
+        # menus and bounds of the box last asked about, keyed by slot and by
+        # (slot, kind, target); a box's sides are only asked for while that
+        # box is analysed
         self._box = None
+        self._menus: dict = {}
         self._bounds: dict = {}
+
+    @cached_property
+    def rows(self) -> RowTable:
+        """The model's row tables, built on the run's first box analysis."""
+
+        return row_table(self.m)
 
     def side_bounds(self, node: FamilyNode, q: Query) -> SideBounds:
         if node.domains != self._box:
             self._box = node.domains
+            self._menus.clear()
             self._bounds.clear()
         key = (q.slot, q.kind, q.target)
         got = self._bounds.get(key)
         if got is not None:
             return got
-        allowed = node_restrict(self.m, node, q.slot)
+        allowed = self._menus.get(q.slot)
+        if allowed is None:
+            allowed = self._menus[q.slot] = node_restrict(self.m, node, q.slot)
         tgt = self.m.target(q.target)
         solve = extremal_reach if q.kind == "reach" else extremal_reward
-        lo = solve(self.m, tgt, "min", self.tol, allowed)
-        hi = solve(self.m, tgt, "max", self.tol, allowed)
+        lo = solve(self.m, tgt, "min", self.tol, allowed, self.rows)
+        hi = solve(self.m, tgt, "max", self.tol, allowed, self.rows)
         got = SideBounds(lo.values, hi.values, lo.witness, hi.witness)
         self._bounds[key] = got
         return got
@@ -296,7 +307,7 @@ class NodeAnalyzer:
                 boxes[side_name] = EMPTY_ASSIGNMENT
                 continue
             witness = getattr(sb, wit_attr)
-            relevant = frozenset(_closure(_successors(impose(self.m, witness)), (q.state,)))
+            relevant = self.rows.reachable(witness, q.state)
             conflicts = consistency_conflicts(self.space, q.slot, witness, relevant)
             if conflicts:
                 boxes[side_name] = None

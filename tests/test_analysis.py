@@ -33,13 +33,16 @@ from hypersynth.analysis import (
     _bottom_scc_states,
     _closure,
     _mc_almost_sure_reach,
+    _qualitative,
     batch_solves,
     check_members,
     compile_model,
     qualitative_states,
+    row_table,
     solve_count,
     solve_plan,
 )
+from hypersynth.benchmarks import generate
 from hypersynth.errors import MissingRewardsError, ModelError
 from hypersynth.exact import (
     expected_reward_exact,
@@ -163,17 +166,95 @@ def test_expected_visits_transient_loop():
 def test_qualitative_states():
     # prob0 and prob1 in both directions against the exact values of every
     # memoryless deterministic controller, which attain both extremes of
-    # reachability
+    # reachability; every action, then a random sub-menu per state, as a
+    # box allows
     for seed in range(100):
         rng = random.Random(3000 + seed)
         m = random_model(rng, max_states=6, max_actions=3, max_multi=3)
         target = m.target("goal")
-        values = [reach_probs_exact(impose(m, c), set(target.states)) for c in _controllers(m)]
-        for direction, extreme in (("min", min), ("max", max)):
-            best = [extreme(col) for col in zip(*values)]
-            prob0, prob1 = qualitative_states(m, target, direction)
-            assert prob0 == {s for s, v in enumerate(best) if v == 0}, (seed, direction)
-            assert prob1 == {s for s, v in enumerate(best) if v == 1}, (seed, direction)
+        for allowed in (None, _sub_menus(rng, m)):
+            where = (seed, allowed)
+            controllers = _controllers(m, allowed)
+            values = [reach_probs_exact(impose(m, c), set(target.states)) for c in controllers]
+            for direction, extreme in (("min", min), ("max", max)):
+                best = [extreme(col) for col in zip(*values)]
+                prob0, prob1 = qualitative_states(m, target, direction, allowed)
+                assert prob0 == {s for s, v in enumerate(best) if v == 0}, (where, direction)
+                assert prob1 == {s for s, v in enumerate(best) if v == 1}, (where, direction)
+
+
+def _scan_order_model():
+    """Target 0 and sink 5, both absorbing.  States 1 to 4 reach the
+    target surely: 1 steps into it, 2 into 1 or into the target, 3 into 4
+    or into the target, and 4 has two actions both stepping into it.  State
+    6 hits the target or the sink with 1/2 each; state 7 hits the target
+    with 1/2 and else goes to 6 (action 0) or to the sink (action 1).
+    State 8 loops on itself or steps into the sink."""
+
+    return make_mdp(
+        [
+            [[(0, 1.0)]],
+            [[(0, 1.0)]],
+            [[(1, 1.0)], [(0, 1.0)]],
+            [[(4, 1.0)], [(0, 1.0)]],
+            [[(0, 1.0)], [(0, 1.0)]],
+            [[(5, 1.0)]],
+            [[(0, 0.5), (5, 0.5)]],
+            [[(0, 0.5), (6, 0.5)], [(0, 0.5), (5, 0.5)]],
+            [[(8, 1.0)], [(5, 1.0)]],
+        ],
+        labels={"goal": (0,)},
+    )
+
+
+def test_fixpoints_join_in_scan_order_with_the_lowest_action():
+    # A state joins as soon as its scan finds an entering action, so state
+    # 2 (max) and state 7 (min) enter through a state that joined earlier in
+    # the same round, by action 0; an attractor adding a round's states at
+    # once would give them action 1.  State 3 scans before state 4 joins,
+    # so it takes action 1; state 4 and state 8 take the lowest of two.
+    m = _scan_order_model()
+    rows = row_table(m)
+    every = [range(m.num_actions(s)) for s in range(m.num_states)]
+    prob0, prob1, actions = _qualitative(rows, every, 1 << 0, "max")
+    assert (prob0, prob1) == (1 << 5 | 1 << 8, 0b11111)
+    assert actions == {1: 0, 2: 0, 3: 1, 4: 0, 6: 0, 7: 0}
+    prob0, prob1, actions = _qualitative(rows, every, 1 << 0, "min")
+    assert (prob0, prob1) == (1 << 5 | 1 << 8, 0b11111)
+    assert actions == {5: 0, 6: 0, 7: 0, 8: 0}
+    # witnesses keep the qualitative actions where the value is 0 or 1,
+    # and policy iteration picks the better action of state 7
+    hi = extremal_reach(m, m.target("goal"), "max")
+    lo = extremal_reach(m, m.target("goal"), "min")
+    assert hi.witness.choices == (0, 0, 0, 1, 0, 0, 0, 0, 0)
+    assert lo.witness.choices == (0, 0, 0, 0, 0, 0, 0, 1, 0)
+    assert hi.values.values == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.75, 0.0)
+    assert lo.values.values == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.5, 0.0)
+
+
+def test_extremal_reach_past_one_machine_word():
+    # a ladder of 100 states, then the target (100) and a sink (101): from
+    # state i, action 0 climbs to i + 1 with 1/2 and action 1 jumps to the
+    # target with 3/8, else both fall into the sink.  The maximum is 1/2 at
+    # the top rung by climbing and 3/8 below it by jumping; the minimum is
+    # 3/8 at the top rung by jumping and halves with every rung below.
+    k = 100
+    trans = [[[(i + 1, 0.5), (k + 1, 0.5)], [(k, 0.375), (k + 1, 0.625)]] for i in range(k)]
+    m = make_mdp(trans + [[[(k, 1.0)]], [[(k + 1, 1.0)]]], labels={"goal": (k,)})
+    target = m.target("goal")
+    for direction in ("min", "max"):
+        assert qualitative_states(m, target, direction) == ({k + 1}, {k})
+    hi = extremal_reach(m, target, "max")
+    lo = extremal_reach(m, target, "min")
+    assert hi.witness.choices == (1,) * (k - 1) + (0, 0, 0)
+    assert lo.witness.choices == (0,) * (k - 1) + (1, 0, 0)
+    for i in range(k):
+        assert hi.values[i] == pytest.approx(0.5 if i == k - 1 else 0.375, rel=1e-12)
+        assert lo.values[i] == pytest.approx(0.375 * 0.5 ** (k - 1 - i), rel=1e-9)
+    # the witness closures from the bottom rung cross the word boundary too
+    rows = row_table(m)
+    assert rows.reachable(hi.witness, 0) == [0, k, k + 1]
+    assert rows.reachable(lo.witness, 0) == list(range(k + 2))
 
 
 def _extremal_oracle(m, target, kind, allowed=None):
@@ -442,6 +523,18 @@ def test_check_members_match_check_mc_on_random_instances():
         seen["two_slots"] += spec.n_controllers == 2 and bool(spec.constraints)
     assert seen["members"] > 2000 and seen["inf"] > 1000 and seen["two_slots"] > 5
     assert seen["zero_cycles"] > 100
+
+
+def test_check_members_of_an_empty_batch():
+    m, spec = generate("timing-attack", n=2)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    formula = instantiate(spec, m)
+    before = solve_count()
+    got = check_members(compile_model(m, space), formula, [])
+    assert solve_count() == before
+    atoms = len(formula.atoms)
+    assert got.holds.shape == (0,) and got.values.shape == (0, atoms, 2)
+    assert got.truth.shape == (0, atoms)
 
 
 def test_check_members_reward_query_needs_rewards():
