@@ -37,8 +37,14 @@ the witness.
 
 Members of a controller family are checked in batches on a compiled model
 (`compile_model`, `check_members`), in chunks of CHUNK_BYTES per stack of
-chains.  A batch gathers its members' chains into one (members x states x
-states) stack per controller slot.  Their qualitative sets come from one
+chains.  A batch takes its members as one (members x classes) array of
+action ordinals and gathers their chains into one (chains x states x
+states) stack per controller slot.  A slot that leaves out some class with
+more than one action in the family, as each slot of a two-controller spec
+does, can have one chain under many members: the stack then holds each
+distinct chain once, and every member reads the values of its own.  The
+system solved for a chain is the one a batch of that member alone solves,
+so the values are the same to the bit.  The qualitative sets come from one
 reflexive-transitive closure per slot, built by repeated boolean squaring
 and shared by every query on that slot; a reward query adds one closure
 avoiding its target.  The queries are then solved for all members a query
@@ -630,7 +636,9 @@ def extremal_reach(
         choice[s] = a
     sign = 1.0 if direction == "max" else -1.0
     _policy_iteration(rows, allowed, free, v, choice, sign, tol * 0.01)
-    vec = ValueVector(tuple(min(max(x, 0.0), 1.0) for x in v), "reach", direction)
+    for s in free:  # the other states hold an exact 0 or 1
+        v[s] = min(max(v[s], 0.0), 1.0)
+    vec = ValueVector(tuple(v), "reach", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 
@@ -677,7 +685,9 @@ def extremal_reward(
         choice[s] = a
     free = _states(rows.everything & ~(t | infinite))
     _policy_iteration(rows, allowed, free, v, choice, sign, tol * 0.01, m.reward)
-    vec = ValueVector(tuple(max(x, 0.0) for x in v), "reward", direction)
+    for s in free:  # the other states hold an exact 0 or INF
+        v[s] = max(v[s], 0.0)
+    vec = ValueVector(tuple(v), "reward", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 
@@ -751,7 +761,8 @@ class CompiledModel:
     state s over all states, and edges marks its positive entries; counts[s]
     is the number of actions of s; rewards has one entry per row (None
     without a reward structure); classes[slot][s] is the class deciding the
-    slot's action in s."""
+    slot's action in s, and varies[k] whether class k has more than one
+    action in the family."""
 
     offsets: np.ndarray
     counts: np.ndarray
@@ -759,6 +770,7 @@ class CompiledModel:
     edges: np.ndarray
     rewards: np.ndarray | None
     classes: tuple[np.ndarray, ...]
+    varies: np.ndarray
     labels: dict
     # the last formula's solve plan, as [formula, plan]
     _plan: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -808,6 +820,7 @@ def compile_model(m: Mdp, space) -> CompiledModel:
         np.array([space.class_index(i, s) for s in range(n)], dtype=np.intp)
         for i in range(space.n_controllers)
     )
+    varies = np.array([len(d) > 1 for d in space.domains], dtype=bool)
     edges = probs > 0
     row_state = np.repeat(np.arange(n), counts)
     labels = {}
@@ -819,7 +832,7 @@ def compile_model(m: Mdp, space) -> CompiledModel:
             into += probs[:, t]
         closed = not edges[mask[row_state]][:, ~mask].any()
         labels[name] = _Label(mask, into, closed)
-    return CompiledModel(offsets, counts, probs, edges, rewards, classes, labels)
+    return CompiledModel(offsets, counts, probs, edges, rewards, classes, varies, labels)
 
 
 @dataclass(frozen=True)
@@ -898,6 +911,16 @@ def solve_plan(cm: CompiledModel, formula: InstantiatedFormula) -> dict:
     return {key: plan[group] for key, group in groups.items()}
 
 
+def _distinct_rows(a: np.ndarray):
+    """The distinct rows of a 2-D integer array, in some order, and for each
+    row of a the index of its distinct row."""
+
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return a[first], inverse
+
+
 class _Batch:
     """One batch of members: per-slot transition rows and reachability
     closures, and the value of each query, each computed on first use, a
@@ -911,8 +934,12 @@ class _Batch:
         self._values: dict = {}
 
     def slot(self, i: int):
-        """(rows, closure): the row of each member's action in each state
-        under its slot-i controller, and the closure of those chains."""
+        """(rows, closure, pick): the row of each slot-i chain's action in
+        each state, the closure of those chains, and the index of each
+        member's chain among them.  When a class that the slot does not read
+        varies in the family, members can share a slot chain, so each
+        distinct chain is kept once and pick is an index array; otherwise
+        each member has its own chain and pick is a full slice."""
 
         got = self._slots.get(i)
         if got is None:
@@ -922,8 +949,13 @@ class _Batch:
             actions = self.real[:, cm.classes[i]]
             if ((actions < 0) | (actions >= cm.counts)).any():
                 raise InvalidControllerError("realisation picks an action that is not enabled")
+            pick = slice(None)
+            unread = cm.varies.copy()
+            unread[cm.classes[i]] = False
+            if unread.any():
+                actions, pick = _distinct_rows(actions)
             rows = cm.offsets + actions
-            got = self._slots[i] = (rows, _reach_closure(cm.edges[rows]))
+            got = self._slots[i] = (rows, _reach_closure(cm.edges[rows]), pick)
         return got
 
     def _solve(self, rows, mid, b) -> np.ndarray:
@@ -938,7 +970,8 @@ class _Batch:
         return _dense_solve(a, b * mid[..., None])
 
     def value(self, q: Query) -> np.ndarray:
-        """The query's value in every member's chain, as a (B, n) array."""
+        """The query's value at its state in every member's chain, as a
+        (B,) array."""
 
         key = (q.kind, q.slot, q.target)
         got = self._values.get(key)
@@ -949,7 +982,7 @@ class _Batch:
             else:
                 self._reward(group)
             got = self._values[key]
-        return got
+        return got[self.slot(q.slot)[2], q.state]
 
     def _reach(self, g: _Group):
         """The reach values of the slot's chains on the group's targets,
@@ -957,7 +990,7 @@ class _Batch:
         can reach some target, outside them all; a state that cannot reach
         a target keeps an exact 0 for it."""
 
-        rows, reach = self.slot(g.slot)
+        rows, reach, _ = self.slot(g.slot)
         mid = reach[:, :, g.inside].any(axis=-1) & ~g.inside
         x = np.minimum(np.maximum(self._solve(rows, mid, g.into[rows]), 0.0), 1.0)
         for k, name in enumerate(g.targets):
@@ -973,7 +1006,7 @@ class _Batch:
         cm = self.cm
         if cm.rewards is None:
             raise MissingRewardsError("expected_reward on a chain without rewards")
-        rows, reach = self.slot(g.slot)
+        rows, reach, _ = self.slot(g.slot)
         can = reach[:, :, g.inside].any(axis=-1)
         # reached almost surely: no state unable to reach the target is
         # reachable along a path avoiding it
@@ -994,9 +1027,11 @@ def batch_solves(cm: CompiledModel, formula: InstantiatedFormula) -> int:
 
 def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations) -> MemberChecks:
     """Check a batch of realisations (one action ordinal per parameter
-    class each) exactly, as check_mc does on each member's chains.
+    class each, as a sequence or a (members x classes) intp array, which is
+    used as it is) exactly, as check_mc does on each member's chains.
 
-    The members' chains are gathered into one stack per slot.  Qualitative
+    The members' chains are gathered into one stack per slot, each distinct
+    chain once where members can share one (see _Batch.slot).  Qualitative
     sets come from one reachability closure per slot (plus one avoiding the
     target per reward query), and each query group of the solve plan is
     solved for every member with one np.linalg.solve call.  An empty batch
@@ -1012,7 +1047,7 @@ def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations)
     batch = _Batch(cm, cm.plan(formula), realisations)
     for i, atom in enumerate(atoms):
         for j, side in enumerate((atom.left, atom.right)):
-            values[:, i, j] = batch.value(side)[:, side.state] if isinstance(side, Query) else side
+            values[:, i, j] = batch.value(side) if isinstance(side, Query) else side
     lv, bound = values[:, :, 0], values[:, :, 1] + [atom.offset for atom in atoms]
     truth = np.where([atom.strict for atom in atoms], lv < bound, lv <= bound)
     holds = np.broadcast_to(formula.evaluate(truth.T), (size,))

@@ -23,14 +23,18 @@ the whole sub-box sharing the violation's local structure (see
 counterexamples).
 
 Member checks run on the model compiled once per run (see analysis).  The
-enumerator checks the members of one or more boxes as one stream, in
-chunks with one batched call each, then settles them one by one, box by box
-and in lexicographic order within a box, checking limits and counting
-iterations per member.  When refinement enumerates a box, the boxes right
-below it on the stack that it would enumerate too join the call, so that
-no box but the last ends in a part-filled chunk, except in optimal mode.  An open box checks its
-candidates and hybrid's member in one batch; a box of one member and an
-accepted box's recheck are batches of one.
+enumerator streams the members of one or more boxes as arrays of action
+ordinals, box by box and in lexicographic order within a box, and checks
+each chunk with one batched call.  It then settles the chunk in one step,
+in that order: the first member that holds is the witness, or every one
+that holds is a satisfying box, or the first at the greatest distance
+updates the incumbent.  Limits are checked before and after each batch,
+and iterations are counted per member, so an iteration limit stops at its
+member exactly.  When refinement enumerates a box, the boxes right below it
+on the stack that it would enumerate too join the call, so that no box but
+the last ends in a part-filled chunk, except in optimal mode.  An open box
+checks its candidates and hybrid's member in one batch; a box of one member
+and an accepted box's recheck are batches of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
@@ -55,8 +59,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import product
 from math import isfinite, isnan
+
+import numpy as np
 
 # bench/spans.py times member checks by wrapping check_mc and impose, and
 # chain solves by wrapping reach_probs, expected_reward and expected_visits,
@@ -471,12 +477,47 @@ def check_member(compiled: CompiledModel, formula: InstantiatedFormula, realisat
     return check_members(compiled, formula, [realisation])[0]
 
 
-def _chunks(members, size: int):
-    """Consecutive lists of up to size members, in the members' order."""
+# The largest member count np.unravel_index numbers in one array.
+_INDEX_LIMIT = np.iinfo(np.intp).max
 
-    members = iter(members)
-    while chunk := list(islice(members, size)):
-        yield chunk
+
+def member_chunks(boxes, size: int):
+    """The members of the boxes, each box given by its per-class domains,
+    as consecutive (members x classes) intp arrays of up to size rows.  The
+    boxes come one after another, each in the order itertools.product lists
+    it, and a box's last chunk is filled up with the next box's members.
+
+    A box's members are numbered in the mixed radix of its domain sizes and
+    decoded with np.unravel_index.  When a box has more members than an
+    intp can number, its leading classes are stepped through in Python and
+    the rest decoded as before."""
+
+    parts, filled = [], 0
+    for domains in boxes:
+        radix = [len(d) for d in domains]
+        cut, count = len(radix), 1
+        while cut and count * radix[cut - 1] <= _INDEX_LIMIT:
+            cut -= 1
+            count *= radix[cut]
+        tail = [np.array(d, dtype=np.intp) for d in domains[cut:]]
+        for head in product(*domains[:cut]):
+            start = 0
+            while start < count:
+                stop = min(count, start + size - filled)
+                block = np.empty((stop - start, len(radix)), dtype=np.intp)
+                block[:, :cut] = head
+                if tail:
+                    digits = np.unravel_index(np.arange(start, stop), radix[cut:])
+                    for k, (dom, digit) in enumerate(zip(tail, digits), cut):
+                        block[:, k] = dom[digit]
+                parts.append(block)
+                filled += stop - start
+                start = stop
+                if filled == size:
+                    yield np.concatenate(parts)
+                    parts, filled = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula):
@@ -485,9 +526,9 @@ def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: Instantiated
     satisfying members have all been asked for."""
 
     compiled = compile_model(m, space)
-    for chunk in _chunks(product(*space.domains), compiled.chunk):
+    for chunk in member_chunks([space.domains], compiled.chunk):
         holds = check_members(compiled, formula, chunk).holds
-        yield from (real for real, ok in zip(chunk, holds) if ok)
+        yield from map(tuple, chunk[holds].tolist())
 
 
 def subtree_price(analysis_solves: int, analyses: int, settling: int) -> float | None:
@@ -723,8 +764,8 @@ class _Synthesizer:
             self._decide(node.size())
             return None
         if node.size() == 1:
-            real = node.first_realisation()
-            return self._settle(real, self._check([real]).holds[0])
+            real = np.array([node.first_realisation()], dtype=np.intp)
+            return self._found(self._settle(real, self._check(real).holds))
         explored, solves = self.explored, solve_count()
         done = self._analyse(node, stack)
         self.analysis_solves += solve_count() - solves
@@ -771,21 +812,26 @@ class _Synthesizer:
     def _enumerate(self, nodes):
         """Settle boxes by checking their members, box by box and each in
         lexicographic order: the oracle's whole run, and refinement's on
-        cheap boxes.  The members of all the boxes form one stream, checked
-        a chunk at a time, so small sibling boxes share a batch; limits,
-        counts and results are still taken member by member, in order."""
+        cheap boxes.  The members of all the boxes form one stream of index
+        arrays (member_chunks), so small sibling boxes share a batch.  Each
+        chunk is checked in one batch and settled in one step.  The limits
+        are checked before and after each batch, and a chunk is settled no
+        further than the iteration limit allows, so the counts stop at that
+        member exactly."""
 
-        members = chain.from_iterable(product(*node.domains) for node in nodes)
-        for chunk in _chunks(members, self.compiled.chunk):
+        for chunk in member_chunks((node.domains for node in nodes), self.compiled.chunk):
             self._check_limits()
             holds = self._check(chunk).holds
-            for real, ok in zip(chunk, holds.tolist()):
-                self._check_limits()
-                self.iterations += 1
-                self.enumerated += 1
-                done = self._settle(real, ok)
-                if done is not None:
-                    return done
+            self._check_limits()
+            room = len(chunk) if self.max_iters is None else self.max_iters - self.iterations
+            explored = self.explored
+            witness = self._settle(chunk[:room], holds[:room])
+            self.iterations += self.explored - explored
+            self.enumerated += self.explored - explored
+            if witness is not None:
+                return self._found(witness)
+            if room < len(chunk):
+                self._check_limits()  # the iteration limit, reached mid-chunk
         return None
 
     def _finish(self) -> SynthesisOutcome:
@@ -797,19 +843,37 @@ class _Synthesizer:
             return self._outcome("feasible", real, controllers(self.space, real), self.incumbent)
         return self._outcome("unfeasible")
 
-    def _settle(self, real, holds):
-        """Act on one checked member, settling it."""
+    def _found(self, witness):
+        """The feasible outcome of a witness realisation, if there is one."""
 
-        self._decide(1)
-        if not holds:
+        if witness is None:
+            return None
+        return self._outcome("feasible", witness, controllers(self.space, witness))
+
+    def _settle(self, members, holds):
+        """Act on checked members, settling each as a box of one, in order:
+        in feasibility mode up to the first that holds, which is returned
+        as the witness; in complete mode every one that holds is a
+        satisfying box; in optimal mode the first that holds at the
+        greatest distance is folded into the incumbent."""
+
+        hits = np.flatnonzero(holds)
+        if self.mode == "feasibility" and hits.size:
+            members = members[: hits[0] + 1]
+        self.explored += len(members)
+        self.decided += len(members)
+        if not hits.size:
             return None
         if self.mode == "feasibility":
-            return self._outcome("feasible", real, controllers(self.space, real))
+            return tuple(members[-1].tolist())
+        sat = members[hits]
         if self.mode == "complete":
-            self.sat_boxes.append(FamilyNode(self.space, tuple((a,) for a in real)))
-            self.satisfying += 1
+            self.sat_boxes.extend(FamilyNode(self.space, tuple(zip(real))) for real in sat.tolist())
+            self.satisfying += len(sat)
             return None
-        self._note_sat(real)
+        left, right = [k0 for k0, _ in self.pairs], [k1 for _, k1 in self.pairs]
+        distances = np.count_nonzero(sat[:, left] != sat[:, right], axis=1)
+        self._note_sat(tuple(sat[distances.argmax()].tolist()))
         return None
 
     def _handle_allsat(self, node, stack):

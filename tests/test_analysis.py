@@ -28,6 +28,7 @@ from hypersynth import (
     parse_spec,
     reach_probs,
 )
+from hypersynth import analysis
 from hypersynth.analysis import (
     INF,
     _bottom_scc_states,
@@ -43,7 +44,7 @@ from hypersynth.analysis import (
     solve_plan,
 )
 from hypersynth.benchmarks import generate
-from hypersynth.errors import MissingRewardsError, ModelError
+from hypersynth.errors import InvalidControllerError, MissingRewardsError, ModelError
 from hypersynth.exact import (
     expected_reward_exact,
     expected_visits_exact,
@@ -523,6 +524,49 @@ def test_check_members_match_check_mc_on_random_instances():
         seen["two_slots"] += spec.n_controllers == 2 and bool(spec.constraints)
     assert seen["members"] > 2000 and seen["inf"] > 1000 and seen["two_slots"] > 5
     assert seen["zero_cycles"] > 100
+
+
+def test_check_members_solve_shared_slot_chains_bit_for_bit():
+    # a batch solves each distinct chain of a slot once; every value is
+    # the one a batch of that member alone computes, to the bit
+    shared = 0
+    for seed in range(100):
+        m, spec, formula = _differential_instance(seed)
+        if spec.n_controllers != 2:
+            continue
+        space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+        compiled = compile_model(m, space)
+        members = np.array(list(islice(product(*space.domains), 64)), dtype=np.intp)
+        got = check_members(compiled, formula, members)
+        alone = [check_members(compiled, formula, members[b : b + 1]) for b in range(len(members))]
+        assert got.values.tobytes() == np.concatenate([a.values for a in alone]).tobytes(), seed
+        assert (got.truth == np.concatenate([a.truth for a in alone])).all(), seed
+        assert (got.holds == np.concatenate([a.holds for a in alone])).all(), seed
+        chains = np.unique(members[:, compiled.classes[0]], axis=0)
+        shared += len(chains) < len(members)
+    assert shared > 30
+
+
+def test_check_members_reject_a_disabled_action_before_sharing_chains(monkeypatch):
+    m, spec = generate("maze-sd", variant="checkpoint")  # two slots reading disjoint classes
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    compiled = compile_model(m, space)
+    formula = instantiate(spec, m)
+    members = np.array(list(islice(product(*space.domains), 8)), dtype=np.intp)
+    shared = []
+    distinct_rows = analysis._distinct_rows
+    monkeypatch.setattr(analysis, "_distinct_rows", lambda a: shared.append(a) or distinct_rows(a))
+    check_members(compiled, formula, members)
+    assert len(shared) == 2  # both slots share chains among these members
+    for bad in (-1, None):
+        broken = members.copy()
+        for classes in compiled.classes:  # one disabled pick in each slot
+            k = int(classes[np.flatnonzero(compiled.varies[classes])[0]])
+            broken[3, k] = bad if bad is not None else len(space.domains[k])
+        shared.clear()
+        with pytest.raises(InvalidControllerError):
+            check_members(compiled, formula, broken)
+        assert shared == []
 
 
 def test_check_members_of_an_empty_batch():

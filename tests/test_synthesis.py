@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import islice, product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hypersynth import (
@@ -33,6 +34,7 @@ from hypersynth.synthesis import (
     distance_pairs,
     instantiate,
     max_distance_completion,
+    member_chunks,
     node_distance_bound,
     realisation_distance,
     subtree_price,
@@ -589,24 +591,23 @@ def test_iteration_limit_can_stop_an_enumerated_box(monkeypatch):
 
 
 def test_time_limit_can_stop_an_enumerated_box(monkeypatch):
+    # the engine's clock moves one second per batch of member checks, so a
+    # limit of 1.5 s runs out during the enumeration's second batch
     seen = _always_enumerate(monkeypatch)
-    m, _ = notes_example()
-    spec = parse_spec(STUBBORN)
+    m, spec = binary_family(BINARY_K), binary_spec(0.3)
     base = synthesize(m, spec, mode="complete")
-    settle = _Synthesizer._settle
-
-    def expire(self, real, holds):
-        done = settle(self, real, holds)
-        if self.enumerated:
-            self.time_limit = 0.0  # the clock runs out after the first enumerated member
-        return done
-
-    monkeypatch.setattr(_Synthesizer, "_settle", expire)
     seen.clear()
+    batches = _count_batches(monkeypatch)
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(perf_counter=lambda: float(len(batches))))
     with pytest.raises(LimitExceeded) as e:
-        synthesize(m, spec, mode="complete", time_limit=60.0)
+        synthesize(m, spec, mode="complete", time_limit=1.5)
     stats = e.value.stats
-    assert seen[0].size() == 2 and stats["enumerated_members"] == 1
+    chunk = _chunk(m, spec)
+    assert seen[0].size() > 2 * chunk and len(batches) == 2
+    assert stats["enumerated_members"] == stats["explored"] == chunk
+    assert stats["iterations"] == 1 + chunk  # the root's analysis, then one chunk
+    want = set(enumerate_satisfying(m, spec))
+    assert stats["satisfying_count"] == sum(r in want for r in islice(product(*seen[0].domains), chunk))
     assert set(stats) == set(base.stats)
 
 
@@ -636,20 +637,14 @@ def test_one_enumeration_settles_sibling_boxes_in_one_batch(monkeypatch):
     ]
     assert sum(b.size() for b in boxes) == root.size() <= engine.compiled.chunk
     batches = _count_batches(monkeypatch)
-    settled = []
-    settle = _Synthesizer._settle
-
-    def spy(self, real, holds):
-        settled.append(real)
-        return settle(self, real, holds)
-
-    monkeypatch.setattr(_Synthesizer, "_settle", spy)
     assert engine._enumerate(boxes) is None
     assert batches == [root.size()]
     # box by box, each in lexicographic order
-    assert settled == [r for b in boxes for r in product(*b.domains)]
+    assert [b.domains for b in engine.sat_boxes] == [
+        tuple((a,) for a in r) for b in boxes for r in product(*b.domains)
+    ]
     assert engine.iterations == engine.enumerated == engine.explored == root.size()
-    assert [b.size() for b in engine.sat_boxes] == [1] * root.size()
+    assert engine.satisfying == root.size()
 
 
 @pytest.mark.parametrize("mode", ["complete", "optimal"])
@@ -731,6 +726,35 @@ def _member(m, j):
     return next(islice(product(*space.domains), j, None))
 
 
+BOXES = [
+    ((0, 1), (0, 1, 2), (1,)),
+    ((1,), (2,), (0,)),  # a box of one member
+    ((0, 2), (1, 3), (0, 1, 2, 4)),  # larger than most chunks below
+    ((1,), (0, 1), (3,)),
+]
+
+
+@pytest.mark.parametrize("limit", [None, 5, 1])
+@pytest.mark.parametrize("size", [1, 2, 5, 7, 64])
+def test_member_chunks_follow_product_order(monkeypatch, size, limit):
+    # with a small index limit, a box's leading classes are stepped through
+    # in Python, as for a box with more members than an intp can number
+    if limit is not None:
+        monkeypatch.setattr(synthesis, "_INDEX_LIMIT", limit)
+    chunks = list(member_chunks(BOXES, size))
+    assert all(c.dtype == np.intp and c.shape[1] == 3 for c in chunks)
+    assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= size
+    want = [r for box in BOXES for r in product(*box)]
+    assert [tuple(r) for c in chunks for r in c.tolist()] == want
+
+
+def test_member_chunks_of_a_box_past_the_index_range():
+    box = ((0, 1),) * 70 + ((0, 1, 2),)  # 3 * 2**70 members
+    got = [r for c in islice(member_chunks([box], 100), 2) for r in c.tolist()]
+    assert got == [list(r) for r in islice(product(*box), 200)]
+
+
 def test_oracle_stops_at_first_satisfying_member_mid_chunk():
     m = binary_family(BINARY_K)
     chunk = _chunk(m, binary_spec(0.0))
@@ -749,6 +773,11 @@ def test_iteration_limit_mid_chunk_counts_exactly():
         synthesize(m, never, method="oracle", max_iters=limit)
     stats = e.value.stats
     assert stats["iterations"] == stats["enumerated_members"] == stats["explored"] == limit
+    # in complete mode every member below settles as a satisfying box
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, binary_spec(0.0), mode="complete", method="oracle", max_iters=limit)
+    stats = e.value.stats
+    assert stats["iterations"] == stats["enumerated_members"] == stats["satisfying_count"] == limit
 
 
 def test_oracle_checks_members_in_chunks_only(monkeypatch):
