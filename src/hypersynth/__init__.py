@@ -11,7 +11,6 @@ refinement with optional conflict-based pruning.
 """
 
 from .analysis import (
-    DEFAULT_TOL,
     CheckResult,
     ValueVector,
     check_mc,
@@ -82,7 +81,6 @@ __all__ = [
     "ConstraintError",
     "Controller",
     "DEFAULT_EQ_EPS",
-    "DEFAULT_TOL",
     "FamilyNode",
     "HyperSpec",
     "HypersynthError",

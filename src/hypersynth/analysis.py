@@ -30,7 +30,7 @@ maximal reachability an action entering the attractor grown from the
 target, for minimal reward the actions of a controller reaching the target
 almost surely, and for minimal reachability and maximal reward any policy,
 since there every policy is proper.  A state switches only to an action
-whose gain beats its current action's by more than tol / 100, so every
+whose gain beats its current action's by more than SWITCH_MARGIN, so every
 policy stays proper and every evaluation is well posed; zero-reward
 cycles and value-preserving loops are never entered.  The final policy is
 the witness.
@@ -73,7 +73,12 @@ from .errors import InvalidControllerError, MissingRewardsError, ModelError
 from .formulas import InstantiatedFormula, Query
 from .model import Controller, Mc, Mdp, TargetSet
 
-DEFAULT_TOL = 1e-8
+# The engine's numeric tolerances.  An atom is decided on a whole box (or a
+# certificate closed) only with GUARD_BAND of slack on its bounds, to absorb
+# solver noise; policy iteration switches a state's action only on a gain
+# above SWITCH_MARGIN.
+GUARD_BAND = 1e-7
+SWITCH_MARGIN = 1e-10
 
 # Expected-visit sentinel for states of a bottom SCC hit with positive
 # probability; genuine transient counts are exact.
@@ -106,12 +111,6 @@ def solve_count() -> int:
     difference between two reads."""
 
     return _count.solves
-
-
-def guard_band(tol: float) -> float:
-    """Slack added to interval comparisons to absorb iteration noise."""
-
-    return 10.0 * tol
 
 
 def _target_states(model, target) -> frozenset[int]:
@@ -556,7 +555,7 @@ class ExtremalResult:
     witness: Controller
 
 
-def _policy_iteration(rows: RowTable, allowed, free, v, choice, sign, delta, reward=None):
+def _policy_iteration(rows: RowTable, allowed, free, v, choice, sign, reward=None):
     """Policy iteration on the free states, in place on v and choice.
 
     The values of the other states are fixed.  choice must be proper on the
@@ -566,16 +565,14 @@ def _policy_iteration(rows: RowTable, allowed, free, v, choice, sign, delta, rew
     near-1 self-loop costs no precision.  Then each state takes its best
     allowed action (sign 1 maximises, -1 minimises; reward(s, a) is added
     for reward queries) when that beats the current action's gain,
-    r + sum over t != s of p (v[t] - v[s]), by more than delta.  A strict
-    switch from a proper policy yields a proper one, since rewards are
-    nonnegative.  Stops after a round without a switch.  The transitions
-    leaving each state and their mass come from the row tables.
+    r + sum over t != s of p (v[t] - v[s]), by more than SWITCH_MARGIN;
+    without a margin, rounding alone could switch tied actions back and
+    forth for ever.  A strict switch from a proper policy yields a proper
+    one, since rewards are nonnegative.  Stops after a round without a
+    switch.  The transitions leaving each state and their mass come from
+    the row tables.
     """
 
-    if not delta > 0:
-        # without a margin, rounding alone can switch tied actions back and
-        # forth for ever
-        raise ModelError("tol must be positive")
     if not free:
         return
     idx = {s: i for i, s in enumerate(free)}
@@ -604,16 +601,14 @@ def _policy_iteration(rows: RowTable, allowed, free, v, choice, sign, delta, rew
                 r = reward(s, a) if reward else 0.0
                 gains[a] = sign * (r + sum(p * (v[t] - vs) for t, p in out[s][a]))
             best = max(gains, key=gains.get)  # the lowest ordinal among ties
-            if gains[best] > gains[choice[s]] + delta:
+            if gains[best] > gains[choice[s]] + SWITCH_MARGIN:
                 choice[s] = best
                 switched = True
         if not switched:
             return
 
 
-def extremal_reach(
-    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None, rows=None
-) -> ExtremalResult:
+def extremal_reach(m: Mdp, target, direction: str, allowed=None, rows=None) -> ExtremalResult:
     """Minimal or maximal reachability probability over all controllers
     choosing, in each state s, among the action ordinals allowed[s] (an
     ascending sequence; None allows every action).  rows is the model's
@@ -635,16 +630,14 @@ def extremal_reach(
     for s, a in actions.items():
         choice[s] = a
     sign = 1.0 if direction == "max" else -1.0
-    _policy_iteration(rows, allowed, free, v, choice, sign, tol * 0.01)
+    _policy_iteration(rows, allowed, free, v, choice, sign)
     for s in free:  # the other states hold an exact 0 or 1
         v[s] = min(max(v[s], 0.0), 1.0)
     vec = ValueVector(tuple(v), "reach", direction)
     return ExtremalResult(vec, Controller(tuple(choice)))
 
 
-def extremal_reward(
-    m: Mdp, target, direction: str, tol: float = DEFAULT_TOL, allowed=None, rows=None
-) -> ExtremalResult:
+def extremal_reward(m: Mdp, target, direction: str, allowed=None, rows=None) -> ExtremalResult:
     """Minimal or maximal expected reward before the target, over all
     controllers choosing among the allowed actions, as in extremal_reach.
     States where the relevant direction cannot force almost-sure
@@ -684,7 +677,7 @@ def extremal_reward(
     for s, a in actions.items():
         choice[s] = a
     free = _states(rows.everything & ~(t | infinite))
-    _policy_iteration(rows, allowed, free, v, choice, sign, tol * 0.01, m.reward)
+    _policy_iteration(rows, allowed, free, v, choice, sign, m.reward)
     for s in free:  # the other states hold an exact 0 or INF
         v[s] = max(v[s], 0.0)
     vec = ValueVector(tuple(v), "reward", direction)

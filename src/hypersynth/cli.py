@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import DEFAULT_TOL, compile_model
+from .analysis import check_members, compile_model
 from .benchmarks import BENCHMARKS, generate as make_benchmark
 from .errors import (
     ConstraintError,
@@ -25,8 +25,8 @@ from .errors import (
 )
 from .family import build_parameter_space
 from .model import unfold_memory
-from .specs import DEFAULT_EQ_EPS, lift_spec_memory
-from .synthesis import check_member, instantiate, satisfying_realisations, synthesize
+from .specs import lift_spec_memory
+from .synthesis import instantiate, satisfying_realisations, synthesize
 from .textio import (
     format_atom,
     parse_controller,
@@ -41,8 +41,6 @@ from .textio import (
 def _add_common(p):
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--spec", required=True, help="specification file")
-    p.add_argument("--eps-eq", type=float, default=DEFAULT_EQ_EPS,
-                   help="default tolerance for = comparisons")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("ar", "hybrid", "oracle"), default="ar")
     sp.add_argument("--memory-bits", type=int, default=0,
                     help="unfold this many bits of controller memory first")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                    help="numeric tolerance: box bounds decide with a guard band of "
-                         "10 tol, and policy iteration switches an action only "
-                         "on a gain above tol / 100")
     sp.add_argument("--max-iters", type=int, default=None,
                     help="abort after this many iterations: refinement steps "
                          "plus members settled by the enumerator")
@@ -117,7 +111,6 @@ def _cmd_synth(args) -> int:
         out = synthesize(
             m, spec,
             mode=args.mode, method=args.method,
-            tol=args.tol, eps_eq=args.eps_eq,
             max_iters=args.max_iters, time_limit=args.time_limit,
         )
     except LimitExceeded as e:
@@ -199,8 +192,8 @@ def _cmd_check(args) -> int:
         realisation.append(distinct[0] if distinct else 0)
     realisation = tuple(realisation)
 
-    formula = instantiate(spec, m, args.eps_eq)
-    res = check_member(compile_model(m, space), formula, realisation)
+    formula = instantiate(spec, m)
+    res = check_members(compile_model(m, space), formula, [realisation])[0]
     for i, atom in enumerate(formula.atoms):
         lv, rv, ok = res.atom_values[i]
         print(f"  {format_atom(atom)}: left={lv:.10g} right={rv:.10g} "
@@ -215,7 +208,7 @@ def _cmd_enumerate(args) -> int:
     m, spec = _load(args)
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
     found = 0
-    for real in satisfying_realisations(m, space, instantiate(spec, m, args.eps_eq)):
+    for real in satisfying_realisations(m, space, instantiate(spec, m)):
         found += 1
         print(" ".join(map(str, real)), flush=True)
         if args.limit is not None and found >= args.limit:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import reach_probs
+from .analysis import GUARD_BAND, reach_probs
 from .model import Mc
 
 
@@ -86,12 +86,12 @@ class CeSide:
     exit_weights: tuple
 
 
-def grow_conflict(left, right, offset: float, guard: float, act_counts):
+def grow_conflict(left, right, offset: float, act_counts):
     """Grow kept sets until the violation is certified for the sub-box.
 
     left and right are CeSide or plain floats (scalar comparison sides).
     Certified means deflated(left, lower bounds) > deflated(right, upper
-    bounds) + offset + guard, which the caller arranges by passing the
+    bounds) + offset + GUARD_BAND, which the caller arranges by passing the
     matching exit weight arrays.  Expansion picks the frontier state with
     the fewest actions in the unrestricted model, ties by state index, then
     by side, left first; only the side that grew is solved again.  Returns
@@ -110,7 +110,7 @@ def grow_conflict(left, right, offset: float, guard: float, act_counts):
         return deflated_reach(side.mc, keeps[pos], side.exit_weights, side.target, side.root)
 
     values = [value(0), value(1)]
-    while not values[0] > values[1] + offset + guard:
+    while not values[0] > values[1] + offset + GUARD_BAND:
         best = None
         for pos in (0, 1):
             if sides[pos] is None:

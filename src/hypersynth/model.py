@@ -280,7 +280,7 @@ def impose(m: Mdp, controller: Controller) -> Mc:
     )
 
 
-def unfold_memory(m: Mdp, bits: int, cap: int = MEMORY_BITS_CAP) -> Mdp:
+def unfold_memory(m: Mdp, bits: int) -> Mdp:
     """Product of the MDP with a free finite memory of 2**bits cells.
 
     State (s, v) becomes index s * 2**bits + v; action (a, w) of the
@@ -291,8 +291,8 @@ def unfold_memory(m: Mdp, bits: int, cap: int = MEMORY_BITS_CAP) -> Mdp:
 
     if bits < 0:
         raise ModelError("memory bits must be nonnegative")
-    if bits > cap:
-        raise ModelError(f"memory bits {bits} above cap {cap}")
+    if bits > MEMORY_BITS_CAP:
+        raise ModelError(f"memory bits {bits} above cap {MEMORY_BITS_CAP}")
     if bits == 0:
         return m
     k = 1 << bits

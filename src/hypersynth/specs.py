@@ -157,14 +157,8 @@ def validate_spec(spec: HyperSpec) -> None:
         if atom.eps is not None:
             if atom.rel != "=":
                 raise SpecError("~eps tolerance is only meaningful for =")
-            check_eq_eps(atom.eps)
-
-
-def check_eq_eps(eps: float) -> None:
-    """An equality tolerance must be nonnegative and finite."""
-
-    if not (eps >= 0.0 and isfinite(eps)):
-        raise SpecError(f"bad equality tolerance {eps!r}")
+            if not (atom.eps >= 0.0 and isfinite(atom.eps)):
+                raise SpecError(f"bad equality tolerance {atom.eps!r}")
 
 
 def check_against_model(spec: HyperSpec, m) -> None:

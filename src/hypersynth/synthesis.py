@@ -15,7 +15,7 @@ before being reported.  Undecided boxes are split on the parameter class
 where the witnesses of the first conflicting open atom use the most
 actions, and the pieces go back on a LIFO stack.  Every verdict that
 leaves the engine rests on exact member checks or on interval bounds with
-a guard band, never on iteration noise.
+the guard band analysis.GUARD_BAND, never on iteration noise.
 
 The hybrid method additionally checks one concrete member per open box and,
 when that member violates a mandatory reachability comparison, prunes away
@@ -60,7 +60,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import isfinite, isnan
+from math import isnan
 
 import numpy as np
 
@@ -68,8 +68,7 @@ import numpy as np
 # chain solves by wrapping reach_probs, expected_reward and expected_visits,
 # at this module's names, so all of them stay importable here
 from .analysis import (
-    DEFAULT_TOL,
-    CheckResult,
+    GUARD_BAND,
     CompiledModel,
     RowTable,
     batch_solves,
@@ -80,13 +79,12 @@ from .analysis import (
     expected_visits,  # noqa: F401
     extremal_reach,
     extremal_reward,
-    guard_band,
     reach_probs,  # noqa: F401
     row_table,
     solve_count,
 )
 from .counterexamples import CeSide, complement_boxes, conflict_classes, grow_conflict
-from .errors import LimitExceeded, ModelError, SpecError
+from .errors import LimitExceeded, SpecError
 from .family import (
     EMPTY_ASSIGNMENT,
     FamilyNode,
@@ -113,7 +111,7 @@ from .formulas import (
     substitute,
 )
 from .model import Controller, Mdp, impose
-from .specs import DEFAULT_EQ_EPS, HyperSpec, check_against_model, check_eq_eps, validate_spec
+from .specs import DEFAULT_EQ_EPS, HyperSpec, check_against_model, validate_spec
 from .textio import format_atom
 
 MODES = ("feasibility", "complete", "optimal")
@@ -127,19 +125,19 @@ COMPOSE_CAP = 8
 # Quantifier instantiation
 
 
-def instantiate(spec: HyperSpec, m: Mdp, eps_eq: float = DEFAULT_EQ_EPS) -> InstantiatedFormula:
+def instantiate(spec: HyperSpec, m: Mdp) -> InstantiatedFormula:
     """Expand state quantifiers into a quantifier-free formula.
 
     forall becomes conjunction and exists disjunction over the domain, the
     first quantifier outermost.  Negation is eliminated by flipping
     comparisons, and (in)equality is expanded into two one-sided atoms with
-    the tolerance folded into the offset.  Atoms are deduplicated; the
-    table keeps first-occurrence order.
+    the tolerance folded into the offset: the atom's own ~eps, else
+    DEFAULT_EQ_EPS.  Atoms are deduplicated; the table keeps
+    first-occurrence order.
     """
 
     validate_spec(spec)
     check_against_model(spec, m)
-    check_eq_eps(eps_eq)
 
     atoms: list[Atom] = []
     index: dict[Atom, int] = {}
@@ -167,7 +165,7 @@ def instantiate(spec: HyperSpec, m: Mdp, eps_eq: float = DEFAULT_EQ_EPS) -> Inst
         elif rel == ">=":
             a, b, rel = b, a, "<="
         if rel == "=":
-            eps = sa.eps if sa.eps is not None else eps_eq
+            eps = sa.eps if sa.eps is not None else DEFAULT_EQ_EPS
             if neg:
                 return f_or([
                     emit(Atom(b, a, strict=True, offset=-eps)),
@@ -238,12 +236,10 @@ class AtomVerdict:
 class NodeAnalyzer:
     """Per-box interval bounds and atom classification, with caching."""
 
-    def __init__(self, m: Mdp, space: ParameterSpace, formula: InstantiatedFormula, tol: float):
+    def __init__(self, m: Mdp, space: ParameterSpace, formula: InstantiatedFormula):
         self.m = m
         self.space = space
         self.formula = formula
-        self.tol = tol
-        self.guard = guard_band(tol)
         # menus and bounds of the box last asked about, keyed by slot and by
         # (slot, kind, target); a box's sides are only asked for while that
         # box is analysed
@@ -271,8 +267,8 @@ class NodeAnalyzer:
             allowed = self._menus[q.slot] = node_restrict(self.m, node, q.slot)
         tgt = self.m.target(q.target)
         solve = extremal_reach if q.kind == "reach" else extremal_reward
-        lo = solve(self.m, tgt, "min", self.tol, allowed, self.rows)
-        hi = solve(self.m, tgt, "max", self.tol, allowed, self.rows)
+        lo = solve(self.m, tgt, "min", allowed, self.rows)
+        hi = solve(self.m, tgt, "max", allowed, self.rows)
         got = SideBounds(lo.values, hi.values, lo.witness, hi.witness)
         self._bounds[key] = got
         return got
@@ -280,7 +276,6 @@ class NodeAnalyzer:
     def atom_verdict(self, node: FamilyNode, i: int) -> AtomVerdict:
         atom = self.formula.atoms[i]
         off = atom.offset
-        g = self.guard
 
         def interval(side):
             if isinstance(side, Query):
@@ -292,14 +287,14 @@ class NodeAnalyzer:
         (lo_r, hi_r), sb_r = interval(atom.right)
 
         if atom.strict:
-            if hi_l < lo_r + off - g:
+            if hi_l < lo_r + off - GUARD_BAND:
                 return AtomVerdict(i, "allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
-            if lo_l >= hi_r + off + g:
+            if lo_l >= hi_r + off + GUARD_BAND:
                 return AtomVerdict(i, "allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
         else:
-            if hi_l <= lo_r + off - g:
+            if hi_l <= lo_r + off - GUARD_BAND:
                 return AtomVerdict(i, "allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
-            if lo_l > hi_r + off + g:
+            if lo_l > hi_r + off + GUARD_BAND:
                 return AtomVerdict(i, "allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
 
         # open: mine the satisfaction-directed witnesses for candidates
@@ -366,7 +361,7 @@ class NodeAnalyzer:
         return {k: len(acts) for k, acts in verdict.conflict_actions.items()}
 
 
-def _compose(residual, verdicts, cap: int = COMPOSE_CAP):
+def _compose(residual, verdicts):
     """Candidate sub-boxes whose members plausibly satisfy the residual:
     conjunctions merge compatible candidates, disjunctions concatenate."""
 
@@ -380,27 +375,27 @@ def _compose(residual, verdicts, cap: int = COMPOSE_CAP):
         for child in residual[1]:
             step = []
             for pa in acc:
-                for cb in _compose(child, verdicts, cap):
+                for cb in _compose(child, verdicts):
                     merged = pa.merge(cb)
                     if merged is not None and merged not in step:
                         step.append(merged)
-                    if len(step) >= cap:
+                    if len(step) >= COMPOSE_CAP:
                         break
-                if len(step) >= cap:
+                if len(step) >= COMPOSE_CAP:
                     break
             if not step:
                 return []
             acc = step
-        return acc[:cap]
+        return acc[:COMPOSE_CAP]
     if tag == "or":
         out = []
         for child in residual[1]:
-            for cb in _compose(child, verdicts, cap):
+            for cb in _compose(child, verdicts):
                 if cb not in out:
                     out.append(cb)
-            if len(out) >= cap:
+            if len(out) >= COMPOSE_CAP:
                 break
-        return out[:cap]
+        return out[:COMPOSE_CAP]
     return []
 
 
@@ -469,12 +464,6 @@ def controllers(space: ParameterSpace, realisation) -> tuple[Controller, ...]:
     """The realisation's controller for each slot."""
 
     return tuple(induce(space, realisation, i) for i in range(space.n_controllers))
-
-
-def check_member(compiled: CompiledModel, formula: InstantiatedFormula, realisation) -> CheckResult:
-    """Check one realisation exactly, as a batch of one."""
-
-    return check_members(compiled, formula, [realisation])[0]
 
 
 # The largest member count np.unravel_index numbers in one array.
@@ -577,19 +566,17 @@ class SynthesisOutcome:
 
 
 class _Synthesizer:
-    def __init__(self, m, spec, mode, method, tol, eps_eq, max_iters, time_limit):
+    def __init__(self, m, spec, mode, method, max_iters, time_limit):
         self.m = m
         self.spec = spec
         self.mode = mode
         self.method = method
-        self.tol = tol
-        self.guard = guard_band(tol)
         self.space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-        self.formula = instantiate(spec, m, eps_eq)
+        self.formula = instantiate(spec, m)
         self.pairs = distance_pairs(self.space) if mode == "optimal" else None
         self.max_iters = max_iters
         self.time_limit = time_limit
-        self.analyzer = NodeAnalyzer(m, self.space, self.formula, tol)
+        self.analyzer = NodeAnalyzer(m, self.space, self.formula)
         self.act_counts = [m.num_actions(s) for s in range(m.num_states)]
 
         self.t0 = time.perf_counter()
@@ -1002,7 +989,7 @@ class _Synthesizer:
                     )
                 )
                 slots.append(side.slot)
-            grown = grow_conflict(sides[0], sides[1], atom.offset, self.guard, self.act_counts)
+            grown = grow_conflict(sides[0], sides[1], atom.offset, self.act_counts)
             if grown is None:
                 continue
             classes = conflict_classes(
@@ -1031,8 +1018,6 @@ def synthesize(
     *,
     mode: str = "feasibility",
     method: str = "ar",
-    tol: float = DEFAULT_TOL,
-    eps_eq: float = DEFAULT_EQ_EPS,
     max_iters: int | None = None,
     time_limit: float | None = None,
 ) -> SynthesisOutcome:
@@ -1049,22 +1034,20 @@ def synthesize(
         raise SpecError(f"unknown mode {mode!r}")
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}")
-    if not (tol > 0 and isfinite(tol)):
-        raise ModelError(f"tol must be positive and finite, not {tol!r}")
     if time_limit is not None and isnan(time_limit):
         raise SpecError("time limit is NaN")
     if time_limit is not None and time_limit < 0:
         raise SpecError(f"time limit must not be negative, not {time_limit!r}")
     if max_iters is not None and max_iters < 0:
         raise SpecError(f"iteration limit must not be negative, not {max_iters!r}")
-    engine = _Synthesizer(m, spec, mode, method, tol, eps_eq, max_iters, time_limit)
+    engine = _Synthesizer(m, spec, mode, method, max_iters, time_limit)
     if method == "oracle":
         return engine.run_oracle()
     return engine.run()
 
 
-def enumerate_satisfying(m: Mdp, spec: HyperSpec, eps_eq: float = DEFAULT_EQ_EPS):
+def enumerate_satisfying(m: Mdp, spec: HyperSpec):
     """All satisfying realisations, lexicographically.  Test oracle."""
 
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-    return list(satisfying_realisations(m, space, instantiate(spec, m, eps_eq)))
+    return list(satisfying_realisations(m, space, instantiate(spec, m)))

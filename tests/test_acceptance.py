@@ -8,14 +8,10 @@ behaviour of the shipped benchmark generators.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 
-import pytest
-
 from hypersynth import (
-    DEFAULT_EQ_EPS,
     Controller,
     ParseError,
     SpecError,
@@ -35,6 +31,7 @@ from hypersynth import (
     write_model,
     write_spec,
 )
+from hypersynth.analysis import GUARD_BAND
 from hypersynth.counterexamples import complement_boxes, deflated_reach
 from hypersynth.family import (
     build_parameter_space,
@@ -241,11 +238,9 @@ def test_c04_methods_agree_on_random_instances(monkeypatch):
 
 def test_c05_bounds_contain_member_values():
     """On 1000 sampled (box, member) pairs each query side's interval
-    contains the member's exact value within 10 * tol; boxes ruled wholly
-    unsatisfying contain no satisfying member."""
+    contains the member's exact value within the guard band; boxes ruled
+    wholly unsatisfying contain no satisfying member."""
 
-    tol = 1e-8
-    band = 10 * tol
     rng = random.Random(515)
     pairs = unsat_checked = 0
 
@@ -258,7 +253,7 @@ def test_c05_bounds_contain_member_values():
             space = build_parameter_space(m, spec.n_controllers, spec.constraints)
         except Exception:
             continue
-        analyzer = NodeAnalyzer(m, space, formula, tol)
+        analyzer = NodeAnalyzer(m, space, formula)
         node = _narrow(rng, root_node(space))
         real = _random_member(rng, node)
         mcs = [impose(m, induce(space, real, i)) for i in range(spec.n_controllers)]
@@ -271,7 +266,7 @@ def test_c05_bounds_contain_member_values():
                 lb = float(sb.min_values[side.state])
                 ub = float(sb.max_values[side.state])
                 v = _side_value(m, mcs, side)
-                assert lb - band <= v <= ub + band, (seed, side, lb, v, ub)
+                assert lb - GUARD_BAND <= v <= ub + GUARD_BAND, (seed, side, lb, v, ub)
                 pairs += 1
 
             # every box ruled wholly unsatisfying gets 10 member rechecks
@@ -365,7 +360,7 @@ def test_c07_split_takes_the_widest_conflict():
         labels={"goal": (3,)},
     )
     spec = parse_spec("exists c : forall s in {0} [c] : P(s, F goal) <= 1\n")
-    engine = _Synthesizer(m, spec, "feasibility", "ar", 1e-8, DEFAULT_EQ_EPS, None, None)
+    engine = _Synthesizer(m, spec, "feasibility", "ar", None, None)
     space = engine.space
     k1, k2 = space.class_index(0, 1), space.class_index(0, 2)
     assert k1 < k2

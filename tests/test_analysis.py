@@ -9,7 +9,6 @@ import math
 import random
 import threading
 from dataclasses import replace
-from fractions import Fraction
 from itertools import islice, product
 
 import numpy as np
@@ -44,7 +43,7 @@ from hypersynth.analysis import (
     solve_plan,
 )
 from hypersynth.benchmarks import generate
-from hypersynth.errors import InvalidControllerError, MissingRewardsError, ModelError
+from hypersynth.errors import InvalidControllerError, MissingRewardsError
 from hypersynth.exact import (
     expected_reward_exact,
     expected_visits_exact,
@@ -340,13 +339,6 @@ def test_extremal_reward_vs_enumeration():
                     assert wmax[s] == INF, (where, s)
                 else:
                     assert wmax[s] == pytest.approx(hi[s], abs=1e-9), (where, s)
-
-
-def test_extremal_solves_need_a_positive_tol(notes_mdp):
-    target = notes_mdp.target("target")
-    for tol in (0.0, -1e-8, float("nan")):
-        with pytest.raises(ModelError):
-            extremal_reach(notes_mdp, target, "max", tol)
 
 
 def test_check_mc_on_worked_example(notes_mdp):

@@ -57,11 +57,12 @@ def test_bad_settings_exit_two(files, capsys):
     tmp, model, spec = files
     good = tmp / "good.ctrl"
     good.write_text("0 b\n1 1\n")
+    # an equality tolerance that overflows to inf
+    bad = tmp / "bad.spec"
+    bad.write_text("exists sigma : forall s in {0} [sigma] : P(s, F target) = 0.4 ~1e400\n")
     for cmd, extra in (("synth", []), ("check", ["--controller", str(good)]), ("enumerate", [])):
-        base = [cmd, "--model", model, "--spec", spec, *extra]
-        assert main(base) == 0, cmd
-        assert main([*base, "--eps-eq", "-1"]) == 2, cmd
-    assert main(["synth", "--model", model, "--spec", spec, "--tol", "0"]) == 2
+        assert main([cmd, "--model", model, "--spec", spec, *extra]) == 0, cmd
+        assert main([cmd, "--model", model, "--spec", str(bad), *extra]) == 2, cmd
     assert main(["synth", "--model", model, "--spec", spec, "--time-limit", "nan"]) == 2
     assert "error:" in capsys.readouterr().err
 

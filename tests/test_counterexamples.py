@@ -1,10 +1,8 @@
 import random
 
-import pytest
-
 from hypersynth import Controller, build_parameter_space, impose, reach_probs, root_node
 from hypersynth import counterexamples
-from hypersynth.analysis import _closure, _successors, extremal_reach
+from hypersynth.analysis import GUARD_BAND, _closure, _successors, extremal_reach
 from hypersynth.counterexamples import (
     CeSide,
     complement_boxes,
@@ -104,7 +102,7 @@ def test_grow_conflict_on_worked_example():
     lo = extremal_reach(m, m.target("target"), "min").values
     mc = impose(m, Controller((0, 0, 0, 0)))  # violates at state 0: 0.7 > 0.6
     left = CeSide(mc, 0, frozenset({2}), tuple(lo))
-    got = grow_conflict(left, 0.6, 0.0, 1e-7, [m.num_actions(s) for s in range(4)])
+    got = grow_conflict(left, 0.6, 0.0, [m.num_actions(s) for s in range(4)])
     assert got is not None
     keep_left, keep_right = got
     # the violation is certified by the choice at state 0 alone: dropping
@@ -121,7 +119,7 @@ def test_grow_conflict_gives_up_without_certificate():
     lo = extremal_reach(m, m.target("target"), "min").values
     mc = impose(m, Controller((1, 1, 0, 0)))  # satisfies: 0.4 <= 0.6
     left = CeSide(mc, 0, frozenset({2}), tuple(lo))
-    got = grow_conflict(left, 0.6, 0.0, 1e-7, [m.num_actions(s) for s in range(4)])
+    got = grow_conflict(left, 0.6, 0.0, [m.num_actions(s) for s in range(4)])
     assert got is None
 
 
@@ -135,7 +133,7 @@ def _reference_growth(left, right, offset, act_counts):
         side = (left, right)[pos]
         return _full_deflated_reach(side.mc, keeps[pos], side.exit_weights, side.target, side.root)
 
-    while not value(0) > value(1) + offset:
+    while not value(0) > value(1) + offset + GUARD_BAND:
         best = None
         for pos, side in enumerate((left, right)):
             frontier = {side.root} | {t for s in keeps[pos] for t, _ in side.mc.trans[s]}
@@ -174,7 +172,7 @@ def test_grow_conflict_solves_once_per_step(monkeypatch):
         offset = rng.choice((-0.5, -0.1, 0.0, 0.1))
         acts = [m.num_actions(s) for s in range(m.num_states)]
         solves.clear()
-        got = grow_conflict(sides[0], sides[1], offset, 0.0, acts)
+        got = grow_conflict(sides[0], sides[1], offset, acts)
         assert got == _reference_growth(sides[0], sides[1], offset, acts)
         if got is None:
             # gave up with both reachable parts kept

@@ -82,12 +82,13 @@ def _unused_imports(path: Path) -> list[str]:
             name = alias.asname or alias.name.split(".")[0]
             if name in used or name in exported or "# noqa: F401" in lines[alias.lineno - 1]:
                 continue
-            unused.append(f"{path.name}:{alias.lineno}: {name}")
+            unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
     return unused
 
 
 def test_no_unused_imports():
-    sources = sorted((ROOT / "src" / "hypersynth").glob("*.py"))
+    folders = ("src/hypersynth", "tests", "demos")
+    sources = [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
     assert sources
     unused = [entry for path in sources for entry in _unused_imports(path)]
     assert not unused, unused

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
 from types import SimpleNamespace
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from hypersynth import (
-    Controller,
     LimitExceeded,
     check_mc,
     enumerate_satisfying,
@@ -23,10 +23,11 @@ from hypersynth import (
 )
 from hypersynth import synthesis
 from hypersynth.analysis import compile_model, solve_count
-from hypersynth.errors import ModelError, SpecError
+from hypersynth.errors import SpecError
 from hypersynth.exact import reach_probs_exact
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
+from hypersynth.specs import DEFAULT_EQ_EPS, validate_spec
 from hypersynth.synthesis import (
     METHODS,
     _Synthesizer,
@@ -97,6 +98,11 @@ def test_instantiate_equality_expansion(notes_mdp):
     for atom in f2.atoms:
         assert atom.strict
         assert atom.offset == pytest.approx(-0.01)
+    # without ~eps an equality takes DEFAULT_EQ_EPS, and ~0 asks for exact
+    # equality
+    for suffix, eps in (("", DEFAULT_EQ_EPS), (" ~0", 0.0)):
+        spec3 = parse_spec("exists g : forall s in {0} [g] : P(s, F target) = 0.4" + suffix)
+        assert [atom.offset for atom in instantiate(spec3, notes_mdp).atoms] == [eps, eps]
 
 
 def test_instantiate_dedupes_atoms(notes_mdp):
@@ -319,27 +325,27 @@ def test_optimal_matches_oracle_on_random_instances():
 # limits and memory
 
 
-@pytest.mark.parametrize("eps_eq", [-1.0, float("nan"), float("inf")])
-def test_eps_eq_is_validated(eps_eq):
-    # knuth-yao-pc's equalities take the default tolerance; with a negative
-    # or NaN one every member used to fail them, and the answer was wrong
-    m, spec = generate("knuth-yao-pc", n=1)
-    instantiate(spec, m, 0.0)
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+def test_bad_equality_tolerance_is_rejected(eps):
+    # with a negative or NaN tolerance every member would fail the equality,
+    # and the answer would be wrong
+    m, _ = notes_example()
+    good = parse_spec("exists g : forall s in {0} [g] : P(s, F target) = 0.4")
+    bad = replace(good, formula=("atom", replace(good.formula[1], eps=eps)))
     with pytest.raises(SpecError):
-        instantiate(spec, m, eps_eq)
+        validate_spec(bad)
     with pytest.raises(SpecError):
-        enumerate_satisfying(m, spec, eps_eq)
+        instantiate(bad, m)
+    with pytest.raises(SpecError):
+        enumerate_satisfying(m, bad)
     for method in METHODS:
         with pytest.raises(SpecError):
-            synthesize(m, spec, method=method, eps_eq=eps_eq)
+            synthesize(m, bad, method=method)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_tol_and_time_limit_are_validated(method):
+def test_time_and_iteration_limits_are_validated(method):
     m, spec = notes_example()
-    for tol in (0.0, -1e-8, float("nan"), float("inf")):
-        with pytest.raises(ModelError):
-            synthesize(m, spec, method=method, tol=tol)
     with pytest.raises(SpecError):
         synthesize(m, spec, method=method, time_limit=float("nan"))
     for limits in ({"max_iters": -5}, {"max_iters": -1}, {"time_limit": -1.0}, {"time_limit": -1e-9}):
@@ -425,7 +431,7 @@ def test_subtree_price_follows_the_settle_rate():
 )
 def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode, groups):
     m, spec = generate(bench, **params)
-    engine = _Synthesizer(m, spec, mode, "ar", 1e-8, 1e-6, None, None)
+    engine = _Synthesizer(m, spec, mode, "ar", None, None)
     assert "compiled" not in vars(engine)  # nothing compiles before it is needed
     assert engine.batch_solves == groups
     members = list(islice(product(*engine.space.domains), engine.compiled.chunk + 1))
@@ -505,7 +511,7 @@ def test_methods_agree_where_sink_queries_share_a_solve():
     cases = [generate("knuth-yao-pc", n=1)] + [multi_sink_instance(seed) for seed in range(20)]
     verdicts = []
     for m, spec in cases:
-        assert _Synthesizer(m, spec, "feasibility", "ar", 1e-8, 1e-6, None, None).batch_solves == 1
+        assert _Synthesizer(m, spec, "feasibility", "ar", None, None).batch_solves == 1
         outs = {method: synthesize(m, spec, method=method) for method in ("ar", "hybrid", "oracle")}
         assert len({out.verdict for out in outs.values()}) == 1, {k: o.verdict for k, o in outs.items()}
         for method, out in outs.items():
@@ -628,7 +634,7 @@ def _count_batches(monkeypatch):
 def test_one_enumeration_settles_sibling_boxes_in_one_batch(monkeypatch):
     m = binary_family(4)
     spec = binary_spec(0.0)  # every member satisfies
-    engine = _Synthesizer(m, spec, "complete", "ar", 1e-8, 1e-6, None, None)
+    engine = _Synthesizer(m, spec, "complete", "ar", None, None)
     root = root_node(engine.space)
     boxes = [
         root.with_domain(1, (1,)).with_domain(2, (0,)),
@@ -795,7 +801,7 @@ def test_oracle_solves_are_its_batches(monkeypatch):
     m, spec = generate("maze-sd", variant="checkpoint")
     batches = _count_batches(monkeypatch)
     out = synthesize(m, spec, mode="optimal", method="oracle")
-    queries = _Synthesizer(m, spec, "optimal", "oracle", 1e-8, 1e-6, None, None).batch_solves
+    queries = _Synthesizer(m, spec, "optimal", "oracle", None, None).batch_solves
     assert len(batches) > 1 and queries > 1
     assert out.stats["solves"] == len(batches) * queries
 
