@@ -1,28 +1,30 @@
 """Model checking of reachability and expected reward, for MCs and MDPs.
 
-Markov chains are solved directly: qualitative sets come from graph
-closures, quantities from dense linear solves, so chain results are exact
-up to machine precision.  MDP extrema (min/max over all controllers) use
-qualitative precomputation followed by policy iteration on the remaining
-states, so the values returned are those of the witness policy, each from
-one dense linear solve.
+Markov chains are solved directly: a chain is an MDP with one action per
+state, so its qualitative sets come from the MDPs' bitmask fixpoints, and
+its quantities from dense linear solves, exact up to machine precision.
+MDP extrema (min/max over all controllers) use qualitative precomputation
+followed by policy iteration on the remaining states, so the values
+returned are those of the witness policy, each from one dense linear solve.
 
-Every MDP qualitative set and witness is grown by one least fixpoint,
-`_attractor`, on state sets held as integer bitmasks.  It scans the states
-in index order, and a state joins as soon as its scan finds an entering
-action, with the lowest such ordinal, so a state may enter through one that
-joined earlier in the same round.
+Every qualitative set and witness, of an MDP or a chain, is grown on
+integer bitmasks by one least fixpoint, `_attractor`, or by the forward
+closures of `RowTable.reachable`; only the batched member checks below
+close graphs of their own.  `_attractor` scans the states in index order,
+and a state joins as soon as its scan finds an entering action, with the
+lowest such ordinal, so a state may enter through one that joined earlier
+in the same round.
 
 The extremal solves range over the controllers choosing, in each state s,
 among the ascending action ordinals allowed[s]; by default every action.
 A box of a controller family is analysed in place this way, on the MDP's
 row tables (`row_table`), built once per model: per state and action, the
 row's successors as one bitmask, and its transitions leaving the state
-with their total probability.  Every fixpoint and policy-iteration round
-scans only the allowed actions' rows: a join test is an integer and of a
-row's mask with the set grown so far, and policy iteration reads the
-leaving transitions and their mass from the table.  Witnesses come out in
-the MDP's own ordinals.
+with their total probability (a chain's table holds only the masks).
+Every fixpoint and policy-iteration round scans only the allowed actions'
+rows: a join test is an integer and of a row's mask with the set grown so
+far, and policy iteration reads the leaving transitions and their mass
+from the table.  Witnesses come out in the MDP's own ordinals.
 
 Policy iteration starts from a proper policy, one under which every
 undecided state leaves the undecided states with probability one: for
@@ -71,7 +73,7 @@ import numpy as np
 
 from .errors import InvalidControllerError, MissingRewardsError, ModelError
 from .formulas import InstantiatedFormula, Query
-from .model import Controller, Mc, Mdp, TargetSet
+from .model import Controller, Mc, Mdp, Row, TargetSet
 
 # The engine's numeric tolerances.  An atom is decided on a whole box (or a
 # certificate closed) only with GUARD_BAND of slack on its bounds, to absorb
@@ -125,222 +127,23 @@ def _target_states(model, target) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Graph analysis
-
-
-def _successors(mc: Mc) -> list[list[int]]:
-    """Successor lists of the chain's graph."""
-
-    return [[t for t, _ in row] for row in mc.trans]
-
-
-def _predecessors(mc: Mc, skip=frozenset()) -> list[list[int]]:
-    """Predecessor lists of the chain's graph, without the edges leaving
-    skip."""
-
-    pred = [[] for _ in range(mc.num_states)]
-    for s, row in enumerate(mc.trans):
-        if s not in skip:
-            for t, _ in row:
-                pred[t].append(s)
-    return pred
-
-
-def _closure(adj, seeds) -> set[int]:
-    """The seeds plus every state reachable from them along adj, which
-    holds successor lists (forward reach) or predecessor lists (backward)."""
-
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for t in adj[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def _bottom_scc_states(succ) -> set[int]:
-    """States lying in some bottom SCC of the graph.
-
-    Tarjan's algorithm with an explicit stack instead of recursion: a
-    component is complete when its root's lowlink equals its index, and it
-    is bottom when no edge leaves it.
-    """
-
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n  # component id, set once the state leaves the Tarjan stack
-    tarjan: list[int] = []
-    bottoms: set[int] = set()
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        tarjan.append(root)
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    tarjan.append(w)
-                    work.append((w, 0))
-                elif comp[w] < 0:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] != index[v]:
-                continue
-            members = []
-            while True:
-                w = tarjan.pop()
-                comp[w] = v
-                members.append(w)
-                if w == v:
-                    break
-            if all(comp[t] == v for s in members for t in succ[s]):
-                bottoms.update(members)
-    return bottoms
-
-
-def reach_probs(mc: Mc, target) -> np.ndarray:
-    """Probability of eventually visiting the target, per state.
-
-    States that cannot reach the target get exact 0, target states exact 1,
-    everything else comes from a dense linear solve on the remaining block.
-    """
-
-    t = _target_states(mc, target)
-    n = mc.num_states
-    out = np.zeros(n)
-    for s in t:
-        out[s] = 1.0
-    can = _closure(_predecessors(mc), t)
-    mid = sorted(can - t)
-    if not mid:
-        return out
-    idx = {s: i for i, s in enumerate(mid)}
-    a = np.eye(len(mid))
-    b = np.zeros(len(mid))
-    for s in mid:
-        for succ, p in mc.trans[s]:
-            if succ in t:
-                b[idx[s]] += p
-            elif succ in idx:
-                a[idx[s], idx[succ]] -= p
-    x = _dense_solve(a, b)
-    for s in mid:
-        out[s] = min(max(x[idx[s]], 0.0), 1.0)
-    return out
-
-
-def _mc_almost_sure_reach(mc: Mc, t: frozenset[int]) -> set[int]:
-    """States from which the target is hit with probability exactly one.
-
-    Graph-based, from two backward closures: zero is the set of states that
-    cannot reach the target; a state misses the target with positive
-    probability exactly when it can reach zero along a path that avoids
-    the target.
-    """
-
-    zero = set(range(mc.num_states)) - _closure(_predecessors(mc), t)
-    return set(range(mc.num_states)) - _closure(_predecessors(mc, skip=t), zero)
-
-
-def expected_reward(mc: Mc, target) -> np.ndarray:
-    """Expected total reward accumulated before the target is reached.
-
-    Infinite where the target is not reached almost surely, zero on the
-    target itself.  Requires a reward structure.
-    """
-
-    if mc.rewards is None:
-        raise MissingRewardsError("expected_reward on a chain without rewards")
-    t = _target_states(mc, target)
-    n = mc.num_states
-    sure = _mc_almost_sure_reach(mc, t)
-    out = np.full(n, INF)
-    for s in t:
-        out[s] = 0.0
-    mid = sorted(sure - t)
-    if not mid:
-        return out
-    idx = {s: i for i, s in enumerate(mid)}
-    a = np.eye(len(mid))
-    b = np.zeros(len(mid))
-    for s in mid:
-        b[idx[s]] += mc.rewards[s]
-        for succ, p in mc.trans[s]:
-            if succ in idx:
-                a[idx[s], idx[succ]] -= p
-    x = _dense_solve(a, b)
-    for s in mid:
-        out[s] = max(x[idx[s]], 0.0)
-    return out
-
-
-def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
-    """Expected number of visits to each state, starting from from_state.
-
-    Transient states get the exact count from a linear solve; states of a
-    bottom SCC entered with positive probability get VISIT_CAP; unreachable
-    states get 0.
-    """
-
-    n = mc.num_states
-    if not (0 <= from_state < n):
-        raise ModelError(f"state {from_state} out of range")
-    graph = _successors(mc)
-    bottoms = _bottom_scc_states(graph)
-    reachable = _closure(graph, (from_state,))
-    out = np.zeros(n)
-    transient = sorted(s for s in range(n) if s not in bottoms)
-    if transient:
-        idx = {s: i for i, s in enumerate(transient)}
-        # visits(t) = [from] (I - Q)^{-1}, solved as (I - Q)^T x = e_from
-        a = np.eye(len(transient))
-        for s in transient:
-            for succ, p in mc.trans[s]:
-                if succ in idx:
-                    a[idx[succ], idx[s]] -= p
-        b = np.zeros(len(transient))
-        if from_state in idx:
-            b[idx[from_state]] = 1.0
-        x = _dense_solve(a, b)
-        for s in transient:
-            out[s] = max(x[idx[s]], 0.0) if s in reachable else 0.0
-    for s in bottoms:
-        if s in reachable:
-            out[s] = VISIT_CAP
-    return out
-
-
-# ---------------------------------------------------------------------------
-# MDP row tables and qualitative analysis
+# Graph analysis: row tables and bitmask fixpoints, for MDPs and chains
 
 
 @dataclass(frozen=True, eq=False)
 class RowTable:
-    """The MDP's transition rows as the extremal solves read them, built
-    once per model (`row_table`).  For action a of state s: succ[s][a] is
-    the row's successors as a bitmask (bit t set when t is one), out[s][a]
-    its transitions to other states in successor order, and leave[s][a]
-    their total probability."""
+    """The transition rows of an MDP, or of a chain as an MDP with one
+    action per state, as the fixpoints and the extremal solves read them,
+    built once per model (`row_table`) or chain (`_chain_rows`).  For action
+    a of state s: succ[s][a] is the row's successors as a bitmask (bit t set
+    when t is one), out[s][a] its transitions to other states in successor
+    order, and leave[s][a] their total probability.  The fixpoints read
+    only succ, so a chain's table leaves out and leave None."""
 
     num_states: int
     succ: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
-    leave: tuple[tuple[float, ...], ...]
+    out: tuple[tuple[Row, ...], ...] | None = None
+    leave: tuple[tuple[float, ...], ...] | None = None
 
     @property
     def everything(self) -> int:
@@ -365,7 +168,7 @@ class RowTable:
 def row_table(m: Mdp) -> RowTable:
     """The row tables of the MDP."""
 
-    succ = tuple(tuple(sum(1 << t for t, _ in row) for row in menu) for menu in m.trans)
+    succ = tuple(tuple(_row_mask(row) for row in menu) for menu in m.trans)
     out = tuple(
         tuple(tuple((t, p) for t, p in row if t != s) for row in menu)
         for s, menu in enumerate(m.trans)
@@ -374,10 +177,27 @@ def row_table(m: Mdp) -> RowTable:
     return RowTable(m.num_states, succ, out, leave)
 
 
+def _chain_rows(mc: Mc) -> RowTable:
+    """The row table of the chain, as an MDP with one action, ordinal 0, in
+    each state."""
+
+    return RowTable(mc.num_states, tuple((_row_mask(row),) for row in mc.trans))
+
+
 def _mask(states) -> int:
     """The bitmask of distinct states."""
 
     return sum(1 << s for s in states)
+
+
+def _row_mask(row: Row) -> int:
+    """The bitmask of a row's successors.  Bits are or-ed, so a successor
+    the row lists twice sets its bit once."""
+
+    mask = 0
+    for t, _ in row:
+        mask |= 1 << t
+    return mask
 
 
 def _states(mask: int) -> list[int]:
@@ -526,6 +346,129 @@ def qualitative_states(m: Mdp, target, direction: str, allowed=None):
     t = _mask(_target_states(m, target))
     prob0, prob1, _ = _qualitative(row_table(m), allowed, t, direction)
     return frozenset(_states(prob0)), frozenset(_states(prob1))
+
+
+def _chain_can_reach(mc: Mc, t) -> list[int]:
+    """The states outside the target t that can reach it in the chain, in
+    ascending order: those outside extremal_reach's prob0, on the chain's
+    one action."""
+
+    rows, inside = _chain_rows(mc), _mask(t)
+    only = [(0,)] * mc.num_states
+    can, _, _ = _attractor(inside, _some_action_enters(rows, only), rows.everything)
+    return _states(can & ~inside)
+
+
+def _chain_closures(mc: Mc):
+    """(reach, bottoms): per state, the set of states reachable from it in
+    the chain, and the set of states lying in some bottom SCC, which are
+    those that every state they reach can reach back."""
+
+    rows = _chain_rows(mc)
+    only = (0,) * mc.num_states
+    reach = [set(rows.reachable(only, s)) for s in range(mc.num_states)]
+    return reach, {s for s, seen in enumerate(reach) if all(s in reach[u] for u in seen)}
+
+
+# ---------------------------------------------------------------------------
+# Markov chains
+
+
+def reach_probs(mc: Mc, target) -> np.ndarray:
+    """Probability of eventually visiting the target, per state.
+
+    States that cannot reach the target get exact 0, target states exact 1,
+    everything else comes from a dense linear solve on the remaining block.
+    """
+
+    t = _target_states(mc, target)
+    n = mc.num_states
+    out = np.zeros(n)
+    for s in t:
+        out[s] = 1.0
+    mid = _chain_can_reach(mc, t)
+    if not mid:
+        return out
+    idx = {s: i for i, s in enumerate(mid)}
+    a = np.eye(len(mid))
+    b = np.zeros(len(mid))
+    for s in mid:
+        for succ, p in mc.trans[s]:
+            if succ in t:
+                b[idx[s]] += p
+            elif succ in idx:
+                a[idx[s], idx[succ]] -= p
+    x = _dense_solve(a, b)
+    for s in mid:
+        out[s] = min(max(x[idx[s]], 0.0), 1.0)
+    return out
+
+
+def expected_reward(mc: Mc, target) -> np.ndarray:
+    """Expected total reward accumulated before the target is reached.
+
+    Infinite where the target is not reached almost surely, zero on the
+    target itself.  Requires a reward structure.
+    """
+
+    if mc.rewards is None:
+        raise MissingRewardsError("expected_reward on a chain without rewards")
+    t = _target_states(mc, target)
+    n = mc.num_states
+    out = np.full(n, INF)
+    for s in t:
+        out[s] = 0.0
+    inside = _mask(t)
+    mid = _states(_prob1_max(_chain_rows(mc), [(0,)] * n, inside)[0] & ~inside)
+    if not mid:
+        return out
+    idx = {s: i for i, s in enumerate(mid)}
+    a = np.eye(len(mid))
+    b = np.zeros(len(mid))
+    for s in mid:
+        b[idx[s]] += mc.rewards[s]
+        for succ, p in mc.trans[s]:
+            if succ in idx:
+                a[idx[s], idx[succ]] -= p
+    x = _dense_solve(a, b)
+    for s in mid:
+        out[s] = max(x[idx[s]], 0.0)
+    return out
+
+
+def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
+    """Expected number of visits to each state, starting from from_state.
+
+    Transient states get the exact count from a linear solve; states of a
+    bottom SCC entered with positive probability get VISIT_CAP; unreachable
+    states get 0.
+    """
+
+    n = mc.num_states
+    if not (0 <= from_state < n):
+        raise ModelError(f"state {from_state} out of range")
+    reach, bottoms = _chain_closures(mc)
+    reachable = reach[from_state]
+    out = np.zeros(n)
+    transient = sorted(s for s in range(n) if s not in bottoms)
+    if transient:
+        idx = {s: i for i, s in enumerate(transient)}
+        # visits(t) = [from] (I - Q)^{-1}, solved as (I - Q)^T x = e_from
+        a = np.eye(len(transient))
+        for s in transient:
+            for succ, p in mc.trans[s]:
+                if succ in idx:
+                    a[idx[succ], idx[s]] -= p
+        b = np.zeros(len(transient))
+        if from_state in idx:
+            b[idx[from_state]] = 1.0
+        x = _dense_solve(a, b)
+        for s in transient:
+            out[s] = max(x[idx[s]], 0.0) if s in reachable else 0.0
+    for s in bottoms:
+        if s in reachable:
+            out[s] = VISIT_CAP
+    return out
 
 
 # ---------------------------------------------------------------------------

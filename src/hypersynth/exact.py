@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import _bottom_scc_states, _closure, _predecessors, _successors
+from .analysis import _chain_can_reach, _chain_closures
 from .errors import MissingRewardsError, ModelError
 from .model import Mc, TargetSet
 
@@ -58,7 +58,7 @@ def reach_probs_exact(mc: Mc, target) -> list[Fraction]:
     out = [Fraction(0)] * n
     for s in t:
         out[s] = Fraction(1)
-    mid = sorted(_closure(_predecessors(mc), t) - t)
+    mid = _chain_can_reach(mc, t)
     if not mid:
         return out
     idx = {s: i for i, s in enumerate(mid)}
@@ -111,11 +111,10 @@ def expected_visits_exact(mc: Mc, from_state: int):
     them), 0 marks unreachable ones."""
 
     n = mc.num_states
-    # the graph helpers are exact set computations, so the float module's
-    # serve here too
-    succ = _successors(mc)
-    bottoms = _bottom_scc_states(succ)
-    reachable = _closure(succ, (from_state,))
+    # the qualitative sets are exact graph computations, so the bitmask
+    # fixpoints the float module runs on chains and MDPs serve here too
+    reach, bottoms = _chain_closures(mc)
+    reachable = reach[from_state]
     rows = _rows(mc)
     transient = sorted(s for s in range(n) if s not in bottoms)
     out: list[Fraction | None] = [Fraction(0)] * n

@@ -823,19 +823,17 @@ class _Synthesizer:
 
     def _finish(self) -> SynthesisOutcome:
         if self.mode == "complete" and self.sat_boxes:
-            real = self.sat_boxes[0].first_realisation()
-            return self._outcome("feasible", real, controllers(self.space, real))
+            return self._found(self.sat_boxes[0].first_realisation())
         if self.mode == "optimal" and self.incumbent is not None:
-            real = self.incumbent_real
-            return self._outcome("feasible", real, controllers(self.space, real), self.incumbent)
+            return self._found(self.incumbent_real, self.incumbent)
         return self._outcome("unfeasible")
 
-    def _found(self, witness):
-        """The feasible outcome of a witness realisation, if there is one."""
+    def _found(self, witness, optimal_value=None):
+        """The feasible outcome of a witness realisation, if any, with its optimal value."""
 
         if witness is None:
             return None
-        return self._outcome("feasible", witness, controllers(self.space, witness))
+        return self._outcome("feasible", witness, controllers(self.space, witness), optimal_value)
 
     def _settle(self, members, holds):
         """Act on checked members, settling each as a box of one, in order:
@@ -864,28 +862,26 @@ class _Synthesizer:
         return None
 
     def _handle_allsat(self, node, stack):
-        """Interval analysis certified every member; recheck one and act."""
+        """Interval analysis certified every member.  Recheck one, in
+        optimal mode a member attaining the box's distance bound and
+        otherwise the first, then act on the box by mode; split it when the
+        recheck fails."""
 
-        if self.mode == "complete":
-            if self._check([node.first_realisation()]).holds[0]:
-                self.sat_boxes.append(node)
-                self.satisfying += node.size()
-                self._decide(node.size())
-                return None
-            self._split(node, stack)
-            return None
         if self.mode == "optimal":
             real = max_distance_completion(node, self.pairs)
-            if self._check([real]).holds[0]:
-                self._note_sat(real)
-                self._decide(node.size())
-                return None
+        else:
+            real = node.first_realisation()
+        if not self._check([real]).holds[0]:
             self._split(node, stack)
             return None
-        real = node.first_realisation()
-        if self._check([real]).holds[0]:
-            return self._outcome("feasible", real, controllers(self.space, real))
-        self._split(node, stack)
+        if self.mode == "feasibility":
+            return self._found(real)
+        if self.mode == "complete":
+            self.sat_boxes.append(node)
+            self.satisfying += node.size()
+        else:
+            self._note_sat(real)
+        self._decide(node.size())
         return None
 
     def _handle_open(self, node, residual, verdicts, stack):
@@ -901,7 +897,7 @@ class _Synthesizer:
             if not checks.holds[j]:
                 continue
             if self.mode == "feasibility":
-                return self._outcome("feasible", real, controllers(self.space, real))
+                return self._found(real)
             self._note_sat(real)
         if self._outranked(node):
             self._decide(node.size())
@@ -912,7 +908,7 @@ class _Synthesizer:
             res = checks[len(candidates)]
             if res.holds:
                 if self.mode == "feasibility":
-                    return self._outcome("feasible", real, controllers(self.space, real))
+                    return self._found(real)
                 if self.mode == "optimal":
                     self._note_sat(real)
             else:

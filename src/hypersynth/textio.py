@@ -558,6 +558,8 @@ class _SpecParser:
             value = float(Fraction(tok.text)) if "/" in tok.text else float(tok.text)
         except (ValueError, ZeroDivisionError, OverflowError):
             self.fail(f"malformed number {tok.text!r}", tok)
+        if isinf(value):
+            self.fail(f"number {tok.text!r} is too large for a float", tok)
         return value
 
     def atom(self, vars_known) -> SpecAtom:

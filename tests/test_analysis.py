@@ -30,10 +30,12 @@ from hypersynth import (
 from hypersynth import analysis
 from hypersynth.analysis import (
     INF,
-    _bottom_scc_states,
-    _closure,
-    _mc_almost_sure_reach,
+    _chain_closures,
+    _chain_rows,
+    _mask,
+    _prob1_max,
     _qualitative,
+    _states,
     batch_solves,
     check_members,
     compile_model,
@@ -425,8 +427,7 @@ def test_bottom_scc_states_match_definition():
         reach = [_reach(mc, s) for s in range(mc.num_states)]
         # s is in a bottom SCC iff everything it reaches reaches it back
         want = {s for s in range(mc.num_states) if all(s in reach[u] for u in reach[s])}
-        succ = [[t for t, _ in row] for row in mc.trans]
-        assert _bottom_scc_states(succ) == want, seed
+        assert _chain_closures(mc)[1] == want, seed
         absorbing_seen += sum(row == ((s, 1.0),) for s, row in enumerate(mc.trans))
     assert absorbing_seen > 100
 
@@ -443,7 +444,8 @@ def test_almost_sure_reach_matches_definition():
             for s in range(mc.num_states)
             if all(_reach(mc, u) & t for u in _reach(mc, s, lambda u: u not in t))
         }
-        assert _mc_almost_sure_reach(mc, t) == want, seed
+        sure, _ = _prob1_max(_chain_rows(mc), [(0,)] * mc.num_states, _mask(t))
+        assert set(_states(sure)) == want, seed
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +455,10 @@ def test_almost_sure_reach_matches_definition():
 def _zero_reward_cycle(mc, target) -> bool:
     """Whether the chain has a cycle of zero-reward states off the target."""
 
-    free = [s for s in range(mc.num_states) if s not in target and mc.rewards[s] == 0.0]
-    succ = [[t for t, _ in mc.trans[s] if t in free] if s in free else [] for s in range(mc.num_states)]
-    return any(s in _closure(succ, succ[s]) for s in free)
+    free = {s for s in range(mc.num_states) if s not in target and mc.rewards[s] == 0.0}
+    return any(
+        s in _reach(mc, t, free.__contains__) for s in free for t, _ in mc.trans[s] if t in free
+    )
 
 
 def _differential_instance(seed):

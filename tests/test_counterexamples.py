@@ -2,7 +2,7 @@ import random
 
 from hypersynth import Controller, build_parameter_space, impose, reach_probs, root_node
 from hypersynth import counterexamples
-from hypersynth.analysis import GUARD_BAND, _closure, _successors, extremal_reach
+from hypersynth.analysis import GUARD_BAND, _chain_rows, extremal_reach
 from hypersynth.counterexamples import (
     CeSide,
     complement_boxes,
@@ -10,6 +10,7 @@ from hypersynth.counterexamples import (
     deflated_reach,
     grow_conflict,
 )
+from hypersynth.exact import reach_probs_exact
 from hypersynth.model import Mc
 
 from conftest import dyadic_row, notes_example, random_model
@@ -67,11 +68,26 @@ def test_deflated_reach_matches_the_full_deflated_chain():
         seen["weight 1"] += 1.0 in unkept
         seen["weight between"] += any(0.0 < w < 1.0 for w in unkept)
         inside = keep - target
-        succ = _successors(mc)
-        seen["closed class in C"] += any(_closure(succ, (s,)) <= inside for s in inside)
+        rows, only = _chain_rows(mc), (0,) * n
+        seen["closed class in C"] += any(set(rows.reachable(only, s)) <= inside for s in inside)
         seen["root in target"] += root in target
         seen["unkept root"] += root not in keep and root not in target
     assert min(seen.values()) >= 20, seen
+
+
+def test_repeated_successors_match_the_exact_values():
+    # a row that lists a successor twice reaches it once: the successor
+    # masks must or the bits, as summing them would set the next state's
+    mc = Mc(3, (((1, 0.25), (2, 0.5), (1, 0.25)), ((1, 1.0),), ((2, 1.0),)))
+    want = [float(x) for x in reach_probs_exact(mc, {1})]
+    assert reach_probs(mc, {1}).tolist() == want == [0.5, 1.0, 0.0]
+    # both unkept successors of the kept state send an edge to top and
+    # one to bottom, so the deflated chain's row lists each twice
+    mc = Mc(3, (((0, 0.5), (1, 0.25), (2, 0.25)), ((1, 1.0),), ((2, 1.0),)))
+    weights = (0.0, 0.5, 0.75)
+    got = deflated_reach(mc, {0}, weights, frozenset(), 0)
+    want = reach_probs_exact(_full_deflated(mc, {0}, weights), {3})[0]
+    assert got == float(want) == 0.625
 
 
 def test_deflation_brackets_member_value():
@@ -176,7 +192,8 @@ def test_grow_conflict_solves_once_per_step(monkeypatch):
         assert got == _reference_growth(sides[0], sides[1], offset, acts)
         if got is None:
             # gave up with both reachable parts kept
-            steps = sum(len(_closure(_successors(side.mc), (side.root,))) for side in sides)
+            only = (0,) * m.num_states
+            steps = sum(len(_chain_rows(side.mc).reachable(only, side.root)) for side in sides)
             given_up += 1
         else:
             steps = len(got[0]) + len(got[1])

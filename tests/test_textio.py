@@ -75,6 +75,11 @@ def test_parse_error_carries_position():
     assert err.source == "m.txt"
     assert err.line == 3
     assert "m.txt:3:" in str(err)
+    # a literal beyond float range is rejected at its own token
+    with pytest.raises(ParseError) as e:
+        parse_spec("exists g : forall s in {0} [g] :\n P(s, F goal) = 0.4 ~1e400", source="s.spec")
+    assert (e.value.line, e.value.col) == (2, 22)
+    assert "s.spec:2:22: number '1e400' is too large" in str(e.value)
 
 
 def test_model_roundtrip_exact():
@@ -145,6 +150,8 @@ def test_spec_roundtrip_random():
         ("exists forall : forall s in {0} [forall] : P(s, F goal) <= 1", "reserved"),
         ("exists g : forall s in {0} [g], forall s in {1} [g] : P(s, F goal) <= 1", "duplicate"),
         ("exists g : forall s in {0} [g] : P(s, F goal) <= R(s, F goal)", "mix"),
+        ("exists g : forall s in {0} [g] : P(s, F goal) = 0.4 ~1e400", "too large"),
+        ("exists g : forall s in {0} [g] : P(s, F goal) >= 1e400", "too large"),
     ],
 )
 def test_parse_spec_rejects(text, fragment):
