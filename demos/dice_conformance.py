@@ -3,7 +3,8 @@
 # pair-merging choices are up to the synthesizer; the spec demands the two
 # agree on every face.
 
-from hypersynth import generate, impose, reach_probs, synthesize
+from hypersynth import generate, impose, synthesize
+from hypersynth.exact import reach_probs_exact
 
 m, spec = generate("knuth-yao-pc")
 out = synthesize(m, spec)
@@ -20,7 +21,7 @@ picked = {s: m.action_name(s, ctrl[s])
 print("witness choices:", picked)
 
 mc = impose(m, ctrl)
-print("face probabilities from the controllable root:")
+print("face probabilities from the controllable root, in exact arithmetic:")
 for k in range(1, 7):
-    v = reach_probs(mc, m.target(f"die{k}"))[7]
-    print(f"  die{k}: {float(v):.9f}")
+    v = reach_probs_exact(mc, m.target(f"die{k}"))[7]
+    print(f"  die{k}: {v}")

@@ -37,37 +37,38 @@ policy stays proper and every evaluation is well posed; zero-reward
 cycles and value-preserving loops are never entered.  The final policy is
 the witness.
 
-Members of a controller family are checked in batches on a compiled model
-(`compile_model`, `check_members`), in chunks of CHUNK_BYTES per stack of
-chains.  A batch takes its members as one (members x classes) array of
-action ordinals and gathers their chains into one (chains x states x
-states) stack per controller slot.  A slot that leaves out some class with
-more than one action in the family, as each slot of a two-controller spec
-does, can have one chain under many members: the stack then holds each
-distinct chain once, and every member reads the values of its own.  The
-system solved for a chain is the one a batch of that member alone solves,
-so the values are the same to the bit.  The qualitative sets come from one
-reflexive-transitive closure per slot, built by repeated boolean squaring
-and shared by every query on that slot; a reward query adds one closure
-avoiding its target.  The queries are then solved for all members a query
-group at a time, one np.linalg.solve call per group (`solve_plan`): the
-reach queries of a slot whose targets are closed (no action leaves them)
-and pairwise disjoint share one system, with one right-hand side per
-target; every other query is a group of its own.  check_mc on each
-member's imposed chains stays the reference: qualitative sets and infinite
-values are the same, and finite values agree to within rounding, since
-each solve is padded with identity rows to the full state count.
+Members of a controller family are checked in batches on a model compiled
+together with the formula (`compile_model`, `check_members`), in chunks of
+CHUNK_BYTES per stack of chains.  Compiling works out the formula's query
+groups once, its solve plan: the reach queries of a slot whose targets are
+closed (no action leaves them) and pairwise disjoint share one system, with
+one right-hand side per target; every other query is a group of its own.
+A batch takes its members as one (members x classes) array of action
+ordinals and gathers their chains into one (chains x states x states)
+stack per controller slot the plan uses.  A slot that leaves out some
+class with more than one action in the family, as each slot of a
+two-controller spec does, can have one chain under many members: the stack
+then holds each distinct chain once, and every member reads the values of
+its own.  The system solved for a chain is the one a batch of that member
+alone solves, so the values are the same to the bit.  The qualitative sets
+come from one reflexive-transitive closure per slot, built by repeated
+boolean squaring and shared by every query on that slot; a reward query
+adds one closure avoiding its target.  The groups are then solved in plan
+order for all members, one np.linalg.solve call per group.  check_mc on
+each member's imposed chains stays the reference: qualitative sets and
+infinite values are the same, and finite values agree to within rounding,
+since each solve is padded with identity rows to the full state count.
 
 Every dense solve of this module is counted (`solve_count`), one per
 np.linalg.solve call whether it solves one system or a batch: a batch of
-members costs one solve per query group (`batch_solves`).  The synthesis
-loop prices its work in these counts.
+members costs one solve per query group (`CompiledModel.solves`).  The
+synthesis loop prices its work in these counts.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -683,22 +684,32 @@ def check_mc(mcs, formula: InstantiatedFormula) -> CheckResult:
 CHUNK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class _Label:
-    mask: np.ndarray  # (n,) bool: the label's states
-    into: np.ndarray  # per row, the probability of stepping into the label
-    closed: bool  # no action of the label's states leaves it
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """Queries of one kind and slot that a batch answers with one solve:
+    one target, or several closed and pairwise disjoint reach targets.
+    masks[k] marks the states of target k and inside those of every
+    target; into[r, k] is the probability of stepping from row r into
+    target k."""
+
+    kind: str
+    slot: int
+    targets: tuple[str, ...]
+    masks: np.ndarray
+    inside: np.ndarray
+    into: np.ndarray
 
 
 @dataclass(frozen=True)
 class CompiledModel:
-    """An MDP and the parameter classes of its controller slots, as flat
-    arrays.  Row offsets[s] + a of probs is the distribution of action a in
-    state s over all states, and edges marks its positive entries; counts[s]
-    is the number of actions of s; rewards has one entry per row (None
-    without a reward structure); classes[slot][s] is the class deciding the
-    slot's action in s, and varies[k] whether class k has more than one
-    action in the family."""
+    """An MDP, the parameter classes of its controller slots and a formula
+    on them, as flat arrays.  Row offsets[s] + a of probs is the
+    distribution of action a in state s over all states, and edges marks its
+    positive entries; counts[s] is the number of actions of s; rewards has
+    one entry per row (None without a reward structure); classes[slot][s]
+    is the class deciding the slot's action in s, and varies[k] whether
+    class k has more than one action in the family.  plan holds the
+    formula's query groups in solve order."""
 
     offsets: np.ndarray
     counts: np.ndarray
@@ -707,9 +718,8 @@ class CompiledModel:
     rewards: np.ndarray | None
     classes: tuple[np.ndarray, ...]
     varies: np.ndarray
-    labels: dict
-    # the last formula's solve plan, as [formula, plan]
-    _plan: list = field(default_factory=list, init=False, repr=False, compare=False)
+    formula: InstantiatedFormula
+    plan: tuple[_Group, ...]
 
     @property
     def num_states(self) -> int:
@@ -721,25 +731,18 @@ class CompiledModel:
 
         return max(1, CHUNK_BYTES // (8 * self.num_states**2))
 
-    def label(self, name: str) -> _Label:
-        try:
-            return self.labels[name]
-        except KeyError:
-            raise ModelError(f"unknown label {name!r}") from None
+    @property
+    def solves(self) -> int:
+        """The solves one check_members call makes on a nonempty batch,
+        whatever its size: one per query group."""
 
-    def plan(self, formula: InstantiatedFormula) -> dict:
-        """solve_plan(self, formula), worked out once for a run of batches
-        on one formula."""
-
-        last = self._plan
-        if not last or last[0] is not formula:
-            last[:] = (formula, solve_plan(self, formula))
-        return last[1]
+        return len(self.plan)
 
 
-def compile_model(m: Mdp, space) -> CompiledModel:
-    """Compile the MDP for checking members of the parameter space (a
-    family.ParameterSpace built on it)."""
+def compile_model(m: Mdp, space, formula: InstantiatedFormula) -> CompiledModel:
+    """Compile the MDP for checking the formula on members of the parameter
+    space (a family.ParameterSpace built on it).  A query on a missing label
+    or slot, or a reward query without rewards, raises here."""
 
     n = m.num_states
     counts = np.array([m.num_actions(s) for s in range(n)], dtype=np.intp)
@@ -758,17 +761,53 @@ def compile_model(m: Mdp, space) -> CompiledModel:
     )
     varies = np.array([len(d) > 1 for d in space.domains], dtype=bool)
     edges = probs > 0
-    row_state = np.repeat(np.arange(n), counts)
-    labels = {}
-    for name, states in m.labels:
-        mask = np.zeros(n, dtype=bool)
-        mask[list(states)] = True
-        into = np.zeros(len(rows))
-        for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
-            into += probs[:, t]
-        closed = not edges[mask[row_state]][:, ~mask].any()
-        labels[name] = _Label(mask, into, closed)
-    return CompiledModel(offsets, counts, probs, edges, rewards, classes, varies, labels)
+    plan = _solve_plan(m, probs, edges, np.repeat(np.arange(n), counts), formula)
+    for g in plan:
+        if g.slot >= len(classes):
+            raise ModelError(f"no chain for controller slot {g.slot}")
+        if g.kind == "reward" and rewards is None:
+            raise MissingRewardsError("reward query on a model without rewards")
+    return CompiledModel(offsets, counts, probs, edges, rewards, classes, varies, formula, plan)
+
+
+def _solve_plan(m: Mdp, probs, edges, row_state, formula) -> tuple[_Group, ...]:
+    """The query groups answering each distinct (kind, slot, target) query
+    of the formula.  The reach queries of a slot whose targets are closed
+    (no action of a target's states leaves it), and disjoint from every
+    other such target of the slot, form one group; every other query is a
+    group of its own."""
+
+    keys = dict.fromkeys(
+        (q.kind, q.slot, q.target)
+        for atom in formula.atoms
+        for q in (atom.left, atom.right)
+        if isinstance(q, Query)
+    )
+    masks, into = {}, {}
+    for _, _, name in keys:
+        if name not in masks:
+            mask = masks[name] = np.zeros(m.num_states, dtype=bool)
+            mask[list(m.label_states(name))] = True
+            into[name] = np.zeros(len(probs))
+            for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
+                into[name] += probs[:, t]
+    groups = {(kind, slot, t): (kind, slot, (t,)) for kind, slot, t in keys}
+    closed: dict[int, list[str]] = {}
+    for kind, slot, t in keys:
+        if kind == "reach" and not edges[masks[t][row_state]][:, ~masks[t]].any():
+            closed.setdefault(slot, []).append(t)
+    for slot, targets in closed.items():
+        group = tuple(
+            t for t in targets if not any((masks[t] & masks[u]).any() for u in targets if u != t)
+        )
+        for t in group:
+            groups["reach", slot, t] = ("reach", slot, group)
+    plan = []
+    for kind, slot, targets in dict.fromkeys(groups.values()):
+        own = np.stack([masks[t] for t in targets])
+        stacked = np.stack([into[t] for t in targets], axis=-1)
+        plan.append(_Group(kind, slot, targets, own, own.any(axis=0), stacked))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -780,10 +819,6 @@ class MemberChecks:
     holds: np.ndarray
     values: np.ndarray
     truth: np.ndarray
-
-    def __getitem__(self, b: int) -> CheckResult:
-        atoms = zip(self.values[b].tolist(), self.truth[b].tolist())
-        return CheckResult(bool(self.holds[b]), tuple((lv, rv, ok) for (lv, rv), ok in atoms))
 
 
 def _reach_closure(adj: np.ndarray) -> np.ndarray:
@@ -800,53 +835,6 @@ def _reach_closure(adj: np.ndarray) -> np.ndarray:
     return reach > 0
 
 
-@dataclass(frozen=True, eq=False)
-class _Group:
-    """Queries of one kind and slot that a batch answers with one solve:
-    one target, or several closed and pairwise disjoint reach targets.
-    inside marks the states of every target, and into[r, k] is the
-    probability of stepping from row r into target k."""
-
-    kind: str
-    slot: int
-    targets: tuple[str, ...]
-    inside: np.ndarray
-    into: np.ndarray
-
-
-def solve_plan(cm: CompiledModel, formula: InstantiatedFormula) -> dict:
-    """The group answering each distinct (kind, slot, target) query of the
-    formula.  The reach queries of a slot whose targets are closed, and
-    disjoint from every other such target of the slot, form one group;
-    every other query is a group of its own."""
-
-    keys = dict.fromkeys(
-        (q.kind, q.slot, q.target)
-        for atom in formula.atoms
-        for q in (atom.left, atom.right)
-        if isinstance(q, Query)
-    )
-    groups = {(kind, slot, t): (kind, slot, (t,)) for kind, slot, t in keys}
-    closed: dict[int, list[str]] = {}
-    for kind, slot, target in keys:
-        if kind == "reach" and cm.label(target).closed:
-            closed.setdefault(slot, []).append(target)
-    for slot, targets in closed.items():
-        masks = {t: cm.label(t).mask for t in targets}
-        group = tuple(
-            t for t in targets if not any((masks[t] & masks[u]).any() for u in targets if u != t)
-        )
-        for t in group:
-            groups["reach", slot, t] = ("reach", slot, group)
-    plan = {}
-    for kind, slot, targets in dict.fromkeys(groups.values()):
-        labels = [cm.label(t) for t in targets]
-        inside = np.logical_or.reduce([t.mask for t in labels])
-        into = np.stack([t.into for t in labels], axis=-1)
-        plan[kind, slot, targets] = _Group(kind, slot, targets, inside, into)
-    return {key: plan[group] for key, group in groups.items()}
-
-
 def _distinct_rows(a: np.ndarray):
     """The distinct rows of a 2-D integer array, in some order, and for each
     row of a the index of its distinct row."""
@@ -857,133 +845,106 @@ def _distinct_rows(a: np.ndarray):
     return a[first], inverse
 
 
-class _Batch:
-    """One batch of members: per-slot transition rows and reachability
-    closures, and the value of each query, each computed on first use, a
-    group of the plan at a time."""
+def _slot(cm: CompiledModel, real: np.ndarray, i: int):
+    """(rows, closure, pick): the row of each slot-i chain's action in each
+    state, the closure of those chains, and the index of each member's chain
+    among them.  When a class that the slot does not read varies in the
+    family, members can share a slot chain, so each distinct chain is kept
+    once and pick is an index array; otherwise each member has its own chain
+    and pick is a full slice."""
 
-    def __init__(self, cm: CompiledModel, plan: dict, realisations):
-        self.cm = cm
-        self.plan = plan
-        self.real = np.asarray(realisations, dtype=np.intp).reshape(len(realisations), -1)
-        self._slots: dict = {}
-        self._values: dict = {}
-
-    def slot(self, i: int):
-        """(rows, closure, pick): the row of each slot-i chain's action in
-        each state, the closure of those chains, and the index of each
-        member's chain among them.  When a class that the slot does not read
-        varies in the family, members can share a slot chain, so each
-        distinct chain is kept once and pick is an index array; otherwise
-        each member has its own chain and pick is a full slice."""
-
-        got = self._slots.get(i)
-        if got is None:
-            cm = self.cm
-            if i >= len(cm.classes):
-                raise ModelError(f"no chain for controller slot {i}")
-            actions = self.real[:, cm.classes[i]]
-            if ((actions < 0) | (actions >= cm.counts)).any():
-                raise InvalidControllerError("realisation picks an action that is not enabled")
-            pick = slice(None)
-            unread = cm.varies.copy()
-            unread[cm.classes[i]] = False
-            if unread.any():
-                actions, pick = _distinct_rows(actions)
-            rows = cm.offsets + actions
-            got = self._slots[i] = (rows, _reach_closure(cm.edges[rows]), pick)
-        return got
-
-    def _solve(self, rows, mid, b) -> np.ndarray:
-        """Solve x = P x + b on the mid states of every member's chain at
-        once, for each column of b, a (B, n, columns) array.  Rows outside
-        mid are identity rows with a zero right-hand side; on mid rows the
-        matrix entries are those reach_probs and expected_reward build."""
-
-        a = self.cm.probs[rows]
-        np.multiply(a, mid[:, :, None] & mid[:, None, :], out=a)
-        np.subtract(np.eye(self.cm.num_states), a, out=a)
-        return _dense_solve(a, b * mid[..., None])
-
-    def value(self, q: Query) -> np.ndarray:
-        """The query's value at its state in every member's chain, as a
-        (B,) array."""
-
-        key = (q.kind, q.slot, q.target)
-        got = self._values.get(key)
-        if got is None:
-            group = self.plan[key]
-            if group.kind == "reach":
-                self._reach(group)
-            else:
-                self._reward(group)
-            got = self._values[key]
-        return got[self.slot(q.slot)[2], q.state]
-
-    def _reach(self, g: _Group):
-        """The reach values of the slot's chains on the group's targets,
-        from one solve with one column per target.  mid is the states that
-        can reach some target, outside them all; a state that cannot reach
-        a target keeps an exact 0 for it."""
-
-        rows, reach, _ = self.slot(g.slot)
-        mid = reach[:, :, g.inside].any(axis=-1) & ~g.inside
-        x = np.minimum(np.maximum(self._solve(rows, mid, g.into[rows]), 0.0), 1.0)
-        for k, name in enumerate(g.targets):
-            mask = self.cm.label(name).mask
-            # a lone target's can set is mid's
-            own = mid if len(g.targets) == 1 else mid & reach[:, :, mask].any(axis=-1)
-            self._values["reach", g.slot, name] = np.where(mask, 1.0, np.where(own, x[..., k], 0.0))
-
-    def _reward(self, g: _Group):
-        """The expected reward of the slot's chains before the group's one
-        target."""
-
-        cm = self.cm
-        if cm.rewards is None:
-            raise MissingRewardsError("expected_reward on a chain without rewards")
-        rows, reach, _ = self.slot(g.slot)
-        can = reach[:, :, g.inside].any(axis=-1)
-        # reached almost surely: no state unable to reach the target is
-        # reachable along a path avoiding it
-        avoid = cm.edges[rows]
-        avoid[:, g.inside, :] = False
-        missed = (_reach_closure(avoid) & ~can[:, None, :]).any(axis=-1)
-        mid = ~missed & ~g.inside
-        x = np.maximum(self._solve(rows, mid, cm.rewards[rows][..., None])[..., 0], 0.0)
-        self._values["reward", g.slot, g.targets[0]] = np.where(g.inside, 0.0, np.where(mid, x, INF))
+    actions = real[:, cm.classes[i]]
+    if ((actions < 0) | (actions >= cm.counts)).any():
+        raise InvalidControllerError("realisation picks an action that is not enabled")
+    pick = slice(None)
+    unread = cm.varies.copy()
+    unread[cm.classes[i]] = False
+    if unread.any():
+        actions, pick = _distinct_rows(actions)
+    rows = cm.offsets + actions
+    return rows, _reach_closure(cm.edges[rows]), pick
 
 
-def batch_solves(cm: CompiledModel, formula: InstantiatedFormula) -> int:
-    """The solves one check_members call makes on the formula, whatever the
-    batch's size: one per query group of its solve plan."""
+def _solve(cm: CompiledModel, rows, mid, b) -> np.ndarray:
+    """Solve x = P x + b on the mid states of every chain at once, for each
+    column of b, a (B, n, columns) array.  Rows outside mid are identity
+    rows with a zero right-hand side; on mid rows the matrix entries are
+    those reach_probs and expected_reward build."""
 
-    return len(set(cm.plan(formula).values()))
+    a = cm.probs[rows]
+    np.multiply(a, mid[:, :, None] & mid[:, None, :], out=a)
+    np.subtract(np.eye(cm.num_states), a, out=a)
+    return _dense_solve(a, b * mid[..., None])
 
 
-def check_members(cm: CompiledModel, formula: InstantiatedFormula, realisations) -> MemberChecks:
+def _reach(cm: CompiledModel, g: _Group, rows, reach) -> list[np.ndarray]:
+    """The reach values of the slot's chains on each of the group's
+    targets, from one solve with one column per target.  mid is the states
+    that can reach some target, outside them all; a state that cannot reach
+    a target keeps an exact 0 for it."""
+
+    mid = reach[:, :, g.inside].any(axis=-1) & ~g.inside
+    x = np.minimum(np.maximum(_solve(cm, rows, mid, g.into[rows]), 0.0), 1.0)
+    out = []
+    for k, mask in enumerate(g.masks):
+        # a lone target's can set is mid's
+        own = mid if len(g.masks) == 1 else mid & reach[:, :, mask].any(axis=-1)
+        out.append(np.where(mask, 1.0, np.where(own, x[..., k], 0.0)))
+    return out
+
+
+def _reward(cm: CompiledModel, g: _Group, rows, reach) -> list[np.ndarray]:
+    """The expected reward of the slot's chains before the group's one
+    target."""
+
+    can = reach[:, :, g.inside].any(axis=-1)
+    # reached almost surely: no state unable to reach the target is
+    # reachable along a path avoiding it
+    avoid = cm.edges[rows]
+    avoid[:, g.inside, :] = False
+    missed = (_reach_closure(avoid) & ~can[:, None, :]).any(axis=-1)
+    mid = ~missed & ~g.inside
+    x = np.maximum(_solve(cm, rows, mid, cm.rewards[rows][..., None])[..., 0], 0.0)
+    return [np.where(g.inside, 0.0, np.where(mid, x, INF))]
+
+
+def check_members(cm: CompiledModel, realisations) -> MemberChecks:
     """Check a batch of realisations (one action ordinal per parameter
     class each, as a sequence or a (members x classes) intp array, which is
-    used as it is) exactly, as check_mc does on each member's chains.
+    used as it is) against the compiled formula exactly, as check_mc does on
+    each member's chains.
 
-    The members' chains are gathered into one stack per slot, each distinct
-    chain once where members can share one (see _Batch.slot).  Qualitative
-    sets come from one reachability closure per slot (plus one avoiding the
-    target per reward query), and each query group of the solve plan is
-    solved for every member with one np.linalg.solve call.  An empty batch
-    makes no solve.
+    The members' chains are gathered into one stack per slot that the plan
+    uses, each distinct chain once where members can share one (see
+    _slot).  Qualitative sets come from one reachability closure per slot
+    (plus one avoiding the target per reward query), and each query group
+    of the plan is solved for every member with one np.linalg.solve call.
+    An empty batch makes no solve.
     """
 
-    size = len(realisations)
+    formula = cm.formula
     atoms = formula.atoms
+    size = len(realisations)
     values = np.empty((size, len(atoms), 2))
     if not size:
         empty = np.zeros((0, len(atoms)), dtype=bool)
         return MemberChecks(empty.any(axis=1), values, empty)
-    batch = _Batch(cm, cm.plan(formula), realisations)
+    real = np.asarray(realisations, dtype=np.intp).reshape(size, -1)
+    slots = {}
+    for g in cm.plan:
+        if g.slot not in slots:
+            slots[g.slot] = _slot(cm, real, g.slot)
+    found = {}
+    for g in cm.plan:
+        rows, reach, _ = slots[g.slot]
+        solved = (_reach if g.kind == "reach" else _reward)(cm, g, rows, reach)
+        for name, v in zip(g.targets, solved):
+            found[g.kind, g.slot, name] = v
     for i, atom in enumerate(atoms):
         for j, side in enumerate((atom.left, atom.right)):
-            values[:, i, j] = batch.value(side) if isinstance(side, Query) else side
+            if isinstance(side, Query):
+                side = found[side.kind, side.slot, side.target][slots[side.slot][2], side.state]
+            values[:, i, j] = side
     lv, bound = values[:, :, 0], values[:, :, 1] + [atom.offset for atom in atoms]
     truth = np.where([atom.strict for atom in atoms], lv < bound, lv <= bound)
     holds = np.broadcast_to(formula.evaluate(truth.T), (size,))

@@ -15,14 +15,7 @@ import sys
 
 from .analysis import check_members, compile_model
 from .benchmarks import BENCHMARKS, generate as make_benchmark
-from .errors import (
-    ConstraintError,
-    HypersynthError,
-    LimitExceeded,
-    ModelError,
-    ParseError,
-    SpecError,
-)
+from .errors import HypersynthError, LimitExceeded, ParseError, SpecError
 from .family import build_parameter_space
 from .model import unfold_memory
 from .specs import lift_spec_memory
@@ -193,13 +186,13 @@ def _cmd_check(args) -> int:
     realisation = tuple(realisation)
 
     formula = instantiate(spec, m)
-    res = check_members(compile_model(m, space), formula, [realisation])[0]
-    for i, atom in enumerate(formula.atoms):
-        lv, rv, ok = res.atom_values[i]
+    checks = check_members(compile_model(m, space, formula), [realisation])
+    for atom, (lv, rv), ok in zip(formula.atoms, checks.values[0], checks.truth[0]):
         print(f"  {format_atom(atom)}: left={lv:.10g} right={rv:.10g} "
               f"{'ok' if ok else 'VIOLATED'}")
-    print(f"verdict: {'satisfied' if res.holds else 'violated'}")
-    return 0 if res.holds else 1
+    holds = bool(checks.holds[0])
+    print(f"verdict: {'satisfied' if holds else 'violated'}")
+    return 0 if holds else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -261,19 +254,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SpecError, ModelError, ConstraintError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except LimitExceeded as e:
         print(f"aborted: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except HypersynthError as e:
+    except (HypersynthError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -118,47 +118,59 @@ def validate_spec(spec: HyperSpec) -> None:
         raise SpecError("a specification needs at least one state quantifier")
 
     for c in spec.constraints:
-        if isinstance(c, Same):
-            if len(set(c.controllers)) < 2:
-                raise SpecError("same() needs at least two distinct controllers")
-            if any(not (0 <= i < len(names)) for i in c.controllers):
-                raise SpecError("same() names an unknown controller")
-        elif isinstance(c, Obs):
-            if len(set(c.states)) < 2:
-                raise SpecError("obs() needs at least two distinct states")
-            if not (0 <= c.controller < len(names)):
-                raise SpecError("obs() names an unknown controller")
-        else:
-            raise SpecError(f"unknown constraint {c!r}")
-
+        check_constraint(c, len(names))
     for atom in formula_atoms(spec.formula):
-        if not isinstance(atom.left, SpecQuery):
-            raise SpecError("comparison left side must be a P or R query")
-        sides = [atom.left]
-        if isinstance(atom.right, SpecQuery):
-            sides.append(atom.right)
-            if atom.right.kind != atom.left.kind:
-                raise SpecError("cannot compare a probability with a reward")
-        else:
-            bound = float(atom.right)
-            if not isfinite(bound):
-                raise SpecError("comparison bound must be finite")
-            if atom.left.kind == "reach" and not (0.0 <= bound <= 1.0):
-                raise SpecError(f"probability bound {bound} outside [0, 1]")
-            if atom.left.kind == "reward" and bound < 0.0:
-                raise SpecError(f"negative reward bound {bound}")
-        for side in sides:
-            if side.kind not in ("reach", "reward"):
-                raise SpecError(f"unknown query kind {side.kind!r}")
-            if side.var not in seen_vars:
-                raise SpecError(f"state variable {side.var!r} is not quantified")
-        if atom.rel not in RELATIONS:
-            raise SpecError(f"unknown relation {atom.rel!r}")
-        if atom.eps is not None:
-            if atom.rel != "=":
-                raise SpecError("~eps tolerance is only meaningful for =")
-            if not (atom.eps >= 0.0 and isfinite(atom.eps)):
-                raise SpecError(f"bad equality tolerance {atom.eps!r}")
+        check_atom(atom, seen_vars)
+
+
+def check_constraint(c, n_controllers: int) -> None:
+    """The rules of one structural constraint over n controllers."""
+
+    if isinstance(c, Same):
+        if len(set(c.controllers)) < 2:
+            raise SpecError("same() needs at least two distinct controllers")
+        if any(not (0 <= i < n_controllers) for i in c.controllers):
+            raise SpecError("same() names an unknown controller")
+    elif isinstance(c, Obs):
+        if len(set(c.states)) < 2:
+            raise SpecError("obs() needs at least two distinct states")
+        if not (0 <= c.controller < n_controllers):
+            raise SpecError("obs() names an unknown controller")
+    else:
+        raise SpecError(f"unknown constraint {c!r}")
+
+
+def check_atom(atom: SpecAtom, variables) -> None:
+    """The rules of one comparison, whose queries may name the given
+    quantified state variables."""
+
+    if not isinstance(atom.left, SpecQuery):
+        raise SpecError("comparison left side must be a P or R query")
+    sides = [atom.left]
+    if isinstance(atom.right, SpecQuery):
+        sides.append(atom.right)
+        if atom.right.kind != atom.left.kind:
+            raise SpecError("cannot compare a probability with a reward")
+    else:
+        bound = float(atom.right)
+        if not isfinite(bound):
+            raise SpecError("comparison bound must be finite")
+        if atom.left.kind == "reach" and not (0.0 <= bound <= 1.0):
+            raise SpecError(f"probability bound {bound} outside [0, 1]")
+        if atom.left.kind == "reward" and bound < 0.0:
+            raise SpecError(f"negative reward bound {bound}")
+    for side in sides:
+        if side.kind not in ("reach", "reward"):
+            raise SpecError(f"unknown query kind {side.kind!r}")
+        if side.var not in variables:
+            raise SpecError(f"state variable {side.var!r} is not quantified")
+    if atom.rel not in RELATIONS:
+        raise SpecError(f"unknown relation {atom.rel!r}")
+    if atom.eps is not None:
+        if atom.rel != "=":
+            raise SpecError("~eps tolerance is only meaningful for =")
+        if not (atom.eps >= 0.0 and isfinite(atom.eps)):
+            raise SpecError(f"bad equality tolerance {atom.eps!r}")
 
 
 def check_against_model(spec: HyperSpec, m) -> None:

@@ -22,19 +22,20 @@ when that member violates a mandatory reachability comparison, prunes away
 the whole sub-box sharing the violation's local structure (see
 counterexamples).
 
-Member checks run on the model compiled once per run (see analysis).  The
-enumerator streams the members of one or more boxes as arrays of action
-ordinals, box by box and in lexicographic order within a box, and checks
-each chunk with one batched call.  It then settles the chunk in one step,
-in that order: the first member that holds is the witness, or every one
-that holds is a satisfying box, or the first at the greatest distance
-updates the incumbent.  Limits are checked before and after each batch,
-and iterations are counted per member, so an iteration limit stops at its
-member exactly.  When refinement enumerates a box, the boxes right below it
-on the stack that it would enumerate too join the call, so that no box but
-the last ends in a part-filled chunk, except in optimal mode.  An open box
-checks its candidates and hybrid's member in one batch; a box of one member
-and an accepted box's recheck are batches of one.
+Member checks run on the model and formula, compiled together once per run
+(see analysis).  The enumerator streams the members of one or more boxes
+as arrays of action ordinals, box by box and in lexicographic order within
+a box, and checks each chunk with one batched call.  It then settles the
+chunk in one step, in that order: the first member that holds is the
+witness, or every one that holds is a satisfying box, or the first at the
+greatest distance updates the incumbent.  Limits are checked before and
+after each batch, and iterations are counted per member, so an iteration
+limit stops at its member exactly.  When refinement enumerates a box, the
+boxes right below it on the stack that it would enumerate too join the
+call, so that no box but the last ends in a part-filled chunk, except in
+optimal mode.  An open box checks its candidates and hybrid's member in
+one batch; a box of one member and an accepted box's recheck are batches
+of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
@@ -42,16 +43,16 @@ more than settling it by analysis.  Both sides are priced in dense
 linear-solve calls (analysis.solve_count), one per call whether it solves
 one system or a batch, so the same call makes the same decisions on every
 run and every machine.  A batch of member checks makes one solve per
-query group of the formula (analysis.solve_plan), known from the compiled
-model before any check runs.  Enumerating a box of N members costs its
-share of the batches: groups * N / chunk, since stacked sibling boxes share
-a chunk, or in optimal mode, where each box gets its own batches, groups *
-ceil(N / chunk).  An analysis is priced by the subtree it leaves behind:
-the mean solves of one box analysis (policy-iteration rounds, chain solves
-and the member checks made during it) over the run's settle rate,
-(settling + 1) / (analyses + 2), where an analysis settles when members
-were settled during it or it found the outcome.  The root is always
-analysed, since no analysis has been counted when it is popped.
+query group of the formula (analysis.CompiledModel.solves), known from the
+compiled model before any check runs.  Enumerating a box of N members costs
+its share of the batches: groups * N / chunk, since stacked sibling boxes
+share a chunk, or in optimal mode, where each box gets its own batches,
+groups * ceil(N / chunk).  An analysis is priced by the subtree it leaves
+behind: the mean solves of one box analysis (policy-iteration rounds,
+chain solves and the member checks made during it) over the run's settle
+rate, (settling + 1) / (analyses + 2), where an analysis settles when
+members were settled during it or it found the outcome.  The root is
+always analysed, since no analysis has been counted when it is popped.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .analysis import (
     GUARD_BAND,
     CompiledModel,
     RowTable,
-    batch_solves,
     check_mc,  # noqa: F401
     check_members,
     compile_model,
@@ -514,9 +514,9 @@ def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: Instantiated
     checked a batch at a time, a batch only once the previous one's
     satisfying members have all been asked for."""
 
-    compiled = compile_model(m, space)
+    compiled = compile_model(m, space, formula)
     for chunk in member_chunks([space.domains], compiled.chunk):
-        holds = check_members(compiled, formula, chunk).holds
+        holds = check_members(compiled, chunk).holds
         yield from map(tuple, chunk[holds].tolist())
 
 
@@ -660,20 +660,15 @@ class _Synthesizer:
 
     @cached_property
     def compiled(self) -> CompiledModel:
-        """The model compiled for member checks, on the run's first one."""
+        """The model and formula compiled for member checks, on the run's
+        first one."""
 
-        return compile_model(self.m, self.space)
-
-    @cached_property
-    def batch_solves(self) -> int:
-        """Solves per batch of member checks, once the model is compiled."""
-
-        return batch_solves(self.compiled, self.formula)
+        return compile_model(self.m, self.space, self.formula)
 
     def _check(self, realisations):
         """Check members in one batch."""
 
-        return check_members(self.compiled, self.formula, realisations)
+        return check_members(self.compiled, realisations)
 
     def _decide(self, members: int):
         """Count a box of this many members as settled, whichever way."""
@@ -703,10 +698,10 @@ class _Synthesizer:
         its chunk's batch, which stacked sibling boxes share, or in optimal
         mode a share of the box's own batches."""
 
-        chunk = self.compiled.chunk
+        chunk, solves = self.compiled.chunk, self.compiled.solves
         if self.mode == "optimal":
-            return self.batch_solves * -(-size // chunk) / size
-        return self.batch_solves / chunk
+            return solves * -(-size // chunk) / size
+        return solves / chunk
 
     def _enumeration_pays(self, node) -> bool:
         size = node.size()
@@ -905,14 +900,13 @@ class _Synthesizer:
 
         if first:
             real = first[0]
-            res = checks[len(candidates)]
-            if res.holds:
+            if checks.holds[-1]:
                 if self.mode == "feasibility":
                     return self._found(real)
                 if self.mode == "optimal":
                     self._note_sat(real)
             else:
-                rest = self._try_conflict_prune(node, residual, real, res)
+                rest = self._try_conflict_prune(node, residual, real, checks.truth[-1])
                 if rest is not None:
                     stack.extend(rest)
                     return None
@@ -952,15 +946,16 @@ class _Synthesizer:
 
     # -- hybrid counterexamples ------------------------------------------
 
-    def _try_conflict_prune(self, node, residual, real, res):
+    def _try_conflict_prune(self, node, residual, real, truth):
         """Certify the checked member's violation for a sub-box and carve
-        it out.  Returns the complement boxes, or None when no mandatory
-        reachability comparison yields a certificate."""
+        it out; truth[i] is whether the member meets atom i.  Returns the
+        complement boxes, or None when no mandatory reachability comparison
+        yields a certificate."""
 
         mcs = tuple(impose(self.m, c) for c in controllers(self.space, real))
         best = None
         for i in sorted(mandatory_atoms(residual)):
-            if res.atom_values[i][2]:
+            if truth[i]:
                 continue  # this atom holds; not the reason for failure
             atom = self.formula.atoms[i]
             if any(

@@ -40,7 +40,16 @@ from math import isinf, isnan
 from .errors import ModelError, ParseError, SpecError
 from .formulas import Query
 from .model import PROB_SUM_TOL, Mdp, make_mdp
-from .specs import HyperSpec, Obs, Quantifier, Same, SpecAtom, SpecQuery, validate_spec
+from .specs import (
+    HyperSpec,
+    Obs,
+    Quantifier,
+    Same,
+    SpecAtom,
+    SpecQuery,
+    check_atom,
+    check_constraint,
+)
 
 # Hard cap on declared state counts, so a hostile header cannot allocate.
 STATE_CAP = 10**6
@@ -393,6 +402,16 @@ class _SpecParser:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == s
 
+    def checked(self, rule, item, context, tok):
+        """The item, once the specs rule passes it with the context; a
+        failure is reported at tok, the item's first token."""
+
+        try:
+            rule(item, context)
+        except SpecError as e:
+            self.fail(str(e), tok)
+        return item
+
     # -- toplevel ----------------------------------------------------------
 
     def spec(self) -> HyperSpec:
@@ -436,12 +455,7 @@ class _SpecParser:
         if tok.kind != "eof":
             self.fail(f"unexpected trailing input {tok.text!r}", tok)
 
-        spec = HyperSpec(tuple(names), tuple(constraints), tuple(quants), formula)
-        try:
-            validate_spec(spec)
-        except SpecError as e:
-            raise ParseError(str(e), self.source, 0, 0)
-        return spec
+        return HyperSpec(tuple(names), tuple(constraints), tuple(quants), formula)
 
     def controller_ref(self, index) -> int:
         tok = self.ident()
@@ -479,15 +493,17 @@ class _SpecParser:
                 ctrls.append(self.controller_ref(index))
             self.sym("}")
             self.sym(")")
-            return Same(int(stok.text), tuple(ctrls))
-        if tok.text == "obs":
+            c = Same(int(stok.text), tuple(ctrls))
+        elif tok.text == "obs":
             self.sym("(")
             states = self.int_list("a state index")
             self.sym(",")
             ctrl = self.controller_ref(index)
             self.sym(")")
-            return Obs(states, ctrl)
-        self.fail("expected same(...) or obs(...)", tok)
+            c = Obs(states, ctrl)
+        else:
+            self.fail("expected same(...) or obs(...)", tok)
+        return self.checked(check_constraint, c, len(index), tok)
 
     def quantifier(self, index, vars_seen) -> Quantifier:
         tok = self.ident()
@@ -563,6 +579,7 @@ class _SpecParser:
         return value
 
     def atom(self, vars_known) -> SpecAtom:
+        first = self.peek()
         left = self.query(vars_known)
         tok = self.take()
         if tok.kind != "sym" or tok.text not in ("<", "<=", "=", ">=", ">"):
@@ -578,7 +595,7 @@ class _SpecParser:
             if rel != "=":
                 self.fail("~ tolerance only applies to =", tildetok)
             eps = self.number()
-        return SpecAtom(left, rel, right, eps)
+        return self.checked(check_atom, SpecAtom(left, rel, right, eps), vars_known, first)
 
 
 def parse_spec(text: str, source: str = "<string>") -> HyperSpec:

@@ -36,16 +36,14 @@ from hypersynth.analysis import (
     _prob1_max,
     _qualitative,
     _states,
-    batch_solves,
     check_members,
     compile_model,
     qualitative_states,
     row_table,
     solve_count,
-    solve_plan,
 )
 from hypersynth.benchmarks import generate
-from hypersynth.errors import InvalidControllerError, MissingRewardsError
+from hypersynth.errors import InvalidControllerError, MissingRewardsError, ModelError
 from hypersynth.exact import (
     expected_reward_exact,
     expected_visits_exact,
@@ -490,7 +488,7 @@ def test_check_members_match_check_mc_on_random_instances():
     for seed in range(200):
         m, spec, formula = _differential_instance(seed)
         space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-        compiled = compile_model(m, space)
+        compiled = compile_model(m, space, formula)
         members = list(islice(product(*space.domains), 256))
         want_holds, want_values = [], []
         for real in members:
@@ -506,7 +504,7 @@ def test_check_members_match_check_mc_on_random_instances():
         inf = np.isinf(want_values)
         for size in (1, 3, 256):
             batches = [
-                check_members(compiled, formula, members[start : start + size])
+                check_members(compiled, members[start : start + size])
                 for start in range(0, len(members), size)
             ]
             holds = np.concatenate([batch.holds for batch in batches])
@@ -530,10 +528,10 @@ def test_check_members_solve_shared_slot_chains_bit_for_bit():
         if spec.n_controllers != 2:
             continue
         space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-        compiled = compile_model(m, space)
+        compiled = compile_model(m, space, formula)
         members = np.array(list(islice(product(*space.domains), 64)), dtype=np.intp)
-        got = check_members(compiled, formula, members)
-        alone = [check_members(compiled, formula, members[b : b + 1]) for b in range(len(members))]
+        got = check_members(compiled, members)
+        alone = [check_members(compiled, members[b : b + 1]) for b in range(len(members))]
         assert got.values.tobytes() == np.concatenate([a.values for a in alone]).tobytes(), seed
         assert (got.truth == np.concatenate([a.truth for a in alone])).all(), seed
         assert (got.holds == np.concatenate([a.holds for a in alone])).all(), seed
@@ -545,13 +543,12 @@ def test_check_members_solve_shared_slot_chains_bit_for_bit():
 def test_check_members_reject_a_disabled_action_before_sharing_chains(monkeypatch):
     m, spec = generate("maze-sd", variant="checkpoint")  # two slots reading disjoint classes
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-    compiled = compile_model(m, space)
-    formula = instantiate(spec, m)
+    compiled = compile_model(m, space, instantiate(spec, m))
     members = np.array(list(islice(product(*space.domains), 8)), dtype=np.intp)
     shared = []
     distinct_rows = analysis._distinct_rows
     monkeypatch.setattr(analysis, "_distinct_rows", lambda a: shared.append(a) or distinct_rows(a))
-    check_members(compiled, formula, members)
+    check_members(compiled, members)
     assert len(shared) == 2  # both slots share chains among these members
     for bad in (-1, None):
         broken = members.copy()
@@ -560,7 +557,7 @@ def test_check_members_reject_a_disabled_action_before_sharing_chains(monkeypatc
             broken[3, k] = bad if bad is not None else len(space.domains[k])
         shared.clear()
         with pytest.raises(InvalidControllerError):
-            check_members(compiled, formula, broken)
+            check_members(compiled, broken)
         assert shared == []
 
 
@@ -569,7 +566,7 @@ def test_check_members_of_an_empty_batch():
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
     formula = instantiate(spec, m)
     before = solve_count()
-    got = check_members(compile_model(m, space), formula, [])
+    got = check_members(compile_model(m, space, formula), [])
     assert solve_count() == before
     atoms = len(formula.atoms)
     assert got.holds.shape == (0,) and got.values.shape == (0, atoms, 2)
@@ -584,7 +581,21 @@ def test_check_members_reward_query_needs_rewards():
     with pytest.raises(MissingRewardsError):
         check_mc([impose(m, induce(space, real, 0))], formula)
     with pytest.raises(MissingRewardsError):
-        check_members(compile_model(m, space), formula, [real])
+        check_members(compile_model(m, space, formula), [real])
+
+
+def test_compile_model_rejects_a_label_the_model_lacks():
+    # the formula is compiled with the model, so a query on a missing label
+    # fails there, before any member is checked
+    m, spec = generate("timing-attack", n=2)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    formula = instantiate(spec, m)
+    missing = Atom(Query("reach", 0, 0, "nowhere"), 0.5)
+    formula = InstantiatedFormula(formula.atoms + (missing,), formula.root)
+    before = solve_count()
+    with pytest.raises(ModelError, match="unknown label 'nowhere'"):
+        compile_model(m, space, formula)
+    assert solve_count() == before
 
 
 def test_solve_count_counts_each_solve_call_in_its_own_thread():
@@ -668,14 +679,14 @@ def _reach_formula(m, slots, labels, reward=None):
 def test_check_members_groups_closed_disjoint_targets(labels, reward, groups):
     m = _sinks_model()
     space = build_parameter_space(m, 2, ())
-    compiled = compile_model(m, space)
     formula = _reach_formula(m, (0, 1), labels, reward)
-    plan = solve_plan(compiled, formula)
-    assert sorted({group.targets for group in plan.values()}) == sorted(groups)
+    compiled = compile_model(m, space, formula)
+    assert sorted({group.targets for group in compiled.plan}) == sorted(groups)
+    plan = {(g.kind, g.slot, t): g for g in compiled.plan for t in g.targets}
     members = list(product(*space.domains))
     before = solve_count()
-    got = check_members(compiled, formula, members)
-    assert solve_count() - before == batch_solves(compiled, formula) == 2 * len(groups)
+    got = check_members(compiled, members)
+    assert solve_count() - before == compiled.solves == 2 * len(groups)
     partial = 0
     for b, real in enumerate(members):
         mcs = [impose(m, induce(space, real, i)) for i in range(2)]
@@ -707,11 +718,11 @@ def test_check_members_keep_exact_zeros_on_random_multi_sink_models():
     for seed in range(30):
         m, _ = multi_sink_instance(seed)
         space = build_parameter_space(m, 1, ())
-        compiled = compile_model(m, space)
         formula = _reach_formula(m, (0,), m.label_names())
-        assert batch_solves(compiled, formula) == 1
+        compiled = compile_model(m, space, formula)
+        assert compiled.solves == 1
         members = list(product(*space.domains))
-        got = check_members(compiled, formula, members).values[:, :, 0]
+        got = check_members(compiled, members).values[:, :, 0]
         for b, real in enumerate(members):
             mc = impose(m, induce(space, real, 0))
             exact = {name: reach_probs_exact(mc, mc.target(name)) for name in m.label_names()}

@@ -200,9 +200,9 @@ def test_enumerate_limit_checks_one_chunk(tmp_path, monkeypatch, capsys):
     batches = []
     batched = synthesis.check_members
 
-    def spy(compiled, formula, realisations):
+    def spy(compiled, realisations):
         batches.append(len(realisations))
-        return batched(compiled, formula, realisations)
+        return batched(compiled, realisations)
 
     monkeypatch.setattr(synthesis, "check_members", spy)
     code = main(["enumerate", "--model", str(model), "--spec", str(spec), "--limit", "1"])

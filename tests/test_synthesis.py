@@ -433,14 +433,14 @@ def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode,
     m, spec = generate(bench, **params)
     engine = _Synthesizer(m, spec, mode, "ar", None, None)
     assert "compiled" not in vars(engine)  # nothing compiles before it is needed
-    assert engine.batch_solves == groups
+    assert engine.compiled.solves == groups
     members = list(islice(product(*engine.space.domains), engine.compiled.chunk + 1))
     for batch in (members[:1], members[:-1], members):
         before = solve_count()
         engine._check(batch)
-        assert solve_count() - before == engine.batch_solves
+        assert solve_count() - before == engine.compiled.solves
     # optimal mode: each box pays for its own batches
-    chunk, q = engine.compiled.chunk, engine.batch_solves
+    chunk, q = engine.compiled.chunk, engine.compiled.solves
     engine.mode = "optimal"
     assert engine._member_solves(1) == q
     assert engine._member_solves(chunk) * chunk == pytest.approx(q)
@@ -511,7 +511,7 @@ def test_methods_agree_where_sink_queries_share_a_solve():
     cases = [generate("knuth-yao-pc", n=1)] + [multi_sink_instance(seed) for seed in range(20)]
     verdicts = []
     for m, spec in cases:
-        assert _Synthesizer(m, spec, "feasibility", "ar", None, None).batch_solves == 1
+        assert _Synthesizer(m, spec, "feasibility", "ar", None, None).compiled.solves == 1
         outs = {method: synthesize(m, spec, method=method) for method in ("ar", "hybrid", "oracle")}
         assert len({out.verdict for out in outs.values()}) == 1, {k: o.verdict for k, o in outs.items()}
         for method, out in outs.items():
@@ -623,9 +623,9 @@ def _count_batches(monkeypatch):
     batches = []
     batched = synthesis.check_members
 
-    def spy(compiled, formula, realisations):
+    def spy(compiled, realisations):
         batches.append(len(realisations))
-        return batched(compiled, formula, realisations)
+        return batched(compiled, realisations)
 
     monkeypatch.setattr(synthesis, "check_members", spy)
     return batches
@@ -724,7 +724,8 @@ BINARY_K = 12  # 4,096 members, several chunks at the family's model size
 
 
 def _chunk(m, spec):
-    return compile_model(m, build_parameter_space(m, spec.n_controllers, spec.constraints)).chunk
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    return compile_model(m, space, instantiate(spec, m)).chunk
 
 
 def _member(m, j):
@@ -801,7 +802,7 @@ def test_oracle_solves_are_its_batches(monkeypatch):
     m, spec = generate("maze-sd", variant="checkpoint")
     batches = _count_batches(monkeypatch)
     out = synthesize(m, spec, mode="optimal", method="oracle")
-    queries = _Synthesizer(m, spec, "optimal", "oracle", None, None).batch_solves
+    queries = _Synthesizer(m, spec, "optimal", "oracle", None, None).compiled.solves
     assert len(batches) > 1 and queries > 1
     assert out.stats["solves"] == len(batches) * queries
 

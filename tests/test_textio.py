@@ -140,24 +140,27 @@ def test_spec_roundtrip_random():
 @pytest.mark.parametrize(
     "text, fragment",
     [
-        ("exists : forall s in {0} [g] : P(s, F goal) <= 1", "exists"),
+        ("exists : forall s in {0} [g] : P(s, F goal) <= 1", "expected an identifier"),
         ("exists g : forall s in {0} [h] : P(s, F goal) <= 1", "unknown controller"),
         ("exists g : forall s in {0} [g] : P(t, F goal) <= 1", "t"),
         ("exists g : forall s in {0} [g] : P(s, F goal) < ", "end of input"),
         ("exists g : forall s in {0} [g] : P(s, F goal) <= 1 extra", "trailing"),
-        ("exists g : forall s in {0} [g] : P(s, F goal) <= 2.0", "reach"),
+        ("exists g : forall s in {0} [g] : P(s, F goal) <= 2.0", "1:34: probability bound"),
         ("exists g : forall s in {0} [g] : P(s, F goal) < 1 ~0.1", "~"),
         ("exists forall : forall s in {0} [forall] : P(s, F goal) <= 1", "reserved"),
-        ("exists g : forall s in {0} [g], forall s in {1} [g] : P(s, F goal) <= 1", "duplicate"),
-        ("exists g : forall s in {0} [g] : P(s, F goal) <= R(s, F goal)", "mix"),
+        ("exists g : forall s in {0} [g], forall s in {1} [g] : P(s, F goal) <= 1", "bound twice"),
+        ("exists g : forall s in {0} [g] : P(s, F goal) <= R(s, F goal)", "1:34: cannot compare"),
         ("exists g : forall s in {0} [g] : P(s, F goal) = 0.4 ~1e400", "too large"),
         ("exists g : forall s in {0} [g] : P(s, F goal) >= 1e400", "too large"),
+        ("exists g : same(3, {g}) ; forall s in {0} [g] : P(s, F goal) <= 1", "1:12: same()"),
+        ("exists g : obs({1}, g) ; forall s in {0} [g] : P(s, F goal) <= 1", "1:12: obs()"),
     ],
 )
 def test_parse_spec_rejects(text, fragment):
+    # a fragment starting with line:col also pins where the error points
     with pytest.raises(ParseError) as e:
         parse_spec(text)
-    assert fragment.lower() in str(e.value).lower() or True  # message sanity only
+    assert fragment.lower() in str(e.value).lower()
 
 
 def test_deep_nesting_rejected():
