@@ -12,7 +12,6 @@ refinement with optional conflict-based pruning.
 
 from .analysis import (
     CheckResult,
-    ValueVector,
     check_mc,
     expected_reward,
     expected_visits,
@@ -97,7 +96,6 @@ __all__ = [
     "SpecError",
     "SpecQuery",
     "SynthesisOutcome",
-    "ValueVector",
     "build_parameter_space",
     "check_mc",
     "enumerate_satisfying",

@@ -477,25 +477,14 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ValueVector:
-    """Per-state extremal values of one query and direction."""
-
-    values: tuple[float, ...]
-    kind: str
-    direction: str
-
-    def __getitem__(self, s: int) -> float:
-        return self.values[s]
-
-
-@dataclass(frozen=True)
 class ExtremalResult:
-    """Extremal values over all controllers plus a witness controller, the
-    final policy of the policy iteration, whose own values they are.
+    """Extremal values over all controllers, one per state, plus a witness
+    controller, the final policy of the policy iteration, whose own values
+    they are.
     Witness ordinals are the model's own, each among the actions the
     solve allowed in its state."""
 
-    values: ValueVector
+    values: tuple[float, ...]
     witness: Controller
 
 
@@ -577,8 +566,7 @@ def extremal_reach(m: Mdp, target, direction: str, allowed=None, rows=None) -> E
     _policy_iteration(rows, allowed, free, v, choice, sign)
     for s in free:  # the other states hold an exact 0 or 1
         v[s] = min(max(v[s], 0.0), 1.0)
-    vec = ValueVector(tuple(v), "reach", direction)
-    return ExtremalResult(vec, Controller(tuple(choice)))
+    return ExtremalResult(tuple(v), Controller(tuple(choice)))
 
 
 def extremal_reward(m: Mdp, target, direction: str, allowed=None, rows=None) -> ExtremalResult:
@@ -595,7 +583,7 @@ def extremal_reward(m: Mdp, target, direction: str, allowed=None, rows=None) -> 
     n = m.num_states
     choice = [menu[0] for menu in allowed]
     if not t:
-        return ExtremalResult(ValueVector((INF,) * n, "reward", direction), Controller(tuple(choice)))
+        return ExtremalResult((INF,) * n, Controller(tuple(choice)))
 
     v = [0.0] * n
     if direction == "max":
@@ -624,8 +612,7 @@ def extremal_reward(m: Mdp, target, direction: str, allowed=None, rows=None) -> 
     _policy_iteration(rows, allowed, free, v, choice, sign, m.reward)
     for s in free:  # the other states hold an exact 0 or INF
         v[s] = max(v[s], 0.0)
-    vec = ValueVector(tuple(v), "reward", direction)
-    return ExtremalResult(vec, Controller(tuple(choice)))
+    return ExtremalResult(tuple(v), Controller(tuple(choice)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,21 +633,17 @@ def check_mc(mcs, formula: InstantiatedFormula) -> CheckResult:
 
     if isinstance(mcs, Mc):
         mcs = (mcs,)
-    cache: dict[tuple[str, int, str], np.ndarray] = {}
+    found = {}
+    for kind, slot, target in formula.queries:
+        if slot >= len(mcs):
+            raise ModelError(f"no chain for controller slot {slot}")
+        mc = mcs[slot]
+        solve = reach_probs if kind == "reach" else expected_reward
+        found[kind, slot, target] = solve(mc, mc.target(target))
 
     def side_value(side):
         if isinstance(side, Query):
-            key = (side.kind, side.slot, side.target)
-            if key not in cache:
-                if side.slot >= len(mcs):
-                    raise ModelError(f"no chain for controller slot {side.slot}")
-                mc = mcs[side.slot]
-                tgt = mc.target(side.target)
-                if side.kind == "reach":
-                    cache[key] = reach_probs(mc, tgt)
-                else:
-                    cache[key] = expected_reward(mc, tgt)
-            return float(cache[key][side.state])
+            return float(found[side.kind, side.slot, side.target][side.state])
         return float(side)
 
     truth = {}
@@ -777,23 +760,17 @@ def _solve_plan(m: Mdp, probs, edges, row_state, formula) -> tuple[_Group, ...]:
     other such target of the slot, form one group; every other query is a
     group of its own."""
 
-    keys = dict.fromkeys(
-        (q.kind, q.slot, q.target)
-        for atom in formula.atoms
-        for q in (atom.left, atom.right)
-        if isinstance(q, Query)
-    )
     masks, into = {}, {}
-    for _, _, name in keys:
+    for _, _, name in formula.queries:
         if name not in masks:
             mask = masks[name] = np.zeros(m.num_states, dtype=bool)
             mask[list(m.label_states(name))] = True
             into[name] = np.zeros(len(probs))
             for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
                 into[name] += probs[:, t]
-    groups = {(kind, slot, t): (kind, slot, (t,)) for kind, slot, t in keys}
+    groups = {(kind, slot, t): (kind, slot, (t,)) for kind, slot, t in formula.queries}
     closed: dict[int, list[str]] = {}
-    for kind, slot, t in keys:
+    for kind, slot, t in formula.queries:
         if kind == "reach" and not edges[masks[t][row_state]][:, ~masks[t]].any():
             closed.setdefault(slot, []).append(t)
     for slot, targets in closed.items():

@@ -19,7 +19,7 @@ from .errors import HypersynthError, LimitExceeded, ParseError, SpecError
 from .family import build_parameter_space
 from .model import unfold_memory
 from .specs import lift_spec_memory
-from .synthesis import instantiate, satisfying_realisations, synthesize
+from .synthesis import METHODS, MODES, instantiate, satisfying_realisations, synthesize
 from .textio import (
     format_atom,
     parse_controller,
@@ -45,9 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="search the family for satisfying controllers")
     _add_common(sp)
-    sp.add_argument("--mode", choices=("feasibility", "complete", "optimal"),
-                    default="feasibility")
-    sp.add_argument("--method", choices=("ar", "hybrid", "oracle"), default="ar")
+    sp.add_argument("--mode", choices=MODES, default="feasibility")
+    sp.add_argument("--method", choices=METHODS, default="ar")
     sp.add_argument("--memory-bits", type=int, default=0,
                     help="unfold this many bits of controller memory first")
     sp.add_argument("--max-iters", type=int, default=None,
@@ -254,9 +253,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except LimitExceeded as e:
-        print(f"aborted: {e}", file=sys.stderr)
-        return 3
     except (HypersynthError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -216,37 +216,25 @@ class PartialAssignment:
 EMPTY_ASSIGNMENT = PartialAssignment(())
 
 
-def consistency_conflicts(space: ParameterSpace, slot: int, controller: Controller, relevant):
-    """Classes on which the controller disagrees with itself.
+def controller_box(space: ParameterSpace, slot: int, controller: Controller, relevant):
+    """(box, conflicts) of the controller on the relevant states.
 
-    The controller assigns an action per state; a class conflicts when its
-    member states for this controller slot, restricted to the relevant set,
-    receive more than one distinct action.  Returns {class: sorted actions}.
+    conflicts maps each class whose member states for this controller slot,
+    restricted to the relevant set, receive more than one distinct action
+    to those actions, sorted.  box is None when there are conflicts, and
+    otherwise the PartialAssignment of the realisations inducing this
+    controller on the relevant states.  Classes without relevant member
+    states stay free: choices there do not affect the analysed value and
+    are repaired by whatever the realisation assigns.
     """
 
     chosen: dict[int, set[int]] = {}
-    for s in sorted(relevant):
-        k = space.class_index(slot, s)
-        chosen.setdefault(k, set()).add(controller[s])
-    return {k: tuple(sorted(acts)) for k, acts in chosen.items() if len(acts) > 1}
-
-
-def controller_box(space: ParameterSpace, slot: int, controller: Controller, relevant):
-    """The realisations inducing this controller on the relevant states,
-    as a PartialAssignment; None when the controller is inconsistent.
-
-    Classes without relevant member states stay free: choices there do not
-    affect the analysed value and are repaired by whatever the realisation
-    assigns.
-    """
-
-    fixed: dict[int, int] = {}
-    for s in sorted(relevant):
-        k = space.class_index(slot, s)
-        a = controller[s]
-        if fixed.setdefault(k, a) != a:
-            return None
-    return PartialAssignment.of(fixed)
+    for s in relevant:
+        chosen.setdefault(space.class_index(slot, s), set()).add(controller[s])
+    conflicts = {k: tuple(sorted(acts)) for k, acts in chosen.items() if len(acts) > 1}
+    if conflicts:
+        return None, conflicts
+    return PartialAssignment.of({k: min(acts) for k, acts in chosen.items()}), conflicts
 
 
 def split_node(node: FamilyNode, k: int, actions) -> list[FamilyNode]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,18 @@ class InstantiatedFormula:
 
     atoms: tuple[Atom, ...]
     root: tuple
+
+    @cached_property
+    def queries(self) -> tuple[tuple[str, int, str], ...]:
+        """The distinct (kind, slot, target) queries of the atoms' sides, in
+        first-occurrence order: one value vector each answers every side."""
+
+        return tuple(dict.fromkeys(
+            (q.kind, q.slot, q.target)
+            for atom in self.atoms
+            for q in (atom.left, atom.right)
+            if isinstance(q, Query)
+        ))
 
     def evaluate(self, truth) -> bool:
         return evaluate(self.root, truth)

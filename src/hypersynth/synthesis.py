@@ -4,12 +4,13 @@ The engine answers: does the family hold a tuple of controllers satisfying
 an instantiated hyperproperty, and in complete or optimal modes, which
 members or which maximally different pair.
 
-A family node (box) is analysed atom by atom: each comparison side gets a
-value interval from optimistic and pessimistic controllers of the MDP
+A family node (box) is analysed in one table: each distinct query of the
+formula gets its minimal and maximal values over the controllers of the MDP
 restricted to the node, which is the MDP itself with each state's actions
-limited to those the node allows (see family.node_restrict).  Atoms
-decided on the whole box simplify the formula; a box whose residual
-collapses is classified wholesale.  Open boxes produce
+limited to those the node allows (see family.node_restrict), and every
+atom is classified on that table.  Atoms decided on the whole box simplify
+the formula; a box whose residual collapses is classified wholesale.  Open
+boxes produce
 candidate members from the extremal witnesses, which are verified exactly
 before being reported.  Undecided boxes are split on the parameter class
 where the witnesses of the first conflicting open atom use the most
@@ -91,7 +92,6 @@ from .family import (
     ParameterSpace,
     PartialAssignment,
     build_parameter_space,
-    consistency_conflicts,
     controller_box,
     induce,
     node_restrict,  # bench/spans.py times box restriction by wrapping it here
@@ -210,20 +210,8 @@ def instantiate(spec: HyperSpec, m: Mdp) -> InstantiatedFormula:
 # Interval analysis of one box
 
 
-@dataclass(frozen=True)
-class SideBounds:
-    """Extremal value vectors of one (slot, kind, target) side over a box,
-    with witness controllers choosing among the box's actions."""
-
-    min_values: object
-    max_values: object
-    min_controller: Controller
-    max_controller: Controller
-
-
 @dataclass
 class AtomVerdict:
-    index: int
     case: str  # "allsat" | "allunsat" | "open"
     tag: str   # table row that fired: "1".."5", or "0" for none
     left: tuple[float, float]
@@ -234,18 +222,12 @@ class AtomVerdict:
 
 
 class NodeAnalyzer:
-    """Per-box interval bounds and atom classification, with caching."""
+    """Interval bounds of a box's queries, and atom classification on them."""
 
     def __init__(self, m: Mdp, space: ParameterSpace, formula: InstantiatedFormula):
         self.m = m
         self.space = space
         self.formula = formula
-        # menus and bounds of the box last asked about, keyed by slot and by
-        # (slot, kind, target); a box's sides are only asked for while that
-        # box is analysed
-        self._box = None
-        self._menus: dict = {}
-        self._bounds: dict = {}
 
     @cached_property
     def rows(self) -> RowTable:
@@ -253,70 +235,61 @@ class NodeAnalyzer:
 
         return row_table(self.m)
 
-    def side_bounds(self, node: FamilyNode, q: Query) -> SideBounds:
-        if node.domains != self._box:
-            self._box = node.domains
-            self._menus.clear()
-            self._bounds.clear()
-        key = (q.slot, q.kind, q.target)
-        got = self._bounds.get(key)
-        if got is not None:
-            return got
-        allowed = self._menus.get(q.slot)
-        if allowed is None:
-            allowed = self._menus[q.slot] = node_restrict(self.m, node, q.slot)
-        tgt = self.m.target(q.target)
-        solve = extremal_reach if q.kind == "reach" else extremal_reward
-        lo = solve(self.m, tgt, "min", allowed, self.rows)
-        hi = solve(self.m, tgt, "max", allowed, self.rows)
-        got = SideBounds(lo.values, hi.values, lo.witness, hi.witness)
-        self._bounds[key] = got
-        return got
+    def side_bounds(self, node: FamilyNode) -> dict:
+        """The box's bounds table: per (kind, slot, target) query of the
+        formula, its (min, max) ExtremalResult over the box, whose witnesses
+        choose among the box's actions."""
 
-    def atom_verdict(self, node: FamilyNode, i: int) -> AtomVerdict:
+        menus, bounds = {}, {}
+        for kind, slot, target in self.formula.queries:
+            if slot not in menus:
+                menus[slot] = node_restrict(self.m, node, slot)
+            solve = extremal_reach if kind == "reach" else extremal_reward
+            tgt = self.m.target(target)
+            bounds[kind, slot, target] = tuple(
+                solve(self.m, tgt, d, menus[slot], self.rows) for d in ("min", "max")
+            )
+        return bounds
+
+    def atom_verdict(self, bounds: dict, i: int) -> AtomVerdict:
+        """Classify atom i on a box, given the box's side_bounds table."""
+
         atom = self.formula.atoms[i]
         off = atom.offset
 
         def interval(side):
             if isinstance(side, Query):
-                sb = self.side_bounds(node, side)
-                return (float(sb.min_values[side.state]), float(sb.max_values[side.state])), sb
-            return (float(side), float(side)), None
+                lo, hi = bounds[side.kind, side.slot, side.target]
+                return float(lo.values[side.state]), float(hi.values[side.state])
+            return float(side), float(side)
 
-        (lo_l, hi_l), sb_l = interval(atom.left)
-        (lo_r, hi_r), sb_r = interval(atom.right)
+        lo_l, hi_l = interval(atom.left)
+        lo_r, hi_r = interval(atom.right)
 
         if atom.strict:
             if hi_l < lo_r + off - GUARD_BAND:
-                return AtomVerdict(i, "allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
+                return AtomVerdict("allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
             if lo_l >= hi_r + off + GUARD_BAND:
-                return AtomVerdict(i, "allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
+                return AtomVerdict("allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
         else:
             if hi_l <= lo_r + off - GUARD_BAND:
-                return AtomVerdict(i, "allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
+                return AtomVerdict("allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
             if lo_l > hi_r + off + GUARD_BAND:
-                return AtomVerdict(i, "allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
+                return AtomVerdict("allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
 
-        # open: mine the satisfaction-directed witnesses for candidates
-        boxes = {}
-        conflict_actions: dict = {}
-        for side_name, q, sb, wit_attr in (
-            ("left", atom.left, sb_l, "min_controller"),
-            ("right", atom.right, sb_r, "max_controller"),
-        ):
+        # open: mine the satisfaction-directed witnesses (the left side's
+        # minimiser, the right side's maximiser) for candidates
+        boxes, conflict_actions = [], {}
+        for pick, q in enumerate((atom.left, atom.right)):
             if not isinstance(q, Query):
-                boxes[side_name] = EMPTY_ASSIGNMENT
+                boxes.append(EMPTY_ASSIGNMENT)
                 continue
-            witness = getattr(sb, wit_attr)
+            witness = bounds[q.kind, q.slot, q.target][pick].witness
             relevant = self.rows.reachable(witness, q.state)
-            conflicts = consistency_conflicts(self.space, q.slot, witness, relevant)
-            if conflicts:
-                boxes[side_name] = None
-                for k, acts in conflicts.items():
-                    merged = set(conflict_actions.get(k, ())) | set(acts)
-                    conflict_actions[k] = tuple(sorted(merged))
-            else:
-                boxes[side_name] = controller_box(self.space, q.slot, witness, relevant)
+            box, conflicts = controller_box(self.space, q.slot, witness, relevant)
+            boxes.append(box)
+            for k, acts in conflicts.items():
+                conflict_actions[k] = tuple(sorted(set(conflict_actions.get(k, ())) | set(acts)))
 
         # margin requirements: a strict atom's candidate must be able to
         # satisfy strictly, not just touch the bound
@@ -326,7 +299,7 @@ class NodeAnalyzer:
         tag = "0"
         candidates: tuple[PartialAssignment, ...] = ()
         disagreements: tuple[tuple[int, int, int], ...] = ()
-        box_l, box_r = boxes.get("left"), boxes.get("right")
+        box_l, box_r = boxes
         cond5 = lo_r + off <= lo_l <= hi_r + off <= hi_l and sat_possible(lo_l, hi_r + off)
         cond3 = sat_possible(lo_l, lo_r + off)
         cond4 = sat_possible(hi_l, hi_r + off)
@@ -349,8 +322,7 @@ class NodeAnalyzer:
             tag, candidates = "4", (box_r,)
 
         return AtomVerdict(
-            i, "open", tag, (lo_l, hi_l), (lo_r, hi_r),
-            candidates, disagreements, conflict_actions,
+            "open", tag, (lo_l, hi_l), (lo_r, hi_r), candidates, disagreements, conflict_actions,
         )
 
     def score_conflicts(self, verdict: AtomVerdict) -> dict:
@@ -665,11 +637,6 @@ class _Synthesizer:
 
         return compile_model(self.m, self.space, self.formula)
 
-    def _check(self, realisations):
-        """Check members in one batch."""
-
-        return check_members(self.compiled, realisations)
-
     def _decide(self, members: int):
         """Count a box of this many members as settled, whichever way."""
 
@@ -747,7 +714,7 @@ class _Synthesizer:
             return None
         if node.size() == 1:
             real = np.array([node.first_realisation()], dtype=np.intp)
-            return self._found(self._settle(real, self._check(real).holds))
+            return self._found(self._settle(real, check_members(self.compiled, real).holds))
         explored, solves = self.explored, solve_count()
         done = self._analyse(node, stack)
         self.analysis_solves += solve_count() - solves
@@ -758,9 +725,9 @@ class _Synthesizer:
     def _analyse(self, node, stack):
         """Interval-analyse a box, then decide, split or prune it."""
 
+        bounds = self.analyzer.side_bounds(node)
         verdicts = {
-            i: self.analyzer.atom_verdict(node, i)
-            for i in range(len(self.formula.atoms))
+            i: self.analyzer.atom_verdict(bounds, i) for i in range(len(self.formula.atoms))
         }
         if self.iterations == 1:
             self.atom_report = [
@@ -789,7 +756,7 @@ class _Synthesizer:
             return None
         if residual == TRUE:
             return self._handle_allsat(node, stack)
-        return self._handle_open(node, residual, verdicts, stack)
+        return self._handle_open(node, residual, verdicts, bounds, stack)
 
     def _enumerate(self, nodes):
         """Settle boxes by checking their members, box by box and each in
@@ -803,7 +770,7 @@ class _Synthesizer:
 
         for chunk in member_chunks((node.domains for node in nodes), self.compiled.chunk):
             self._check_limits()
-            holds = self._check(chunk).holds
+            holds = check_members(self.compiled, chunk).holds
             self._check_limits()
             room = len(chunk) if self.max_iters is None else self.max_iters - self.iterations
             explored = self.explored
@@ -866,7 +833,7 @@ class _Synthesizer:
             real = max_distance_completion(node, self.pairs)
         else:
             real = node.first_realisation()
-        if not self._check([real]).holds[0]:
+        if not check_members(self.compiled, [real]).holds[0]:
             self._split(node, stack)
             return None
         if self.mode == "feasibility":
@@ -879,7 +846,7 @@ class _Synthesizer:
         self._decide(node.size())
         return None
 
-    def _handle_open(self, node, residual, verdicts, stack):
+    def _handle_open(self, node, residual, verdicts, bounds, stack):
         """Check the open box's candidates, and under hybrid its first
         member, in one batch; then prune or split the box."""
 
@@ -887,7 +854,7 @@ class _Synthesizer:
         if self.mode != "complete":
             candidates = [pa.complete(node) for pa in _compose(residual, verdicts)]
         first = [node.first_realisation()] if self.method == "hybrid" else []
-        checks = self._check(candidates + first) if candidates or first else None
+        checks = check_members(self.compiled, candidates + first) if candidates or first else None
         for j, real in enumerate(candidates):
             if not checks.holds[j]:
                 continue
@@ -906,7 +873,7 @@ class _Synthesizer:
                 if self.mode == "optimal":
                     self._note_sat(real)
             else:
-                rest = self._try_conflict_prune(node, residual, real, checks.truth[-1])
+                rest = self._try_conflict_prune(node, residual, real, checks.truth[-1], bounds)
                 if rest is not None:
                     stack.extend(rest)
                     return None
@@ -946,11 +913,12 @@ class _Synthesizer:
 
     # -- hybrid counterexamples ------------------------------------------
 
-    def _try_conflict_prune(self, node, residual, real, truth):
+    def _try_conflict_prune(self, node, residual, real, truth, bounds):
         """Certify the checked member's violation for a sub-box and carve
-        it out; truth[i] is whether the member meets atom i.  Returns the
-        complement boxes, or None when no mandatory reachability comparison
-        yields a certificate."""
+        it out; truth[i] is whether the member meets atom i, and bounds is
+        the box's side_bounds table, whose lower bounds deflate a left side
+        and upper bounds a right one.  Returns the complement boxes, or None
+        when no mandatory reachability comparison yields a certificate."""
 
         mcs = tuple(impose(self.m, c) for c in controllers(self.space, real))
         best = None
@@ -965,20 +933,14 @@ class _Synthesizer:
                 continue
             sides = []
             slots = []
-            for side, attr in ((atom.left, "min_values"), (atom.right, "max_values")):
+            for pick, side in enumerate((atom.left, atom.right)):
                 if not isinstance(side, Query):
                     sides.append(float(side))
                     slots.append(None)
                     continue
-                sb = self.analyzer.side_bounds(node, side)
-                sides.append(
-                    CeSide(
-                        mcs[side.slot],
-                        side.state,
-                        frozenset(self.m.label_states(side.target)),
-                        getattr(sb, attr),
-                    )
-                )
+                weights = bounds[side.kind, side.slot, side.target][pick].values
+                target = frozenset(self.m.label_states(side.target))
+                sides.append(CeSide(mcs[side.slot], side.state, target, weights))
                 slots.append(side.slot)
             grown = grow_conflict(sides[0], sides[1], atom.offset, self.act_counts)
             if grown is None:

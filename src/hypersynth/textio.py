@@ -102,7 +102,9 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
     n_states = None
     saw_mdp = False
     trans: dict[tuple[int, int], dict[int, Fraction]] = {}
-    first_at: dict[tuple[int, int], tuple[int, int]] = {}
+    # (directive, state, action) -> (line, column) of its line; the first
+    # one of a row's 'trans' lines
+    at: dict[tuple[str, int, int], tuple[int, int]] = {}
     names: dict[tuple[int, int], str] = {}
     labels: dict[str, set[int]] = {}
     rewards: dict[tuple[int, int], float] = {}
@@ -166,7 +168,7 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
             if t in dist:
                 fail(f"duplicate transition {s} {a} {t}", lineno, toks[3][1])
             dist[t] = p
-            first_at.setdefault((s, a), (lineno, col0))
+            at.setdefault(("trans", s, a), (lineno, col0))
         elif word == "action":
             if len(toks) != 4:
                 fail("'action' takes state, ordinal, name", lineno, col0)
@@ -175,6 +177,7 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
             if (s, a) in names:
                 fail(f"duplicate name for action {a} of state {s}", lineno, col0)
             names[(s, a)] = toks[3][0]
+            at["action", s, a] = lineno, col0
         elif word == "label":
             if len(toks) < 2:
                 fail("'label' takes a name and states", lineno, col0)
@@ -196,6 +199,7 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
             except OverflowError:
                 fail(f"reward {toks[3][0]!r} out of range", lineno, toks[3][1])
             saw_rewards = True
+            at["rew", s, a] = lineno, col0
         else:
             fail(f"unknown directive {word!r}", lineno, col0)
 
@@ -212,24 +216,22 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
         if not acts:
             raise ParseError(f"state {s} has no transitions", source, 0, 0)
         if acts != set(range(len(acts))):
+            line, col = at["trans", s, min(a for a in acts if a >= len(acts))]
             raise ParseError(
-                f"state {s}: action ordinals not contiguous from 0", source, 0, 0
+                f"state {s}: action ordinals not contiguous from 0", source, line, col
             )
-    for s, a in names:
-        if a not in menus[s]:
-            raise ParseError(
-                f"'action' line names missing action {a} of state {s}", source, 0, 0
-            )
-    for s, a in rewards:
-        if a not in menus[s]:
-            raise ParseError(
-                f"'rew' line names missing action {a} of state {s}", source, 0, 0
-            )
+    for word, entries in (("action", names), ("rew", rewards)):
+        for s, a in entries:
+            if a not in menus[s]:
+                line, col = at[word, s, a]
+                raise ParseError(
+                    f"'{word}' line names missing action {a} of state {s}", source, line, col
+                )
 
     for (s, a), dist in trans.items():
         total = sum(dist.values())
         if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            line, col = first_at[(s, a)]
+            line, col = at["trans", s, a]
             raise ParseError(
                 f"state {s} action {a}: probabilities sum to {float(total)!r}",
                 source, line, col,

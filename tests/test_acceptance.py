@@ -258,19 +258,20 @@ def test_c05_bounds_contain_member_values():
         real = _random_member(rng, node)
         mcs = [impose(m, induce(space, real, i)) for i in range(spec.n_controllers)]
 
+        bounds = analyzer.side_bounds(node)
         for i, atom in enumerate(formula.atoms):
             for side in (atom.left, atom.right):
                 if not isinstance(side, Query):
                     continue
-                sb = analyzer.side_bounds(node, side)
-                lb = float(sb.min_values[side.state])
-                ub = float(sb.max_values[side.state])
+                lo, hi = bounds[side.kind, side.slot, side.target]
+                lb = float(lo.values[side.state])
+                ub = float(hi.values[side.state])
                 v = _side_value(m, mcs, side)
                 assert lb - GUARD_BAND <= v <= ub + GUARD_BAND, (seed, side, lb, v, ub)
                 pairs += 1
 
             # every box ruled wholly unsatisfying gets 10 member rechecks
-            verdict = analyzer.atom_verdict(node, i)
+            verdict = analyzer.atom_verdict(bounds, i)
             if verdict.case == "allunsat":
                 for _ in range(10):
                     member = _random_member(rng, node)
@@ -368,7 +369,7 @@ def test_c07_split_takes_the_widest_conflict():
 
     def split_on(conflicts):
         verdict = AtomVerdict(
-            index=0, case="open", tag="0", left=(0.0, 1.0), right=(0.0, 1.0),
+            case="open", tag="0", left=(0.0, 1.0), right=(0.0, 1.0),
             conflict_actions=conflicts,
         )
         stack = []
@@ -381,7 +382,7 @@ def test_c07_split_takes_the_widest_conflict():
 
     # the widest conflict wins over a lower class index
     wide = AtomVerdict(
-        0, "open", "0", (0.0, 1.0), (0.0, 1.0), conflict_actions={k1: (0, 1), k2: (0, 1, 2)},
+        "open", "0", (0.0, 1.0), (0.0, 1.0), conflict_actions={k1: (0, 1), k2: (0, 1, 2)},
     )
     assert engine.analyzer.score_conflicts(wide) == {k1: 2, k2: 3}
     assert split_on({k1: (0, 1), k2: (0, 1, 2)}) == ({k2}, [(0,), (1,), (2,)])

@@ -228,8 +228,8 @@ def test_fixpoints_join_in_scan_order_with_the_lowest_action():
     lo = extremal_reach(m, m.target("goal"), "min")
     assert hi.witness.choices == (0, 0, 0, 1, 0, 0, 0, 0, 0)
     assert lo.witness.choices == (0, 0, 0, 0, 0, 0, 0, 1, 0)
-    assert hi.values.values == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.75, 0.0)
-    assert lo.values.values == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.5, 0.0)
+    assert hi.values == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.75, 0.0)
+    assert lo.values == (1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.5, 0.0)
 
 
 def test_extremal_reach_past_one_machine_word():

@@ -15,7 +15,6 @@ from hypersynth import (
 from hypersynth.family import (
     EMPTY_ASSIGNMENT,
     PartialAssignment,
-    consistency_conflicts,
     controller_box,
 )
 from hypersynth.specs import Obs, Same
@@ -127,17 +126,15 @@ def test_partial_assignment_complete(notes_mdp):
 def test_consistency_conflicts_and_box(notes_mdp):
     space = build_parameter_space(notes_mdp, 1, (Obs((0, 1), 0),))
     # a controller assigning different actions to tied states conflicts
-    # once both states are relevant
+    # once both states are relevant, and then has no box
     ctrl = Controller((0, 1, 0, 0))
     k = space.class_index(0, 0)
-    conflicts = consistency_conflicts(space, 0, ctrl, frozenset({0, 1}))
-    assert conflicts == {k: (0, 1)}
+    assert controller_box(space, 0, ctrl, frozenset({0, 1})) == (None, {k: (0, 1)})
     # with only one tied state relevant there is no conflict, and the box
     # pins the class to that state's action
-    assert consistency_conflicts(space, 0, ctrl, frozenset({1})) == {}
-    box = controller_box(space, 0, ctrl, frozenset({1}))
+    box, conflicts = controller_box(space, 0, ctrl, frozenset({1}))
+    assert conflicts == {}
     assert box is not None and box.as_dict()[k] == 1
-    assert controller_box(space, 0, ctrl, frozenset({0, 1})) is None
 
 
 def test_family_sizes_match_enumeration():

@@ -22,7 +22,7 @@ from hypersynth import (
     unfold_memory,
 )
 from hypersynth import synthesis
-from hypersynth.analysis import compile_model, solve_count
+from hypersynth.analysis import check_members, compile_model, solve_count
 from hypersynth.errors import SpecError
 from hypersynth.exact import reach_probs_exact
 from hypersynth.family import build_parameter_space, induce
@@ -437,7 +437,7 @@ def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode,
     members = list(islice(product(*engine.space.domains), engine.compiled.chunk + 1))
     for batch in (members[:1], members[:-1], members):
         before = solve_count()
-        engine._check(batch)
+        check_members(engine.compiled, batch)
         assert solve_count() - before == engine.compiled.solves
     # optimal mode: each box pays for its own batches
     chunk, q = engine.compiled.chunk, engine.compiled.solves
@@ -448,6 +448,46 @@ def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode,
     # elsewhere sibling boxes share a chunk, so a member costs its share
     engine.mode = "complete"
     assert engine._member_solves(1) == engine._member_solves(chunk + 1) == q / chunk
+
+
+@pytest.mark.parametrize(
+    "bench, params, mode",
+    [("knuth-yao-pc", {"n": 1}, "feasibility"), ("maze-sd", {"variant": "checkpoint"}, "optimal")],
+    ids=["knuth-yao-pc", "maze-sd"],
+)
+def test_a_box_analysis_solves_each_query_once(monkeypatch, bench, params, mode):
+    """Analysing a box makes one min and one max solve per distinct query,
+    however many atoms share it, and a hybrid certificate try on the box
+    makes none."""
+
+    m, spec = generate(bench, **params)
+    engine = _Synthesizer(m, spec, mode, "hybrid", None, None)
+    solves = []
+    for name in ("extremal_reach", "extremal_reward"):
+        solve = getattr(synthesis, name)
+
+        def spy(*args, _solve=solve, _name=name):
+            solves.append(_name)
+            return _solve(*args)
+
+        monkeypatch.setattr(synthesis, name, spy)
+    tries = []
+    try_prune = engine._try_conflict_prune
+
+    def counted_try(*args):
+        before = len(solves)
+        out = try_prune(*args)
+        tries.append(len(solves) - before)
+        return out
+
+    monkeypatch.setattr(engine, "_try_conflict_prune", counted_try)
+    engine._analyse(root_node(engine.space), [])
+    queries = engine.formula.queries
+    assert len(queries) < 2 * len(engine.formula.atoms)  # atoms share queries
+    assert len(solves) == 2 * len(queries)
+    assert sorted(set(solves)) == sorted({f"extremal_{kind}" for kind, _, _ in queries})
+    if bench == "knuth-yao-pc":
+        assert tries == [0] and engine.ce_prunes == 1
 
 
 # the complete and search problems of the benchmark, with its modes and

@@ -75,6 +75,19 @@ def test_parse_error_carries_position():
     assert err.source == "m.txt"
     assert err.line == 3
     assert "m.txt:3:" in str(err)
+    # checks made once the whole model is read point at the line they name
+    for text, where in (
+        ("trans 0 0 0 1\naction 0 3 x\n", "m.txt:5:1: 'action' line names missing action 3"),
+        ("trans 0 0 0 1\n  rew 0 2 1\n", "m.txt:5:3: 'rew' line names missing action 2"),
+        # ordinals 0, 2, 3 of three actions: 3 is out of place, first named on line 5
+        (
+            "trans 0 0 0 1\ntrans 0 3 0 0.5\ntrans 0 2 0 1\ntrans 0 3 1 0.5\n",
+            "m.txt:5:1: state 0: action ordinals not contiguous from 0",
+        ),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_model("mdp\nstates 2\ntrans 1 0 1 1\n" + text, source="m.txt")
+        assert where in str(e.value)
     # a literal beyond float range is rejected at its own token
     with pytest.raises(ParseError) as e:
         parse_spec("exists g : forall s in {0} [g] :\n P(s, F goal) = 0.4 ~1e400", source="s.spec")
