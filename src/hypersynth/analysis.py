@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import InvalidControllerError, MissingRewardsError, ModelError
 from .formulas import InstantiatedFormula, Query
-from .model import Controller, Mc, Mdp, Row, TargetSet
+from .model import Controller, Mc, Mdp, Row
 
 # The engine's numeric tolerances.  An atom is decided on a whole box (or a
 # certificate closed) only with GUARD_BAND of slack on its bounds, to absorb
@@ -117,14 +117,11 @@ def solve_count() -> int:
 
 
 def _target_states(model, target) -> frozenset[int]:
-    if isinstance(target, TargetSet):
-        states = target.states
-    else:
-        states = frozenset(target)
+    states = frozenset(target)
     for s in states:
         if not (0 <= s < model.num_states):
             raise ModelError(f"target state {s} out of range")
-    return frozenset(states)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +761,7 @@ def _solve_plan(m: Mdp, probs, edges, row_state, formula) -> tuple[_Group, ...]:
     for _, _, name in formula.queries:
         if name not in masks:
             mask = masks[name] = np.zeros(m.num_states, dtype=bool)
-            mask[list(m.label_states(name))] = True
+            mask[list(m.target(name))] = True
             into[name] = np.zeros(len(probs))
             for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
                 into[name] += probs[:, t]

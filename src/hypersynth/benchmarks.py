@@ -1,8 +1,9 @@
 """Built-in benchmark families.
 
 Each generator is deterministic in its parameters and returns a model
-together with a matching specification, so the same call always produces
-byte-identical files through the text writers.  The families:
+together with a matching specification, written in the spec language and
+read by ``parse_spec``, so the same call always produces byte-identical
+files through the text writers.  The families:
 
 knuth-yao-pc      program-conformance: resynthesise a fair die from fair
                   coins next to a reference die, with the first n+1 coin
@@ -22,23 +23,8 @@ from __future__ import annotations
 
 from .errors import SpecError
 from .model import Mdp, make_mdp
-from .specs import (
-    HyperSpec,
-    Obs,
-    Quantifier,
-    SpecAtom,
-    SpecQuery,
-)
-
-
-def _forall(var: str, state: int, controller: int = 0) -> Quantifier:
-    return Quantifier("forall", var, (state,), controller)
-
-
-def _atom(kind, lv, rel, rv, eps=None):
-    left = SpecQuery(kind, lv[0], lv[1])
-    right = SpecQuery(kind, rv[0], rv[1]) if isinstance(rv, tuple) else rv
-    return ("atom", SpecAtom(left, rel, right, eps))
+from .specs import HyperSpec
+from .textio import parse_spec
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +80,9 @@ def knuth_yao_pc(n: int = 0) -> tuple[Mdp, HyperSpec]:
     labels = {f"die{k}": (k, 13 + k) for k in range(1, 7)}
     m = make_mdp(trans, labels=labels, action_names=names)
 
-    formula = (
-        "and",
-        tuple(
-            _atom("reach", ("s1", f"die{k}"), "=", ("s2", f"die{k}"))
-            for k in range(1, 7)
-        ),
-    )
-    spec = HyperSpec(
-        ("sigma",),
-        (),
-        (_forall("s1", 0), _forall("s2", 7)),
-        formula,
+    fair = " & ".join(f"P(s1, F die{k}) = P(s2, F die{k})" for k in range(1, 7))
+    spec = parse_spec(
+        f"exists sigma : forall s1 in {{0}} [sigma], forall s2 in {{7}} [sigma] : {fair}"
     )
     return m, spec
 
@@ -185,11 +162,9 @@ def maze_sd(variant: str = "simple", delta: float = 0.02) -> tuple[Mdp, HyperSpe
                 trans.append([_maze_move(s, d) for d in range(4)])
                 names.append(list(dirs))
         m = make_mdp(trans, labels={"goal": (_MAZE_GOAL,)}, action_names=names)
-        spec = HyperSpec(
-            ("sigma",),
-            (),
-            (_forall("s1", 0), _forall("s2", 8)),
-            _atom("reach", ("s1", "goal"), ">=", ("s2", "goal")),
+        spec = parse_spec(
+            "exists sigma : forall s1 in {0} [sigma], forall s2 in {8} [sigma] :"
+            " P(s1, F goal) >= P(s2, F goal)"
         )
         return m, spec
 
@@ -231,18 +206,12 @@ def maze_sd(variant: str = "simple", delta: float = 0.02) -> tuple[Mdp, HyperSpe
     )
 
     # cells sharing a wall signature are observationally identical
-    groups = ((1, 2, 3), (6, 7, 8))
-    constraints = tuple(
-        Obs(g, c) for c in range(2) for g in groups
-    )
-    spec = HyperSpec(
-        ("sigma1", "sigma2"),
-        constraints,
-        (
-            Quantifier("forall", "s1", (0,), 0),
-            Quantifier("forall", "s2", (0,), 1),
-        ),
-        _atom("reward", ("s1", "broken"), "=", ("s2", "broken"), 0.75),
+    spec = parse_spec(
+        "exists sigma1, sigma2 :"
+        " obs({1, 2, 3}, sigma1) & obs({6, 7, 8}, sigma1)"
+        " & obs({1, 2, 3}, sigma2) & obs({6, 7, 8}, sigma2) ;"
+        " forall s1 in {0} [sigma1], forall s2 in {0} [sigma2] :"
+        " R(s1, F broken) = R(s2, F broken) ~0.75"
     )
     return m, spec
 
@@ -284,11 +253,9 @@ def thread_scheduling(h1: int = 10, h2: int = 20) -> tuple[Mdp, HyperSpec]:
 
     labels = {"done": (h1, h1 + 1 + h2), "abort": (abort,)}
     m = make_mdp(trans, labels=labels, action_names=names)
-    spec = HyperSpec(
-        ("sigma",),
-        (),
-        (_forall("s1", 0), _forall("s2", init2)),
-        _atom("reach", ("s1", "done"), ">", ("s2", "done")),
+    spec = parse_spec(
+        f"exists sigma : forall s1 in {{0}} [sigma], forall s2 in {{{init2}}} [sigma] :"
+        " P(s1, F done) > P(s2, F done)"
     )
     return m, spec
 
@@ -333,11 +300,9 @@ def timing_attack(n: int = 4) -> tuple[Mdp, HyperSpec]:
 
     labels = {"done": (n, total - 1)}
     m = make_mdp(trans, labels=labels, rewards=rewards, action_names=names)
-    spec = HyperSpec(
-        ("sigma",),
-        (),
-        (_forall("s1", init2), _forall("s2", 0)),
-        _atom("reward", ("s1", "done"), "<=", ("s2", "done")),
+    spec = parse_spec(
+        f"exists sigma : forall s1 in {{{init2}}} [sigma], forall s2 in {{0}} [sigma] :"
+        " R(s1, F done) <= R(s2, F done)"
     )
     return m, spec
 

@@ -15,7 +15,7 @@ import sys
 
 from .analysis import check_members, compile_model
 from .benchmarks import BENCHMARKS, generate as make_benchmark
-from .errors import HypersynthError, LimitExceeded, ParseError, SpecError
+from .errors import HypersynthError, LimitExceeded, SpecError
 from .family import build_parameter_space
 from .model import unfold_memory
 from .specs import lift_spec_memory
@@ -135,18 +135,6 @@ def _cmd_synth(args) -> int:
     return 0 if out.feasible else 1
 
 
-def _resolve_action(m, s, token, source):
-    if token.isdigit():
-        a = int(token)
-        if a >= m.num_actions(s):
-            raise ParseError(f"state {s} has no action ordinal {a}", source, 0, 0)
-        return a
-    for a in range(m.num_actions(s)):
-        if m.action_name(s, a) == token:
-            return a
-    raise ParseError(f"state {s} has no action named {token!r}", source, 0, 0)
-
-
 def _cmd_check(args) -> int:
     m, spec = _load(args)
     if len(args.controller) != spec.n_controllers:
@@ -159,11 +147,8 @@ def _cmd_check(args) -> int:
     assigned: dict[tuple[int, int], int] = {}
     for slot, path in enumerate(args.controller):
         with open(path, encoding="utf-8") as fh:
-            entries = parse_controller(fh.read(), source=path)
-        for s, token in entries.items():
-            if s >= m.num_states:
-                raise ParseError(f"state {s} out of range", path, 0, 0)
-            assigned[(slot, s)] = _resolve_action(m, s, token, path)
+            for s, a in parse_controller(fh.read(), m, source=path).items():
+                assigned[(slot, s)] = a
 
     # project the explicit choices onto parameter classes; members of one
     # class must not contradict each other

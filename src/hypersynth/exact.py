@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .analysis import _chain_can_reach, _chain_closures
 from .errors import MissingRewardsError, ModelError
-from .model import Mc, TargetSet
+from .model import Mc
 
 
 def solve_fractions(a, b):
@@ -43,16 +43,10 @@ def _rows(mc: Mc):
     return [[(t, Fraction(p)) for t, p in mc.trans[s]] for s in range(mc.num_states)]
 
 
-def _target(mc, target):
-    if isinstance(target, TargetSet):
-        return frozenset(target.states)
-    return frozenset(target)
-
-
 def reach_probs_exact(mc: Mc, target) -> list[Fraction]:
     """Exact reachability probabilities of the chain as stored."""
 
-    t = _target(mc, target)
+    t = frozenset(target)
     rows = _rows(mc)
     n = mc.num_states
     out = [Fraction(0)] * n
@@ -82,7 +76,7 @@ def expected_reward_exact(mc: Mc, target):
 
     if mc.rewards is None:
         raise MissingRewardsError("no rewards")
-    t = _target(mc, target)
+    t = frozenset(target)
     reach = reach_probs_exact(mc, target)
     n = mc.num_states
     out: list[Fraction | None] = [None] * n

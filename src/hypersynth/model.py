@@ -59,20 +59,16 @@ class Mdp:
             return None
         return self.action_names[s][a]
 
-    def label_states(self, name: str) -> frozenset[int]:
-        for lbl, states in self.labels:
-            if lbl == name:
-                return states
-        raise ModelError(f"unknown label {name!r}")
-
     def label_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.labels)
 
     def has_label(self, name: str) -> bool:
         return any(lbl == name for lbl, _ in self.labels)
 
-    def target(self, label: str) -> TargetSet:
-        return TargetSet(self.label_states(label), label)
+    def target(self, label: str) -> frozenset[int]:
+        """The states of a label, as the solvers take a target."""
+
+        return _label_set(self.labels, label)
 
     @property
     def has_rewards(self) -> bool:
@@ -96,29 +92,19 @@ class Mc:
     def row(self, s: int) -> Row:
         return self.trans[s]
 
-    def label_states(self, name: str) -> frozenset[int]:
-        for lbl, states in self.labels:
-            if lbl == name:
-                return states
-        raise ModelError(f"unknown label {name!r}")
-
-    def target(self, label: str) -> TargetSet:
-        return TargetSet(self.label_states(label), label)
+    def target(self, label: str) -> frozenset[int]:
+        return _label_set(self.labels, label)
 
     @property
     def has_rewards(self) -> bool:
         return self.rewards is not None
 
 
-@dataclass(frozen=True)
-class TargetSet:
-    """A set of goal states, usually resolved from a label."""
-
-    states: frozenset[int]
-    label: str | None = None
-
-    def __contains__(self, s: int) -> bool:
-        return s in self.states
+def _label_set(labels, label: str) -> frozenset[int]:
+    for name, states in labels:
+        if name == label:
+            return states
+    raise ModelError(f"unknown label {label!r}")
 
 
 @dataclass(frozen=True)

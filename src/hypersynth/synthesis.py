@@ -334,12 +334,11 @@ class NodeAnalyzer:
 
 
 def _compose(residual, verdicts):
-    """Candidate sub-boxes whose members plausibly satisfy the residual:
-    conjunctions merge compatible candidates, disjunctions concatenate."""
+    """Candidate sub-boxes whose members plausibly satisfy the residual, an
+    atom or an and/or node with no constant inside: conjunctions merge
+    compatible candidates, disjunctions concatenate."""
 
     tag = residual[0]
-    if residual == TRUE:
-        return [EMPTY_ASSIGNMENT]
     if tag == "atom":
         return list(verdicts[residual[1]].candidates)
     if tag == "and":
@@ -359,16 +358,14 @@ def _compose(residual, verdicts):
                 return []
             acc = step
         return acc[:COMPOSE_CAP]
-    if tag == "or":
-        out = []
-        for child in residual[1]:
-            for cb in _compose(child, verdicts):
-                if cb not in out:
-                    out.append(cb)
-            if len(out) >= COMPOSE_CAP:
-                break
-        return out[:COMPOSE_CAP]
-    return []
+    out = []  # tag == "or"
+    for child in residual[1]:
+        for cb in _compose(child, verdicts):
+            if cb not in out:
+                out.append(cb)
+        if len(out) >= COMPOSE_CAP:
+            break
+    return out[:COMPOSE_CAP]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +537,6 @@ class SynthesisOutcome:
 class _Synthesizer:
     def __init__(self, m, spec, mode, method, max_iters, time_limit):
         self.m = m
-        self.spec = spec
         self.mode = mode
         self.method = method
         self.space = build_parameter_space(m, spec.n_controllers, spec.constraints)
@@ -939,7 +935,7 @@ class _Synthesizer:
                     slots.append(None)
                     continue
                 weights = bounds[side.kind, side.slot, side.target][pick].values
-                target = frozenset(self.m.label_states(side.target))
+                target = self.m.target(side.target)
                 sides.append(CeSide(mcs[side.slot], side.state, target, weights))
                 slots.append(side.slot)
             grown = grow_conflict(sides[0], sides[1], atom.offset, self.act_counts)

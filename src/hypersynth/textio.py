@@ -61,23 +61,10 @@ _RESERVED = frozenset(("exists", "forall", "in", "same", "obs", "P", "R", "F"))
 
 
 def _split_tokens(line: str):
-    """Whitespace tokens of one line with 1-based start columns."""
+    """Whitespace tokens of one line, up to its comment, with 1-based start
+    columns."""
 
-    out = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not line[j].isspace() and line[j] != "#":
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"[^\s#]+", line.partition("#")[0])]
 
 
 def _fraction(text: str):
@@ -115,7 +102,7 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
 
     def take_int(tok, line, what, upper=None):
         text, col = tok
-        if not text.isdigit():
+        if not text.isdecimal():
             fail(f"expected {what}, got {text!r}", line, col)
         v = int(text)
         if upper is not None and not v < upper:
@@ -284,25 +271,35 @@ def write_model(m: Mdp) -> str:
 # -- controller files -------------------------------------------------------
 
 
-def parse_controller(text: str, source: str = "<string>") -> dict[int, str]:
+def parse_controller(text: str, m: Mdp, source: str = "<string>") -> dict[int, int]:
     """Lines of ``state action``, where action is an ordinal or a display
-    name.  Returns {state: action token}; resolution against a model is the
-    caller's job.  States may be omitted, but not repeated."""
+    name of one of the model's actions at that state.  Returns {state:
+    action ordinal}.  States may be omitted, but not repeated."""
 
-    out: dict[int, str] = {}
+    out: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _split_tokens(raw)
         if not toks:
             continue
         if len(toks) != 2:
             raise ParseError("expected 'state action'", source, lineno, toks[0][1])
-        stext, scol = toks[0]
-        if not stext.isdigit():
+        (stext, scol), (atext, acol) = toks
+        if not stext.isdecimal():
             raise ParseError(f"expected a state index, got {stext!r}", source, lineno, scol)
         s = int(stext)
+        if s >= m.num_states:
+            raise ParseError(f"state {s} out of range", source, lineno, scol)
         if s in out:
             raise ParseError(f"state {s} assigned twice", source, lineno, scol)
-        out[s] = toks[1][0]
+        names = [m.action_name(s, a) for a in range(m.num_actions(s))]
+        if atext.isdecimal():
+            if int(atext) >= len(names):
+                raise ParseError(f"state {s} has no action ordinal {atext}", source, lineno, acol)
+            out[s] = int(atext)
+        elif atext in names:
+            out[s] = names.index(atext)
+        else:
+            raise ParseError(f"state {s} has no action named {atext!r}", source, lineno, acol)
     return out
 
 

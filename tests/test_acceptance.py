@@ -414,7 +414,7 @@ def test_c08_deflation_directions():
         m = random_model(rng, max_states=6)
         space = build_parameter_space(m, 1, ())
         node = _narrow(rng, root_node(space))
-        tgt = frozenset(m.target("goal").states)
+        tgt = m.target("goal")
 
         members = set()
         budget = min(node.size(), 40)

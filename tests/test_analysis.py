@@ -74,7 +74,7 @@ def test_reach_probs_vs_exact():
         m, mc = _random_mc(seed)
         target = m.target("goal")
         got = reach_probs(mc, target)
-        want = reach_probs_exact(mc, set(target.states))
+        want = reach_probs_exact(mc, target)
         for s in range(mc.num_states):
             assert got[s] == pytest.approx(float(want[s]), abs=1e-9), (seed, s)
 
@@ -85,7 +85,7 @@ def test_expected_reward_vs_exact():
         m, mc = _random_mc(seed)
         target = m.target("goal")
         got = expected_reward(mc, target)
-        want = expected_reward_exact(mc, set(target.states))
+        want = expected_reward_exact(mc, target)
         for s in range(mc.num_states):
             if want[s] is None:
                 assert got[s] == INF, (seed, s)
@@ -175,7 +175,7 @@ def test_qualitative_states():
         for allowed in (None, _sub_menus(rng, m)):
             where = (seed, allowed)
             controllers = _controllers(m, allowed)
-            values = [reach_probs_exact(impose(m, c), set(target.states)) for c in controllers]
+            values = [reach_probs_exact(impose(m, c), target) for c in controllers]
             for direction, extreme in (("min", min), ("max", max)):
                 best = [extreme(col) for col in zip(*values)]
                 prob0, prob1 = qualitative_states(m, target, direction, allowed)
@@ -262,9 +262,9 @@ def _extremal_oracle(m, target, kind, allowed=None):
     for ctrl in _controllers(m, allowed):
         mc = impose(m, ctrl)
         if kind == "reach":
-            outs.append([float(x) for x in reach_probs_exact(mc, set(target.states))])
+            outs.append([float(x) for x in reach_probs_exact(mc, target)])
         else:
-            vals = expected_reward_exact(mc, set(target.states))
+            vals = expected_reward_exact(mc, target)
             outs.append([INF if x is None else float(x) for x in vals])
     lo = [min(col) for col in zip(*outs)]
     hi = [max(col) for col in zip(*outs)]

@@ -103,6 +103,39 @@ def test_check_accepts_names_and_fills_defaults(files, tmp_path, capsys):
     assert main(["check", "--model", model, "--spec", spec, "--controller", str(unknown)]) == 2
 
 
+def test_check_reports_controller_errors_at_their_token(files, tmp_path, capsys):
+    tmp, model, spec = files
+    for text, where in (
+        ("0 a\n1 zigzag\n", "2:3: state 1 has no action named 'zigzag'"),
+        ("0 a\n99 b\n", "2:1: state 99 out of range"),
+        ("0 7\n", "1:3: state 0 has no action ordinal 7"),
+    ):
+        ctrl = tmp_path / "c1.ctrl"
+        ctrl.write_text(text)
+        assert main(["check", "--model", model, "--spec", spec, "--controller", str(ctrl)]) == 2
+        assert f"error: {ctrl}:{where}\n" in capsys.readouterr().err
+
+
+def test_synth_complete_and_optimal_summaries(files, tmp_path, capsys):
+    tmp, model, spec = files
+    assert main(["synth", "--model", model, "--spec", spec, "--mode", "complete"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: feasible\n" in out
+    assert "satisfying members: 1\n" in out
+    assert "largest decision distance" not in out
+    # two controllers that may each pick any action: the most different
+    # pair disagrees at both decision states
+    sp = tmp_path / "two.spec"
+    sp.write_text(
+        "exists a, b : forall x in {0, 1} [a], forall y in {0, 1} [b] :"
+        " P(x, F target) <= 0.7 & P(y, F target) <= 0.7\n"
+    )
+    assert main(["synth", "--model", model, "--spec", str(sp), "--mode", "optimal"]) == 0
+    out = capsys.readouterr().out
+    assert "largest decision distance: 2\n" in out
+    assert "satisfying members" not in out
+
+
 def test_check_reports_tied_state_contradiction(files, tmp_path, capsys):
     tmp, model, _ = files
     sp = tmp_path / "tied.spec"

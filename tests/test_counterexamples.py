@@ -104,9 +104,8 @@ def test_deflation_brackets_member_value():
         true = reach_probs(mc, target)
         root = rng.randrange(m.num_states)
         keep = frozenset(rng.sample(range(m.num_states), rng.randint(0, m.num_states - 1)))
-        tset = frozenset(target.states)
-        below = deflated_reach(mc, keep, tuple(lo), tset, root)
-        above = deflated_reach(mc, keep, tuple(hi), tset, root)
+        below = deflated_reach(mc, keep, tuple(lo), target, root)
+        above = deflated_reach(mc, keep, tuple(hi), target, root)
         assert below <= true[root] + 1e-9
         assert above >= true[root] - 1e-9
 
@@ -178,7 +177,7 @@ def test_grow_conflict_solves_once_per_step(monkeypatch):
     certified = given_up = 0
     for _ in range(150):
         m = random_model(rng, max_states=7)
-        target = frozenset(m.target("goal").states)
+        target = m.target("goal")
         lo = tuple(extremal_reach(m, m.target("goal"), "min").values)
         hi = tuple(extremal_reach(m, m.target("goal"), "max").values)
         sides = []

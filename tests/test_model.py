@@ -26,7 +26,7 @@ def test_make_mdp_basic(notes_mdp):
     assert m.action_name(0, 0) == "a"
     assert m.action_name(2, 0) is None
     assert m.has_label("target")
-    assert set(m.target("target").states) == {2}
+    assert m.target("target") == {2}
     assert not m.has_rewards
 
 
@@ -111,7 +111,7 @@ def test_unfold_memory_shape(notes_mdp):
     row1 = u.row(0, 1)  # action (a=0, write=1)
     assert row1 == tuple((t * 2 + 1, p) for t, p in notes_mdp.row(0, 0))
     # labels lift to all copies
-    assert set(u.target("target").states) == {4, 5}
+    assert u.target("target") == {4, 5}
     # memory-tagged action names
     assert u.action_name(0, 0) == "a@0"
     assert u.action_name(0, 1) == "a@1"

@@ -211,6 +211,67 @@ def test_methods_agree_on_random_instances():
     assert 10 < feasible < total  # both answers are exercised
 
 
+def test_a_failed_allsat_recheck_splits_the_box(monkeypatch):
+    # Answer every open atom as allsat, as an unsound bound would; allunsat
+    # stays, so discards remain sound.  A box is then accepted only through
+    # its recheck, which fails on some boxes and splits them, and the
+    # verdicts stay the oracle's.
+    atom_verdict = synthesis.NodeAnalyzer.atom_verdict
+    handle_allsat = _Synthesizer._handle_allsat
+    rechecks = []
+
+    def lying(self, bounds, i):
+        v = atom_verdict(self, bounds, i)
+        return replace(v, case="allsat") if v.case == "open" else v
+
+    def recorded(self, node, stack):
+        splits = self.splits
+        out = handle_allsat(self, node, stack)
+        rechecks.append(self.splits > splits)
+        return out
+
+    monkeypatch.setattr(synthesis.NodeAnalyzer, "atom_verdict", lying)
+    monkeypatch.setattr(_Synthesizer, "_handle_allsat", recorded)
+    for seed in range(60):
+        try:
+            m, spec = random_instance(seed)
+        except Exception:
+            continue
+        want = _oracle_feasible(m, spec)
+        for method in ("ar", "hybrid"):
+            out = synthesize(m, spec, method=method)
+            assert (out.verdict == "feasible") == want, (seed, method)
+    assert any(rechecks) and not all(rechecks)
+
+
+def test_a_failed_candidate_is_passed_over(monkeypatch):
+    # random_instance(339) is the one seed in 0-399 where a composed
+    # candidate of an open box fails its check, under feasibility and
+    # optimal mode and both refinement methods
+    m, spec = random_instance(339)
+    handle_open = _Synthesizer._handle_open
+    failed = []
+
+    def recorded(self, node, residual, verdicts, bounds, stack):
+        candidates = [pa.complete(node) for pa in synthesis._compose(residual, verdicts)]
+        if candidates:
+            failed.append(not check_members(self.compiled, candidates).holds.all())
+        return handle_open(self, node, residual, verdicts, bounds, stack)
+
+    monkeypatch.setattr(_Synthesizer, "_handle_open", recorded)
+    want_optimal = _oracle_optimal(m, spec)
+    assert want_optimal is not None and _oracle_feasible(m, spec)
+    for mode in ("feasibility", "optimal"):
+        for method in ("ar", "hybrid"):
+            failed.clear()
+            out = synthesize(m, spec, mode=mode, method=method)
+            assert any(failed), (mode, method)
+            assert out.verdict == "feasible", (mode, method)
+            assert check_mc([impose(m, c) for c in out.witness], instantiate(spec, m)).holds
+            if mode == "optimal":
+                assert out.optimal_value == want_optimal, method
+
+
 def test_complete_counts_agree_on_random_instances():
     checked = 0
     for seed in range(60):

@@ -48,7 +48,7 @@ def test_parse_model_basic():
     assert m.row(0, 0) == ((2, 0.7), (3, 0.3))
     assert m.row(1, 1) == ((2, 0.5), (3, 0.5))  # fraction syntax
     assert m.action_name(0, 1) == "b"
-    assert set(m.target("target").states) == {2}
+    assert m.target("target") == {2}
 
 
 @pytest.mark.parametrize(
@@ -88,6 +88,10 @@ def test_parse_error_carries_position():
         with pytest.raises(ParseError) as e:
             parse_model("mdp\nstates 2\ntrans 1 0 1 1\n" + text, source="m.txt")
         assert where in str(e.value)
+    # a digit that is not a decimal digit is no state count
+    with pytest.raises(ParseError) as e:
+        parse_model("mdp\nstates \u00b2\n", source="m.txt")
+    assert "m.txt:2:8: expected state count" in str(e.value)
     # a literal beyond float range is rejected at its own token
     with pytest.raises(ParseError) as e:
         parse_spec("exists g : forall s in {0} [g] :\n P(s, F goal) = 0.4 ~1e400", source="s.spec")
@@ -188,12 +192,24 @@ def test_deep_nesting_rejected():
 
 
 def test_parse_controller_file():
-    got = parse_controller("0 a\n2 1\n# comment\n\n5 west\n")
-    assert got == {0: "a", 2: "1", 5: "west"}
+    m = parse_model(MODEL_TEXT)
+    got = parse_controller("0 b\n1 1\n# comment\n\n3 0\n", m)
+    assert got == {0: 1, 1: 1, 3: 0}
     with pytest.raises(ParseError):
-        parse_controller("0 a\n0 b\n")  # duplicate state
+        parse_controller("0 a\n0 b\n", m)  # duplicate state
     with pytest.raises(ParseError):
-        parse_controller("x a\n")
+        parse_controller("x a\n", m)
+    # each action resolves against the model at its own token
+    for text, where in (
+        ("0 a\n1  zigzag\n", "c.ctrl:2:4: state 1 has no action named 'zigzag'"),
+        ("0 a\n\n 99 a\n", "c.ctrl:3:2: state 99 out of range"),
+        ("0 7\n", "c.ctrl:1:3: state 0 has no action ordinal 7"),
+        ("\u00b2 a\n", "c.ctrl:1:1: expected a state index, got '\u00b2'"),
+        ("0 \u00b2\n", "c.ctrl:1:3: state 0 has no action named '\u00b2'"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_controller(text, m, source="c.ctrl")
+        assert str(e.value) == where
 
 
 def test_write_stats_shape():
