@@ -8,11 +8,12 @@ a fresh bottom state.  With upper-bound weights the deflated reachability
 dominates the true value of every member that agrees on C; with lower-bound
 weights it is dominated by it.
 
-The deflated chain is solved collapsed onto C: its states are the kept
-non-target states plus top and bottom, an edge into the target goes to top,
-and an edge to an unkept state splits between top and bottom by that
-state's weight.  Each solve is then one chain of |C| + 2 states, whatever
-the size of the model.
+The deflated value is solved on the run's row tables, reading the member's
+one action per state, with no chain built: every state outside the kept
+non-target states holds a fixed value, 1 on the target and its clipped
+weight elsewhere, and only the kept states that can reach a state of
+positive fixed value are solved, by one policy evaluation.  Each solve is
+then a system of at most |C| states, whatever the size of the model.
 
 A violation lv > rv + offset is certified for a whole sub-box by deflating
 the large side with lower-bound weights and the small side with upper-bound
@@ -28,46 +29,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import GUARD_BAND, reach_probs
-from .model import Mc
+# bench/spans.py times chain solves by wrapping reach_probs at this
+# module's name, so it stays importable here
+from .analysis import (
+    GUARD_BAND,
+    RowTable,
+    _attractor,
+    _mask,
+    _policy_iteration,
+    _some_action_enters,
+    _states,
+    reach_probs,  # noqa: F401
+)
+from .family import split_node
 
 
-def deflated_reach(mc: Mc, keep, exit_weights, target, root: int) -> float:
+def deflated_reach(rows: RowTable, choice, keep, exit_weights, target, root: int) -> float:
     """Reachability of target (plus the top state) from root in the chain
-    deflated outside keep, solved on the kept set.
+    that choice, one action ordinal per state, induces on the model of
+    rows, deflated outside keep.
 
-    The chain solved holds the kept non-target states plus top and bottom:
-    an edge into the target goes to top, and an edge to an unkept state u
-    with probability p goes to top with p * w_u and to bottom with the rest,
-    w_u being u's exit weight clipped to [0, 1].  A root in the target is
-    worth 1 and an unkept one its clipped weight, without a solve.
+    Every state but the kept non-target ones holds a fixed value: 1 on the
+    target, else its exit weight clipped to [0, 1].  The kept states that
+    can reach a state of positive fixed value are solved by one policy
+    evaluation on one-action menus, and the other kept states are worth 0.
+    A root in the target is worth 1 and an unkept one its clipped weight,
+    without a solve.
     """
 
     if root in target:
         return 1.0
     if root not in keep:
         return _clip(exit_weights[root])
-    kept = sorted(s for s in keep if s not in target)
-    idx = {s: i for i, s in enumerate(kept)}
-    top, bottom = len(kept), len(kept) + 1
-    rows = []
+    kept = [s for s in keep if s not in target]
+    menus = {s: (choice[s],) for s in kept}
+    inner, near, seeds = _mask(kept), 0, 0
     for s in kept:
-        row = []
-        for t, p in mc.trans[s]:
-            if t in target:
-                row.append((top, p))
-            elif t in idx:
-                row.append((idx[t], p))
-            else:
-                w = _clip(exit_weights[t])
-                if w > 0.0:
-                    row.append((top, p * w))
-                if w < 1.0:
-                    row.append((bottom, p * (1.0 - w)))
-        rows.append(tuple(row))
-    rows.append(((top, 1.0),))
-    rows.append(((bottom, 1.0),))
-    return float(reach_probs(Mc(len(kept) + 2, tuple(rows)), frozenset({top}))[idx[root]])
+        near |= rows.succ[s][choice[s]]
+    # only the fixed values of the kept states' successors are read
+    v = [0.0] * len(choice)
+    for t in _states(near & ~inner):
+        v[t] = 1.0 if t in target else _clip(exit_weights[t])
+        if v[t] > 0.0:
+            seeds |= 1 << t
+    inside, _, _ = _attractor(seeds, _some_action_enters(rows, menus), inner)
+    # one action per state, so the gain scan switches nothing
+    _policy_iteration(rows, menus, _states(inside & inner), v, choice, 1.0)
+    return _clip(v[root])
 
 
 def _clip(w) -> float:
@@ -76,17 +84,19 @@ def _clip(w) -> float:
 
 @dataclass(frozen=True)
 class CeSide:
-    """One side of a violated comparison: a member chain with its root,
-    target set and the family-wide per-state reachability bound used as
-    exit weights when deflating."""
+    """One side of a violated comparison: the model's row tables and a
+    member's action choice per state, with its root, target set and the
+    family-wide per-state reachability bound used as exit weights when
+    deflating."""
 
-    mc: Mc
+    rows: RowTable
+    choice: tuple[int, ...]
     root: int
     target: frozenset[int]
     exit_weights: tuple
 
 
-def grow_conflict(left, right, offset: float, act_counts):
+def grow_conflict(left, right, offset: float):
     """Grow kept sets until the violation is certified for the sub-box.
 
     left and right are CeSide or plain floats (scalar comparison sides).
@@ -107,23 +117,27 @@ def grow_conflict(left, right, offset: float, act_counts):
         side = sides[pos]
         if side is None:
             return float((left, right)[pos])
-        return deflated_reach(side.mc, keeps[pos], side.exit_weights, side.target, side.root)
+        return deflated_reach(
+            side.rows, side.choice, keeps[pos], side.exit_weights, side.target, side.root
+        )
 
     values = [value(0), value(1)]
     while not values[0] > values[1] + offset + GUARD_BAND:
         best = None
         for pos in (0, 1):
-            if sides[pos] is None:
+            side = sides[pos]
+            if side is None:
                 continue
             for s in frontiers[pos] - keeps[pos]:
-                key = (act_counts[s], s, pos)
+                key = (len(side.rows.succ[s]), s, pos)
                 if best is None or key < best[0]:
                     best = (key, pos, s)
         if best is None:
             return None
         _, pos, s = best
+        side = sides[pos]
         keeps[pos].add(s)
-        frontiers[pos].update(t for t, _ in sides[pos].mc.trans[s])
+        frontiers[pos].update(_states(side.rows.succ[s][side.choice[s]]))
         values[pos] = value(pos)
     return frozenset(keeps[0] or ()), frozenset(keeps[1] or ())
 
@@ -150,22 +164,14 @@ def complement_boxes(node, realisation, classes):
     Returns (agree, rest): agree fixes every listed class to the
     realisation's action and holds exactly the members sharing the
     certificate's structure; rest is a list of disjoint boxes covering the
-    complement, box j fixing the first j classes and excluding the
-    realisation's action at class j.  Together they partition the node.
+    complement, box j fixing the classes before it and excluding the
+    realisation's action at its own class, one per listed class with two
+    or more actions in the node.  Together they partition the node.
     """
 
-    rest = []
-    for j, k in enumerate(classes):
-        excluded = tuple(a for a in node.domains[k] if a != realisation[k])
-        if not excluded:
-            # class already decided in this node, nothing to carve
-            continue
-        child = node
-        for kk in classes[:j]:
-            child = child.with_domain(kk, (realisation[kk],))
-        child = child.with_domain(k, excluded)
-        rest.append(child)
-    agree = node
+    agree, rest = node, []
     for k in classes:
-        agree = agree.with_domain(k, (realisation[k],))
+        if len(agree.domains[k]) > 1:
+            agree, other = split_node(agree, k, (realisation[k],))
+            rest.append(other)
     return agree, rest

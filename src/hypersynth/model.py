@@ -77,17 +77,13 @@ class Mdp:
 
 @dataclass(frozen=True)
 class Mc:
-    """Markov chain, as induced by imposing a controller on an MDP.
-
-    choices records the imposing controller when the chain came from impose;
-    rewards collapse to one float per state.
-    """
+    """Markov chain, as induced by imposing a controller on an MDP; rewards
+    collapse to one float per state."""
 
     num_states: int
     trans: tuple[Row, ...]
     labels: tuple[tuple[str, frozenset[int]], ...] = ()
     rewards: tuple[float, ...] | None = None
-    choices: tuple[int, ...] | None = None
 
     def row(self, s: int) -> Row:
         return self.trans[s]
@@ -257,13 +253,7 @@ def impose(m: Mdp, controller: Controller) -> Mc:
         rows.append(m.trans[s][a])
         if rew is not None:
             rew.append(m.rewards[s][a])
-    return Mc(
-        m.num_states,
-        tuple(rows),
-        m.labels,
-        tuple(rew) if rew is not None else None,
-        choices=tuple(controller.choices),
-    )
+    return Mc(m.num_states, tuple(rows), m.labels, tuple(rew) if rew is not None else None)
 
 
 def unfold_memory(m: Mdp, bits: int) -> Mdp:

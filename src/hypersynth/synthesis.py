@@ -50,10 +50,10 @@ its share of the batches: groups * N / chunk, since stacked sibling boxes
 share a chunk, or in optimal mode, where each box gets its own batches,
 groups * ceil(N / chunk).  An analysis is priced by the subtree it leaves
 behind: the mean solves of one box analysis (policy-iteration rounds,
-chain solves and the member checks made during it) over the run's settle
-rate, (settling + 1) / (analyses + 2), where an analysis settles when
-members were settled during it or it found the outcome.  The root is
-always analysed, since no analysis has been counted when it is popped.
+certificate solves and the member checks made during it) over the
+run's settle rate, (settling + 1) / (analyses + 2), where an analysis
+settles when members were settled during it or it found the outcome.
+The root is always analysed, since no analysis has been counted when it is popped.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ import numpy as np
 
 # bench/spans.py times member checks by wrapping check_mc and impose, and
 # chain solves by wrapping reach_probs, expected_reward and expected_visits,
-# at this module's names, so all of them stay importable here
+# at this module's names.  The engine calls none of them, but every hooked
+# name must resolve, so all of them stay importable here
 from .analysis import (
     GUARD_BAND,
     CompiledModel,
@@ -110,7 +111,7 @@ from .formulas import (
     mandatory_atoms,
     substitute,
 )
-from .model import Controller, Mdp, impose
+from .model import Controller, Mdp, impose  # noqa: F401
 from .specs import DEFAULT_EQ_EPS, HyperSpec, check_against_model, validate_spec
 from .textio import format_atom
 
@@ -545,7 +546,6 @@ class _Synthesizer:
         self.max_iters = max_iters
         self.time_limit = time_limit
         self.analyzer = NodeAnalyzer(m, self.space, self.formula)
-        self.act_counts = [m.num_actions(s) for s in range(m.num_states)]
 
         self.t0 = time.perf_counter()
         self.solves0 = solve_count()
@@ -916,7 +916,7 @@ class _Synthesizer:
         and upper bounds a right one.  Returns the complement boxes, or None
         when no mandatory reachability comparison yields a certificate."""
 
-        mcs = tuple(impose(self.m, c) for c in controllers(self.space, real))
+        choices = tuple(c.choices for c in controllers(self.space, real))
         best = None
         for i in sorted(mandatory_atoms(residual)):
             if truth[i]:
@@ -936,9 +936,10 @@ class _Synthesizer:
                     continue
                 weights = bounds[side.kind, side.slot, side.target][pick].values
                 target = self.m.target(side.target)
-                sides.append(CeSide(mcs[side.slot], side.state, target, weights))
+                choice = choices[side.slot]
+                sides.append(CeSide(self.analyzer.rows, choice, side.state, target, weights))
                 slots.append(side.slot)
-            grown = grow_conflict(sides[0], sides[1], atom.offset, self.act_counts)
+            grown = grow_conflict(sides[0], sides[1], atom.offset)
             if grown is None:
                 continue
             classes = conflict_classes(

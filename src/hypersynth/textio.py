@@ -305,8 +305,6 @@ def parse_controller(text: str, m: Mdp, source: str = "<string>") -> dict[int, i
 
 # -- specification format ---------------------------------------------------
 
-_NUM_RE = re.compile(r"\d+/\d+|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?", re.ASCII)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*", re.ASCII)
 _MAX_DEPTH = 200
 
 
@@ -318,50 +316,35 @@ class _Tok:
     col: int
 
 
+# The spec tokens, one alternative per kind, tried in order at each
+# position.  A line break is a token of its own, so that columns restart
+# after it; a skip (whitespace as str.isspace sees it, or a comment) and a
+# line break yield no token.  Identifiers and numbers are ASCII only.
+_SPEC_TOKEN_RE = re.compile(
+    r"""
+    (?P<newline>\n)
+    | (?P<skip>[^\S\n]+ | \#[^\n]*)
+    | (?P<ident>(?a:[A-Za-z_][A-Za-z0-9_]*))
+    | (?P<number>(?a:\d+/\d+ | \d+\.\d*(?:[eE][+-]?\d+)? | \.\d+(?:[eE][+-]?\d+)? | \d+(?:[eE][+-]?\d+)?))
+    | (?P<sym><= | >= | [<>=,:;{}()\[\]&|!~])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
 def _scan_spec(text: str, source: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Tok("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            toks.append(_Tok("number", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        two = text[i : i + 2]
-        if two in ("<=", ">="):
-            toks.append(_Tok("sym", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "<>=,:;{}()[]&|!~":
-            toks.append(_Tok("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", source, line, col)
-    toks.append(_Tok("eof", "", line, col))
+    line, start = 1, 0  # the line number and the offset of its first character
+    for m in _SPEC_TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", source, line, col)
+        elif kind != "skip":
+            toks.append(_Tok(kind, m.group(), line, col))
+    toks.append(_Tok("eof", "", line, len(text) - start + 1))
     return toks
 
 

@@ -31,7 +31,7 @@ from hypersynth import (
     write_model,
     write_spec,
 )
-from hypersynth.analysis import GUARD_BAND
+from hypersynth.analysis import GUARD_BAND, row_table
 from hypersynth.counterexamples import complement_boxes, deflated_reach
 from hypersynth.family import (
     build_parameter_space,
@@ -427,15 +427,16 @@ def test_c08_deflation_directions():
         lo = [min(col) for col in zip(*vectors)]
         hi = [max(col) for col in zip(*vectors)]
 
+        rows = row_table(m)
         for r in list(sorted(members))[:5]:
-            mc = impose(m, induce(space, r, 0))
-            true = [float(x) for x in reach_probs(mc, tgt)]
+            ctrl = induce(space, r, 0)
+            true = [float(x) for x in reach_probs(impose(m, ctrl), tgt)]
             keep = frozenset(
                 rng.sample(range(m.num_states), rng.randrange(m.num_states))
             )
             root = rng.randrange(m.num_states)
-            below = deflated_reach(mc, keep, lo, tgt, root)
-            above = deflated_reach(mc, keep, hi, tgt, root)
+            below = deflated_reach(rows, ctrl.choices, keep, lo, tgt, root)
+            above = deflated_reach(rows, ctrl.choices, keep, hi, tgt, root)
             assert below <= true[root] + 1e-10, (below, true[root])
             assert above >= true[root] - 1e-10, (above, true[root])
             done += 1

@@ -2,7 +2,7 @@ import random
 
 from hypersynth import Controller, build_parameter_space, impose, reach_probs, root_node
 from hypersynth import counterexamples
-from hypersynth.analysis import GUARD_BAND, _chain_rows, extremal_reach
+from hypersynth.analysis import GUARD_BAND, _chain_rows, extremal_reach, row_table
 from hypersynth.counterexamples import (
     CeSide,
     complement_boxes,
@@ -11,7 +11,7 @@ from hypersynth.counterexamples import (
     grow_conflict,
 )
 from hypersynth.exact import reach_probs_exact
-from hypersynth.model import Mc
+from hypersynth.model import Mc, Mdp
 
 from conftest import dyadic_row, notes_example, random_model
 
@@ -38,6 +38,13 @@ def _full_deflated_reach(mc, keep, weights, target, root):
     return float(reach_probs(_full_deflated(mc, keep, weights), frozenset(target) | {n})[root])
 
 
+def _rows(mc):
+    """The chain's row table, as a model with one action per state, which
+    the choice (0,) * n picks."""
+
+    return row_table(Mdp(mc.num_states, tuple((row,) for row in mc.trans)))
+
+
 def _random_chain(rng, n):
     """A chain with some absorbing states, so that closed classes missing
     the target come up."""
@@ -59,7 +66,7 @@ def test_deflated_reach_matches_the_full_deflated_chain():
             rng.choice((0.0, 1.0, -0.25, 1.5, rng.random(), rng.random())) for _ in range(n)
         )
         root = rng.randrange(n)
-        got = deflated_reach(mc, keep, weights, target, root)
+        got = deflated_reach(_rows(mc), (0,) * n, keep, weights, target, root)
         want = _full_deflated_reach(mc, keep, weights, target, root)
         assert abs(got - want) <= 1e-12, (mc, keep, weights, target, root)
 
@@ -81,11 +88,11 @@ def test_repeated_successors_match_the_exact_values():
     mc = Mc(3, (((1, 0.25), (2, 0.5), (1, 0.25)), ((1, 1.0),), ((2, 1.0),)))
     want = [float(x) for x in reach_probs_exact(mc, {1})]
     assert reach_probs(mc, {1}).tolist() == want == [0.5, 1.0, 0.0]
-    # both unkept successors of the kept state send an edge to top and
-    # one to bottom, so the deflated chain's row lists each twice
+    # both unkept successors of the kept state are worth their weight, and
+    # in the full deflated chain each sends an edge to top and one to bottom
     mc = Mc(3, (((0, 0.5), (1, 0.25), (2, 0.25)), ((1, 1.0),), ((2, 1.0),)))
     weights = (0.0, 0.5, 0.75)
-    got = deflated_reach(mc, {0}, weights, frozenset(), 0)
+    got = deflated_reach(_rows(mc), (0, 0, 0), {0}, weights, frozenset(), 0)
     want = reach_probs_exact(_full_deflated(mc, {0}, weights), {3})[0]
     assert got == float(want) == 0.625
 
@@ -100,12 +107,12 @@ def test_deflation_brackets_member_value():
         lo = extremal_reach(m, target, "min").values
         hi = extremal_reach(m, target, "max").values
         ctrl = Controller(tuple(rng.randrange(m.num_actions(s)) for s in range(m.num_states)))
-        mc = impose(m, ctrl)
-        true = reach_probs(mc, target)
+        true = reach_probs(impose(m, ctrl), target)
         root = rng.randrange(m.num_states)
         keep = frozenset(rng.sample(range(m.num_states), rng.randint(0, m.num_states - 1)))
-        below = deflated_reach(mc, keep, tuple(lo), target, root)
-        above = deflated_reach(mc, keep, tuple(hi), target, root)
+        rows = row_table(m)
+        below = deflated_reach(rows, ctrl.choices, keep, tuple(lo), target, root)
+        above = deflated_reach(rows, ctrl.choices, keep, tuple(hi), target, root)
         assert below <= true[root] + 1e-9
         assert above >= true[root] - 1e-9
 
@@ -115,9 +122,9 @@ def test_grow_conflict_on_worked_example():
     space = build_parameter_space(m, 1, spec.constraints)
     node = root_node(space)
     lo = extremal_reach(m, m.target("target"), "min").values
-    mc = impose(m, Controller((0, 0, 0, 0)))  # violates at state 0: 0.7 > 0.6
-    left = CeSide(mc, 0, frozenset({2}), tuple(lo))
-    got = grow_conflict(left, 0.6, 0.0, [m.num_actions(s) for s in range(4)])
+    # the member choosing action 0 everywhere violates at state 0: 0.7 > 0.6
+    left = CeSide(row_table(m), (0, 0, 0, 0), 0, frozenset({2}), tuple(lo))
+    got = grow_conflict(left, 0.6, 0.0)
     assert got is not None
     keep_left, keep_right = got
     # the violation is certified by the choice at state 0 alone: dropping
@@ -132,26 +139,28 @@ def test_grow_conflict_on_worked_example():
 def test_grow_conflict_gives_up_without_certificate():
     m, _ = notes_example()
     lo = extremal_reach(m, m.target("target"), "min").values
-    mc = impose(m, Controller((1, 1, 0, 0)))  # satisfies: 0.4 <= 0.6
-    left = CeSide(mc, 0, frozenset({2}), tuple(lo))
-    got = grow_conflict(left, 0.6, 0.0, [m.num_actions(s) for s in range(4)])
+    # the member choosing (1, 1, 0, 0) satisfies: 0.4 <= 0.6
+    left = CeSide(row_table(m), (1, 1, 0, 0), 0, frozenset({2}), tuple(lo))
+    got = grow_conflict(left, 0.6, 0.0)
     assert got is None
 
 
-def _reference_growth(left, right, offset, act_counts):
-    """grow_conflict as first written: both sides re-solved on the full
-    deflated chain after every step."""
+def _reference_growth(m, left, right, offset):
+    """grow_conflict as first written, on the member chains imposed on m:
+    both sides re-solved on the full deflated chain after every step."""
 
     keeps = [set(), set()]
+    mcs = [impose(m, Controller(side.choice)) for side in (left, right)]
+    act_counts = [m.num_actions(s) for s in range(m.num_states)]
 
     def value(pos):
         side = (left, right)[pos]
-        return _full_deflated_reach(side.mc, keeps[pos], side.exit_weights, side.target, side.root)
+        return _full_deflated_reach(mcs[pos], keeps[pos], side.exit_weights, side.target, side.root)
 
     while not value(0) > value(1) + offset + GUARD_BAND:
         best = None
         for pos, side in enumerate((left, right)):
-            frontier = {side.root} | {t for s in keeps[pos] for t, _ in side.mc.trans[s]}
+            frontier = {side.root} | {t for s in keeps[pos] for t, _ in mcs[pos].trans[s]}
             for s in frontier - keeps[pos]:
                 key = (act_counts[s], s, pos)
                 if best is None or key < best[0]:
@@ -180,19 +189,22 @@ def test_grow_conflict_solves_once_per_step(monkeypatch):
         target = m.target("goal")
         lo = tuple(extremal_reach(m, m.target("goal"), "min").values)
         hi = tuple(extremal_reach(m, m.target("goal"), "max").values)
+        rows = row_table(m)
         sides = []
         for weights in (lo, hi):
-            ctrl = Controller(tuple(rng.randrange(m.num_actions(s)) for s in range(m.num_states)))
-            sides.append(CeSide(impose(m, ctrl), rng.randrange(m.num_states), target, weights))
+            choice = tuple(rng.randrange(m.num_actions(s)) for s in range(m.num_states))
+            sides.append(CeSide(rows, choice, rng.randrange(m.num_states), target, weights))
         offset = rng.choice((-0.5, -0.1, 0.0, 0.1))
-        acts = [m.num_actions(s) for s in range(m.num_states)]
         solves.clear()
-        got = grow_conflict(sides[0], sides[1], offset, acts)
-        assert got == _reference_growth(sides[0], sides[1], offset, acts)
+        got = grow_conflict(sides[0], sides[1], offset)
+        assert got == _reference_growth(m, sides[0], sides[1], offset)
         if got is None:
             # gave up with both reachable parts kept
             only = (0,) * m.num_states
-            steps = sum(len(_chain_rows(side.mc).reachable(only, side.root)) for side in sides)
+            steps = sum(
+                len(_chain_rows(impose(m, Controller(side.choice))).reachable(only, side.root))
+                for side in sides
+            )
             given_up += 1
         else:
             steps = len(got[0]) + len(got[1])

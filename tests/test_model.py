@@ -73,7 +73,6 @@ def test_impose_and_choices(notes_mdp):
     mc = impose(notes_mdp, Controller((1, 1, 0, 0)))
     assert mc.num_states == 4
     assert mc.trans[0] == ((2, 0.4), (3, 0.6))
-    assert mc.choices == (1, 1, 0, 0)
     with pytest.raises(InvalidControllerError):
         impose(notes_mdp, Controller((2, 0, 0, 0)))
     with pytest.raises(InvalidControllerError):

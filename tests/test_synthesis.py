@@ -21,12 +21,13 @@ from hypersynth import (
     synthesize,
     unfold_memory,
 )
-from hypersynth import synthesis
+from hypersynth import analysis, counterexamples, synthesis
 from hypersynth.analysis import check_members, compile_model, solve_count
 from hypersynth.errors import SpecError
 from hypersynth.exact import reach_probs_exact
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
+from hypersynth.model import Mc
 from hypersynth.specs import DEFAULT_EQ_EPS, validate_spec
 from hypersynth.synthesis import (
     METHODS,
@@ -620,6 +621,56 @@ def test_methods_agree_where_sink_queries_share_a_solve():
                 assert _holds_exactly(m, spec, out.witness), method
         verdicts.append(outs["oracle"].verdict)
     assert verdicts[0] == "feasible" and "unfeasible" in verdicts
+
+
+def _shuffled_actions(m, seed):
+    """m with each state's action list shuffled by
+    random.Random(1000 * seed + state).  Actions keep their names, so the
+    family and the verdict stay the same."""
+
+    orders = []
+    for s in range(m.num_states):
+        order = list(range(m.num_actions(s)))
+        random.Random(1000 * seed + s).shuffle(order)
+        orders.append(order)
+
+    def permute(table):
+        return None if table is None else tuple(
+            tuple(menu[a] for a in order) for menu, order in zip(table, orders)
+        )
+
+    return replace(
+        m,
+        trans=permute(m.trans),
+        rewards=permute(m.rewards),
+        action_names=permute(m.action_names),
+    )
+
+
+def test_certificates_prune_on_the_box_solver(monkeypatch):
+    # hybrid certifies on the run's row tables: no engine path builds a
+    # chain or calls a chain solver, and each run still prunes and finds a
+    # witness that holds in rationals
+    m, spec = generate("knuth-yao-pc", n=2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chain built or solved on an engine path")
+
+    for model in [m] + [_shuffled_actions(m, seed) for seed in (1, 2, 3)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(Mc, "__init__", forbidden)
+            for module, name in (
+                (synthesis, "impose"),
+                (synthesis, "check_mc"),
+                (counterexamples, "reach_probs"),
+                (analysis, "reach_probs"),
+                (analysis, "expected_reward"),
+            ):
+                patch.setattr(module, name, forbidden)
+            out = synthesize(model, spec, method="hybrid")
+        assert out.feasible
+        assert out.stats["ce_prunes"] > 0
+        assert _holds_exactly(model, spec, out.witness)
 
 
 def test_hybrid_settles_knuth_yao_in_few_analyses():

@@ -161,6 +161,8 @@ def test_spec_roundtrip_random():
         ("exists g : forall s in {0} [h] : P(s, F goal) <= 1", "unknown controller"),
         ("exists g : forall s in {0} [g] : P(t, F goal) <= 1", "t"),
         ("exists g : forall s in {0} [g] : P(s, F goal) < ", "end of input"),
+        # the end of input is where the text ends, past a trailing comment
+        ("exists g : forall s in {0} [g] :\n P(s, F goal) < # cut", "2:22: expected an identifier"),
         ("exists g : forall s in {0} [g] : P(s, F goal) <= 1 extra", "trailing"),
         ("exists g : forall s in {0} [g] : P(s, F goal) <= 2.0", "1:34: probability bound"),
         ("exists g : forall s in {0} [g] : P(s, F goal) < 1 ~0.1", "~"),
