@@ -919,7 +919,32 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
             if isinstance(side, Query):
                 side = found[side.kind, side.slot, side.target][slots[side.slot][2], side.state]
             values[:, i, j] = side
+    holds, truth = formula_holds(formula, values)
+    return MemberChecks(holds, values, truth)
+
+
+def formula_holds(formula: InstantiatedFormula, values: np.ndarray):
+    """(holds, truth) of a batch from its side values: values[b, i] holds
+    the (left, right) values of atom i in member b, truth[b, i] is whether
+    the atom holds and holds[b] whether the formula does."""
+
+    atoms = formula.atoms
     lv, bound = values[:, :, 0], values[:, :, 1] + [atom.offset for atom in atoms]
     truth = np.where([atom.strict for atom in atoms], lv < bound, lv <= bound)
-    holds = np.broadcast_to(formula.evaluate(truth.T), (size,))
-    return MemberChecks(holds, values, truth)
+    return np.broadcast_to(formula.evaluate(truth.T), (len(values),)), truth
+
+
+def cone_classes(cm: CompiledModel) -> dict:
+    """The classes each side of the formula can depend on: per (slot,
+    state) of a query side, the varying classes deciding the slot's action
+    in the states reachable from the state under any action (its cone)."""
+
+    adjacent = np.logical_or.reduceat(cm.edges, cm.offsets)
+    cone = _reach_closure(adjacent[None])[0]
+    out = {}
+    for atom in cm.formula.atoms:
+        for side in (atom.left, atom.right):
+            if isinstance(side, Query) and (side.slot, side.state) not in out:
+                classes = np.unique(cm.classes[side.slot][cone[side.state]])
+                out[side.slot, side.state] = classes[cm.varies[classes]].tolist()
+    return out

@@ -54,6 +54,21 @@ certificate solves and the member checks made during it) over the
 run's settle rate, (settling + 1) / (analyses + 2), where an analysis
 settles when members were settled during it or it found the outcome.
 The root is always analysed, since no analysis has been counted when it is popped.
+
+In complete mode a family that factors is settled by a join instead of
+refinement, once the root's analysis leaves it open.  A side of the formula
+(a slot and an initial state) can only read the classes of its cone, the
+states reachable from its state under any action (analysis.cone_classes).
+Sides whose cones share a varying class form one factor, and a varying
+class in no cone is free.  With two or more factors, or one and a free
+class, each factor's members are checked once, every other class at its
+first action, and the atoms are evaluated on the product of the factors'
+value tables.  The satisfying set goes out as the maximal boxes that fix a
+prefix of the factors' classes in index order, free classes whole, in
+lexicographic order (prefix_boxes), so the witness is the least satisfying
+member, as the oracle's is.  A join that would hold more than JOIN_BYTES
+of tables and product is not made, and the family is refined.  Feasibility
+and optimal modes do not join.
 """
 
 from __future__ import annotations
@@ -62,7 +77,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import isnan
+from math import isnan, prod
 
 import numpy as np
 
@@ -71,16 +86,19 @@ import numpy as np
 # at this module's names.  The engine calls none of them, but every hooked
 # name must resolve, so all of them stay importable here
 from .analysis import (
+    CHUNK_BYTES,
     GUARD_BAND,
     CompiledModel,
     RowTable,
     check_mc,  # noqa: F401
     check_members,
     compile_model,
+    cone_classes,
     expected_reward,  # noqa: F401
     expected_visits,  # noqa: F401
     extremal_reach,
     extremal_reward,
+    formula_holds,
     reach_probs,  # noqa: F401
     row_table,
     solve_count,
@@ -92,6 +110,7 @@ from .family import (
     FamilyNode,
     ParameterSpace,
     PartialAssignment,
+    _UnionFind,
     build_parameter_space,
     controller_box,
     induce,
@@ -120,6 +139,12 @@ METHODS = ("ar", "hybrid", "oracle")
 
 # Candidate combinations tried per open box before splitting.
 COMPOSE_CAP = 8
+
+# Bytes a complete-mode join may hold besides its answer: its factors'
+# value tables, 16 bytes per atom and table member, and 2 bytes per member
+# of their product, for the satisfying set and the fullness of its
+# prefixes.  A family whose join would hold more is refined instead.
+JOIN_BYTES = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +504,46 @@ def member_chunks(boxes, size: int):
         yield np.concatenate(parts)
 
 
+def prefix_boxes(domains, classes, holds: np.ndarray) -> list[tuple]:
+    """The members a boolean array marks, as the per-class domains of the
+    fewest boxes that fix a prefix of the listed classes in index order and
+    leave the rest whole.
+
+    holds has one axis per listed class, in the order listed, over that
+    class's domain, and marks the members that hold; every class not listed
+    stays whole in each box.  A box is emitted at the shortest prefix below
+    which every member holds, so the boxes are disjoint and maximal, and
+    they come in lexicographic order, the first starting at the least
+    member that holds."""
+
+    layout = sorted(classes)
+    dims = [len(domains[k]) for k in layout]
+    full = [holds.transpose(np.argsort(classes))]
+    for _ in layout:
+        full.append(full[-1].all(axis=-1))
+    full.reverse()  # full[n]: every member below a prefix of n classes holds
+    starts, fixed = [], []
+    for n, whole in enumerate(full):
+        top = whole if n == 0 else whole & ~full[n - 1][..., None]
+        first = np.flatnonzero(top) * prod(dims[n:])
+        starts.append(first)
+        fixed.append(np.full(len(first), n))
+    starts, fixed = np.concatenate(starts), np.concatenate(fixed)
+    order = np.argsort(starts)
+    digits = np.stack(np.unravel_index(starts[order], dims), axis=-1)
+    digits[np.arange(len(layout)) >= fixed[order][:, None]] = -1
+    # per class, its domain in every box: a fixed class the singleton of
+    # its digit's action, a class left whole (digit -1) its whole domain
+    columns = [[d] * len(digits) for d in domains]
+    for j, k in enumerate(layout):
+        pieces = np.empty(dims[j] + 1, dtype=object)
+        for a, action in enumerate(domains[k]):
+            pieces[a] = (action,)
+        pieces[-1] = domains[k]
+        columns[k] = pieces[digits[:, j]].tolist()
+    return list(zip(*columns))
+
+
 def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: InstantiatedFormula):
     """Yield every satisfying realisation, lexicographically.  Members are
     checked a batch at a time, a batch only once the previous one's
@@ -555,6 +620,7 @@ class _Synthesizer:
         self.splits = 0
         self.ce_prunes = 0
         self.enumerated = 0
+        self.factors = 0
         self.atom_report = []
         self.sat_boxes: list[FamilyNode] = []
         self.satisfying = 0  # members of sat_boxes
@@ -576,6 +642,9 @@ class _Synthesizer:
             exc = LimitExceeded(f"iteration limit {self.max_iters} reached")
             exc.stats = self._stats("unknown")
             raise exc
+        self._check_time()
+
+    def _check_time(self):
         if self.time_limit is not None and self._elapsed() > self.time_limit:
             exc = LimitExceeded(f"time limit {self.time_limit}s exceeded")
             exc.stats = self._stats("unknown")
@@ -596,6 +665,7 @@ class _Synthesizer:
             "splits": self.splits,
             "ce_prunes": self.ce_prunes,
             "enumerated_members": self.enumerated,
+            "factors": self.factors,
             "analyses": self.analyses,
             "settling_analyses": self.settling,
             "solves": solve_count() - self.solves0,
@@ -752,31 +822,127 @@ class _Synthesizer:
             return None
         if residual == TRUE:
             return self._handle_allsat(node, stack)
+        if self.mode == "complete" and node.domains == self.space.domains:
+            factors = self._factors()
+            if factors is not None:
+                return self._join(*factors)
         return self._handle_open(node, residual, verdicts, bounds, stack)
+
+    def _checked(self, boxes):
+        """Check the members of the boxes, given by their per-class domains,
+        as one stream of index arrays (member_chunks), so small sibling
+        boxes share a batch.  Yields each chunk, cut to the members the
+        iteration limit leaves room for, with its checks; the caller counts
+        the members it takes as iterations.  The limits are checked before
+        and after each batch, and once more after a cut chunk, so the counts
+        stop at the limit's member exactly."""
+
+        for chunk in member_chunks(boxes, self.compiled.chunk):
+            self._check_limits()
+            checks = check_members(self.compiled, chunk)
+            self._check_limits()
+            room = len(chunk) if self.max_iters is None else self.max_iters - self.iterations
+            yield chunk[:room], checks
+            if room < len(chunk):
+                self._check_limits()  # the iteration limit, reached mid-chunk
 
     def _enumerate(self, nodes):
         """Settle boxes by checking their members, box by box and each in
         lexicographic order: the oracle's whole run, and refinement's on
-        cheap boxes.  The members of all the boxes form one stream of index
-        arrays (member_chunks), so small sibling boxes share a batch.  Each
-        chunk is checked in one batch and settled in one step.  The limits
-        are checked before and after each batch, and a chunk is settled no
-        further than the iteration limit allows, so the counts stop at that
-        member exactly."""
+        cheap boxes.  Each chunk is checked in one batch and settled in one
+        step."""
 
-        for chunk in member_chunks((node.domains for node in nodes), self.compiled.chunk):
-            self._check_limits()
-            holds = check_members(self.compiled, chunk).holds
-            self._check_limits()
-            room = len(chunk) if self.max_iters is None else self.max_iters - self.iterations
+        for members, checks in self._checked(node.domains for node in nodes):
             explored = self.explored
-            witness = self._settle(chunk[:room], holds[:room])
+            witness = self._settle(members, checks.holds[: len(members)])
             self.iterations += self.explored - explored
             self.enumerated += self.explored - explored
             if witness is not None:
                 return self._found(witness)
-            if room < len(chunk):
-                self._check_limits()  # the iteration limit, reached mid-chunk
+        return None
+
+    # -- factored families (complete mode) -------------------------------
+
+    def _factors(self):
+        """(factors, free, owner) when the family factors into a join: two
+        or more factors, or one and a free class, whose tables and product
+        fit in JOIN_BYTES; else None.
+
+        A side's values depend only on the varying classes of its cone
+        (analysis.cone_classes).  Sides whose cones share a class fall in
+        one factor, its classes listed in index order; factors come in the
+        order of their first class.  A varying class in no cone is free:
+        no side reads it.  owner[i, j] is the factor of side j of atom i,
+        or -1 for a constant side or one whose cone holds no varying
+        class."""
+
+        cones = cone_classes(self.compiled)
+        groups = _UnionFind(range(self.space.n_classes))
+        for classes in cones.values():
+            for k in classes[1:]:
+                groups.union(classes[0], k)
+        reached = {k for classes in cones.values() for k in classes}
+        by_root: dict[int, list[int]] = {}
+        for k in sorted(reached):
+            by_root.setdefault(groups.find(k), []).append(k)
+        factors = list(by_root.values())
+        free = [k for k, d in enumerate(self.space.domains) if len(d) > 1 and k not in reached]
+        if len(factors) < 2 and not (factors and free):
+            return None
+        atoms = self.formula.atoms
+        sizes = [prod(len(self.space.domains[k]) for k in classes) for classes in factors]
+        if 16 * len(atoms) * sum(sizes) + 2 * prod(sizes) > JOIN_BYTES:
+            return None
+        factor_of = {k: f for f, classes in enumerate(factors) for k in classes}
+        owner = np.full((len(atoms), 2), -1)
+        for i, atom in enumerate(atoms):
+            for j, side in enumerate((atom.left, atom.right)):
+                if isinstance(side, Query) and cones[side.slot, side.state]:
+                    owner[i, j] = factor_of[cones[side.slot, side.state][0]]
+        return factors, free, owner
+
+    def _join(self, factors, free, owner):
+        """Settle the whole family as the join of its factors' value
+        tables, in satisfying boxes.
+
+        Each factor's members are checked once, with every class outside
+        the factor at its first action, and counted as enumerated members.
+        A side's values come from its factor's table; the other sides are
+        constants, read off the first table's first row.  The atoms are
+        evaluated on the product of the tables, a chunk of about CHUNK_BYTES
+        of side values at a time, and the satisfying set goes out as
+        prefix_boxes, every free class whole."""
+
+        self.factors = len(factors)
+        domains = self.space.domains
+        tables = []
+        for classes in factors:
+            box = [d if k in classes else d[:1] for k, d in enumerate(domains)]
+            parts = []
+            for members, checks in self._checked([box]):
+                parts.append(checks.values[: len(members)])
+                self.iterations += len(members)
+                self.enumerated += len(members)
+            tables.append(np.concatenate(parts))
+
+        columns = [table[:, owner == f] for f, table in enumerate(tables)]
+        sizes = [len(table) for table in tables]
+        holds = np.empty(prod(sizes), dtype=bool)
+        step = max(1, CHUNK_BYTES // tables[0][0].nbytes)
+        for start in range(0, len(holds), step):
+            self._check_time()
+            stop = min(len(holds), start + step)
+            values = np.repeat(tables[0][:1], stop - start, axis=0)
+            for f, pick in enumerate(np.unravel_index(np.arange(start, stop), sizes)):
+                values[:, owner == f] = columns[f][pick]
+            holds[start:stop] = formula_holds(self.formula, values)[0]
+
+        classes = [k for factor in factors for k in factor]
+        holds = holds.reshape([len(domains[k]) for k in classes])
+        boxes = prefix_boxes(domains, classes, holds)
+        self.sat_boxes.extend(FamilyNode(self.space, box) for box in boxes)
+        self.satisfying += int(np.count_nonzero(holds)) * prod(len(domains[k]) for k in free)
+        self._decide(self.space.family_size())
         return None
 
     def _finish(self) -> SynthesisOutcome:

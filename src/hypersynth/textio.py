@@ -678,6 +678,7 @@ _STATS_KEYS = (
     "splits",
     "ce_prunes",
     "enumerated_members",
+    "factors",
     "analyses",
     "settling_analyses",
     "solves",

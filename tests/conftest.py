@@ -229,3 +229,72 @@ def multi_sink_instance(seed: int, sinks: int = 3):
         f"& P(s1, F d2) = P(s2, F d2) ~{rng.choice((0.0625, 0.125))}"
     )
     return m, spec
+
+
+def two_cone_instance(seed: int, controllers: int = 1, tie: bool = False):
+    """Two disjoint random sub-models under one quantified pair of states.
+
+    Sub-model A holds states 0 .. a-1 and B the rest; no row of one enters
+    the other, and action 0 of every state but the last of its sub-model
+    enters the next state, so each sub-model lies in the cone of its first
+    state.  The spec quantifies s1 over {0} and s2 over {a}, s1 on the
+    first controller and s2 on the last, under a random formula and an
+    atom comparing the two.
+    With one controller the two cones share no class, and with two each
+    controller's classes in the other sub-model are free.  tie makes both
+    first states decision states with two actions and ties their classes:
+    by obs({0, a}, c0) with one controller, and with two by same(0, {c0,
+    c1}) and obs({0, a}, c1), so that the cones form one factor."""
+
+    rng = random.Random(90_000 + seed)
+    sizes = (rng.randint(2, 4), rng.randint(2, 4))
+    trans = []
+    base = 0
+    for n in sizes:
+        multi = set(rng.sample(range(n), rng.randint(1, 2)))
+        if tie:
+            multi.add(0)
+        for s in range(n):
+            k = rng.randint(2, 3) if s in multi else 1
+            if tie and s == 0:
+                k = 2
+            rows = []
+            for a in range(k):
+                row = dict((base + t, p) for t, p in dyadic_row(rng, n))
+                if a == 0 and s + 1 < n and base + s + 1 not in row:
+                    row = {t: p / 2 for t, p in row.items()}
+                    row[base + s + 1] = row.get(base + s + 1, 0.0) + 0.5
+                rows.append(sorted(row.items()))
+            trans.append(rows)
+        base += n
+    total = len(trans)
+    labels = {
+        name: tuple(sorted(rng.sample(range(total), rng.randint(1, total // 2))))
+        for name in ("goal", "mark")
+    }
+    rewards = None
+    if rng.random() < 0.4:
+        rewards = {(s, a): rng.randint(0, 8) / 4.0 for s in range(total) for a in range(len(trans[s]))}
+    m = make_mdp(trans, labels=labels, rewards=rewards)
+
+    a = sizes[0]
+    last = controllers - 1
+    constraints = []
+    if tie and controllers == 1:
+        constraints.append(Obs((0, a), 0))
+    elif tie:
+        constraints += [Same(0, (0, 1)), Obs((0, a), 1)]
+    quants = (
+        Quantifier(rng.choice(("forall", "exists")), "s1", (0,), 0),
+        Quantifier(rng.choice(("forall", "exists")), "s2", (a,), last),
+    )
+    kind = "reward" if rewards and rng.random() < 0.3 else "reach"
+    across = SpecAtom(
+        SpecQuery(kind, "s1", rng.choice(("goal", "mark"))),
+        rng.choice(("<", "<=", "=", ">=", ">")),
+        SpecQuery(kind, "s2", rng.choice(("goal", "mark"))),
+        None,
+    )
+    formula = (rng.choice(("and", "or")), (("atom", across), _random_formula(rng, m, ["s1", "s2"])))
+    names = tuple(f"c{i}" for i in range(controllers))
+    return m, HyperSpec(names, tuple(constraints), quants, formula)

@@ -38,6 +38,7 @@ from hypersynth.analysis import (
     _states,
     check_members,
     compile_model,
+    cone_classes,
     qualitative_states,
     row_table,
     solve_count,
@@ -731,3 +732,16 @@ def test_check_members_keep_exact_zeros_on_random_multi_sink_models():
             assert np.abs(got[b] - want).max() <= 1e-12, (seed, real)
             zeros += (want == 0).sum()
     assert zeros > 1000
+
+
+def test_cone_classes_are_the_varying_classes_each_side_reaches():
+    # thread-scheduling 4/8: the chain from state 0 decides at states 0-3,
+    # the chain from state 5 at states 5-12; the chain ends and the shared
+    # abort state have one action each
+    m, spec = generate("thread-scheduling", h1=4, h2=8)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    cones = cone_classes(compile_model(m, space, instantiate(spec, m)))
+    assert cones == {
+        (0, 0): [space.class_index(0, s) for s in range(4)],
+        (0, 5): [space.class_index(0, s) for s in range(5, 13)],
+    }

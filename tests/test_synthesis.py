@@ -38,12 +38,20 @@ from hypersynth.synthesis import (
     max_distance_completion,
     member_chunks,
     node_distance_bound,
+    prefix_boxes,
     realisation_distance,
     subtree_price,
 )
 from hypersynth.family import root_node
 
-from conftest import binary_family, binary_spec, multi_sink_instance, notes_example, random_instance
+from conftest import (
+    binary_family,
+    binary_spec,
+    multi_sink_instance,
+    notes_example,
+    random_instance,
+    two_cone_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +163,14 @@ def test_worked_example_complete_modes():
 
 
 def test_worked_example_hybrid_prunes():
-    m, spec = notes_example()
+    # obs ties the two decision states, so the family does not factor and
+    # complete mode refines it
+    m, _ = notes_example()
+    spec = parse_spec(
+        "exists sigma : obs({0, 1}, sigma) ; forall s in {0, 1} [sigma] : P(s, F target) <= 0.6"
+    )
     out = synthesize(m, spec, mode="complete", method="hybrid")
+    assert out.stats["factors"] == 0
     assert out.stats["ce_prunes"] >= 1
 
 
@@ -710,9 +724,12 @@ def _always_enumerate(monkeypatch):
 
 def test_root_is_analysed_even_when_enumeration_pays(monkeypatch):
     seen = _always_enumerate(monkeypatch)
-    m, _ = notes_example()
-    out = synthesize(m, parse_spec(STUBBORN), mode="complete")
-    assert out.verdict == "unfeasible"
+    # no member of binary_family(3) reaches the target with 2.5 / 8; its
+    # one side's cone holds every class, so the family does not factor
+    m = binary_family(3)
+    spec = parse_spec("exists sigma : forall s in {0} [sigma] : P(s, F target) = 0.3125 ~0.000001")
+    out = synthesize(m, spec, mode="complete")
+    assert out.verdict == "unfeasible" and out.stats["factors"] == 0
     assert seen and all(node.size() < out.stats["family_size"] for node in seen)
     assert out.stats["enumerated_members"] == sum(node.size() for node in seen)
     assert out.stats["explored_fraction"] == 1.0
@@ -816,15 +833,18 @@ def test_run_enumerates_stacked_siblings_together_except_in_optimal_mode(monkeyp
 
     monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
     monkeypatch.setattr(_Synthesizer, "_enumerate", spy)
-    m, spec = random_instance(22)  # the root splits into three boxes of three members
+    # the root splits into two boxes of two members, and the family does
+    # not factor
+    m, spec = random_instance(361)
     out = synthesize(m, spec, mode=mode)
+    assert out.stats["factors"] == 0
     assert out.stats["enumerated_members"] == sum(n.size() for nodes in calls for n in nodes)
     sizes = [[n.size() for n in nodes] for nodes in calls]
     if mode == "optimal":
         # an incumbent from one box may outrank the next, so one box a call
-        assert sizes == [[3], [3], [3]]
+        assert sizes == [[2], [2]]
     else:
-        assert sizes == [[3, 3, 3]]
+        assert sizes == [[2, 2]]
 
 
 def test_run_streams_enumerated_siblings_larger_than_a_chunk(monkeypatch):
@@ -867,6 +887,112 @@ def test_hybrid_checks_each_open_box_in_one_batch(monkeypatch, bench, params, mo
     if mode == "optimal":
         # one open box has a candidate as well as the member hybrid checks
         assert any(sizes == [2] for sizes in per_box)
+
+
+# ---------------------------------------------------------------------------
+# factored families in complete mode
+
+
+@pytest.mark.parametrize("controllers, tie", [(1, False), (1, True), (2, False), (2, True)])
+def test_complete_joins_agree_with_the_oracle_on_two_cone_instances(controllers, tie):
+    # a join answers member for member as the oracle does, in disjoint
+    # boxes whose first member is the least satisfying one; cones tied by
+    # obs() and same() form one factor, which with one controller leaves
+    # nothing to join
+    joined = 0
+    for seed in range(60):
+        m, spec = two_cone_instance(seed, controllers, tie)
+        want = enumerate_satisfying(m, spec)
+        for method in ("ar", "hybrid"):
+            out = synthesize(m, spec, mode="complete", method=method)
+            got = [r for box in out.satisfying for r in product(*box.domains)]
+            assert sorted(got) == want, (seed, method)
+            assert out.stats["satisfying_count"] == len(want)
+            factors = out.stats["factors"]
+            if controllers == 1 and tie:
+                assert factors == 0, (seed, method)
+            if factors:
+                joined += 1
+                assert factors == (1 if tie else 2), (seed, method)
+                assert out.stats["explored"] == out.stats["family_size"]
+                assert out.realisation == (want[0] if want else None), (seed, method)
+    if not (controllers == 1 and tie):
+        assert joined >= 20
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_prefix_boxes_are_the_maximal_prefix_boxes_in_order(seed):
+    rng = np.random.default_rng(seed)
+    domains = ((0, 1), (0,), (0, 1, 2), (1, 3), (0, 2))
+    classes = [3, 0, 2]  # listed out of index order; 1 is fixed and 4 left whole
+    holds = rng.random([len(domains[k]) for k in classes]) < rng.choice([0.2, 0.6, 0.9, 1.0])
+    boxes = prefix_boxes(domains, classes, holds)
+    members = [r for box in boxes for r in product(*box)]
+    marked = [r for r in product(*domains) if holds[tuple(domains[k].index(r[k]) for k in classes)]]
+    assert members == marked  # disjoint, complete and in lexicographic order
+    # maximal: a box fixes a prefix of classes 0, 2, 3 whose one-shorter
+    # prefix has a member outside the marked set
+    layout = sorted(classes)
+    for box in boxes:
+        n = sum(len(box[k]) == 1 for k in layout)
+        assert all(box[k] == domains[k] for k in layout[n:]) and box[4] == domains[4]
+        if n:
+            parent = [box[k] if k in layout[: n - 1] else domains[k] for k in range(len(domains))]
+            assert not set(product(*parent)) <= set(marked)
+
+
+def test_complete_bench_calls_join_factor_tables():
+    # each factor's members are checked once: 64 + 64 on timing-attack n=6
+    # and 16 + 256 on thread-scheduling 4/8, against 4,096 members each
+    m, spec = generate("timing-attack", n=6)
+    out = synthesize(m, spec, mode="complete", method="ar")
+    stats = out.stats
+    assert stats["factors"] == 2 and stats["enumerated_members"] == 128
+    assert stats["explored"] == stats["family_size"] == 4096
+    assert stats["satisfying_count"] == 2510 and len(out.satisfying) <= 1716
+    m, spec = generate("thread-scheduling", h1=4, h2=8)
+    out = synthesize(m, spec, mode="complete", method="hybrid")
+    stats = out.stats
+    assert stats["factors"] == 2 and stats["enumerated_members"] == 272
+    assert stats["explored"] == stats["family_size"] == 4096
+    assert stats["satisfying_count"] == 3302 and len(out.satisfying) <= 792
+
+
+def test_a_join_past_its_memory_bound_is_refined(monkeypatch):
+    # timing-attack n=6 joins two tables of 64 members into 4,096 members;
+    # with a bound below that the family is refined, to the same answer
+    m, spec = generate("timing-attack", n=6)
+    joined = synthesize(m, spec, mode="complete")
+    monkeypatch.setattr(synthesis, "JOIN_BYTES", 2 * 4096 - 1)
+    refined = synthesize(m, spec, mode="complete")
+    assert joined.stats["factors"] == 2 and refined.stats["factors"] == 0
+    assert refined.stats["enumerated_members"] > 128
+    members = [sorted(r for box in out.satisfying for r in product(*box.domains)) for out in (joined, refined)]
+    assert members[0] == members[1] and len(members[0]) == 2510
+
+
+def test_limits_stop_the_factor_tables(monkeypatch):
+    m, spec = generate("timing-attack", n=6)
+    base = synthesize(m, spec, mode="complete")
+    # the root's analysis, the first factor's 64 members, then 5 of the
+    # second's: the limit stops at its member exactly
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, spec, mode="complete", max_iters=70)
+    stats = e.value.stats
+    assert set(stats) == set(base.stats)
+    assert stats["verdict"] == "unknown" and stats["factors"] == 2
+    assert stats["iterations"] == 70 and stats["enumerated_members"] == 69
+    assert stats["explored"] == stats["satisfying_count"] == 0
+    # the engine's clock moves one second per batch, and each factor's
+    # table is one batch: a limit of 1.5 s runs out on the second table
+    batches = _count_batches(monkeypatch)
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(perf_counter=lambda: float(len(batches))))
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, spec, mode="complete", time_limit=1.5)
+    stats = e.value.stats
+    assert batches == [64, 64]
+    assert set(stats) == set(base.stats)
+    assert stats["factors"] == 2 and stats["enumerated_members"] == 64
 
 
 # ---------------------------------------------------------------------------

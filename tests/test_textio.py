@@ -228,6 +228,7 @@ def test_write_stats_shape():
         "splits": 1,
         "ce_prunes": 0,
         "enumerated_members": 4,
+        "factors": 2,
         "analyses": 2,
         "settling_analyses": 1,
         "solves": 7,
@@ -244,7 +245,9 @@ def test_write_stats_shape():
     assert data["family_size"] == 156
     assert list(data).index("enumerated_members") == list(data).index("ce_prunes") + 1
     keys = list(data)
-    assert keys.index("settling_analyses") == keys.index("analyses") + 1 == keys.index("enumerated_members") + 2
+    assert keys.index("factors") == keys.index("enumerated_members") + 1 == keys.index("analyses") - 1
+    assert keys.index("settling_analyses") == keys.index("analyses") + 1
+    assert data["factors"] == 2
     assert keys.index("solves") == keys.index("settling_analyses") + 1 == keys.index("wall_time_s") - 1
     assert data["atoms"][0]["lb_left"] == "inf"
     # key order is stable
