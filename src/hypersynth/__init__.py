@@ -39,10 +39,8 @@ from .family import (
 )
 from .model import (
     Controller,
-    Mc,
     Mdp,
     impose,
-    make_mc,
     make_mdp,
     unfold_memory,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "HyperSpec",
     "HypersynthError",
     "LimitExceeded",
-    "Mc",
     "Mdp",
     "ModelError",
     "Obs",
@@ -108,7 +105,6 @@ __all__ = [
     "induce",
     "instantiate",
     "lift_spec_memory",
-    "make_mc",
     "make_mdp",
     "node_restrict",
     "parse_controller",

@@ -1,26 +1,28 @@
 """Model checking of reachability and expected reward, for MCs and MDPs.
 
 Markov chains are solved directly: a chain is an MDP with one action per
-state, so its qualitative sets come from the MDPs' bitmask fixpoints, and
-its quantities from dense linear solves, exact up to machine precision.
+state, as `impose` builds it, so its qualitative sets come from the MDPs'
+bitmask fixpoints, and its quantities from dense linear solves, exact up to
+machine precision.  The chain solvers raise ModelError on a state with
+more than one action.
 MDP extrema (min/max over all controllers) use qualitative precomputation
 followed by policy iteration on the remaining states, so the values
 returned are those of the witness policy, each from one dense linear solve.
 
 Every qualitative set and witness, of an MDP or a chain, is grown on
 integer bitmasks by one least fixpoint, `_attractor`, or by the forward
-closures of `RowTable.reachable`; only the batched member checks below
-close graphs of their own.  `_attractor` scans the states in index order,
-and a state joins as soon as its scan finds an entering action, with the
-lowest such ordinal, so a state may enter through one that joined earlier
-in the same round.
+closures of `RowTable.reachable`; the batched member checks below close
+their dense graphs with `_reach_closure`.  `_attractor` scans the states
+in index order, and a state joins as soon as its scan finds an entering
+action, with the lowest such ordinal, so a state may enter through one
+that joined earlier in the same round.
 
 The extremal solves range over the controllers choosing, in each state s,
 among the ascending action ordinals allowed[s]; by default every action.
 A box of a controller family is analysed in place this way, on the MDP's
 row tables (`row_table`), built once per model: per state and action, the
 row's successors as one bitmask, and its transitions leaving the state
-with their total probability (a chain's table holds only the masks).
+with their total probability.
 Every fixpoint and policy-iteration round scans only the allowed actions'
 rows: a join test is an integer and of a row's mask with the set grown so
 far, and policy iteration reads the leaving transitions and their mass
@@ -74,7 +76,7 @@ import numpy as np
 
 from .errors import InvalidControllerError, MissingRewardsError, ModelError
 from .formulas import InstantiatedFormula, Query
-from .model import Controller, Mc, Mdp, Row
+from .model import Controller, Mdp, Row
 
 # The engine's numeric tolerances.  An atom is decided on a whole box (or a
 # certificate closed) only with GUARD_BAND of slack on its bounds, to absorb
@@ -130,18 +132,16 @@ def _target_states(model, target) -> frozenset[int]:
 
 @dataclass(frozen=True, eq=False)
 class RowTable:
-    """The transition rows of an MDP, or of a chain as an MDP with one
-    action per state, as the fixpoints and the extremal solves read them,
-    built once per model (`row_table`) or chain (`_chain_rows`).  For action
-    a of state s: succ[s][a] is the row's successors as a bitmask (bit t set
+    """The transition rows of an MDP, as the fixpoints and the extremal
+    solves read them, built once per model (`row_table`).  For action a of
+    state s: succ[s][a] is the row's successors as a bitmask (bit t set
     when t is one), out[s][a] its transitions to other states in successor
-    order, and leave[s][a] their total probability.  The fixpoints read
-    only succ, so a chain's table leaves out and leave None."""
+    order, and leave[s][a] their total probability."""
 
     num_states: int
     succ: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[Row, ...], ...] | None = None
-    leave: tuple[tuple[float, ...], ...] | None = None
+    out: tuple[tuple[Row, ...], ...]
+    leave: tuple[tuple[float, ...], ...]
 
     @property
     def everything(self) -> int:
@@ -173,13 +173,6 @@ def row_table(m: Mdp) -> RowTable:
     )
     leave = tuple(tuple(sum(p for _, p in row) for row in menu) for menu in out)
     return RowTable(m.num_states, succ, out, leave)
-
-
-def _chain_rows(mc: Mc) -> RowTable:
-    """The row table of the chain, as an MDP with one action, ordinal 0, in
-    each state."""
-
-    return RowTable(mc.num_states, tuple((_row_mask(row),) for row in mc.trans))
 
 
 def _mask(states) -> int:
@@ -346,23 +339,33 @@ def qualitative_states(m: Mdp, target, direction: str, allowed=None):
     return frozenset(_states(prob0)), frozenset(_states(prob1))
 
 
-def _chain_can_reach(mc: Mc, t) -> list[int]:
+def _one_action(mc: Mdp) -> None:
+    """Raise ModelError unless every state of the chain has one action."""
+
+    for s, menu in enumerate(mc.trans):
+        if len(menu) != 1:
+            raise ModelError(f"state {s} has {len(menu)} actions; a chain has one")
+
+
+def _chain_can_reach(mc: Mdp, t) -> list[int]:
     """The states outside the target t that can reach it in the chain, in
     ascending order: those outside extremal_reach's prob0, on the chain's
     one action."""
 
-    rows, inside = _chain_rows(mc), _mask(t)
+    _one_action(mc)
+    rows, inside = row_table(mc), _mask(t)
     only = [(0,)] * mc.num_states
     can, _, _ = _attractor(inside, _some_action_enters(rows, only), rows.everything)
     return _states(can & ~inside)
 
 
-def _chain_closures(mc: Mc):
+def _chain_closures(mc: Mdp):
     """(reach, bottoms): per state, the set of states reachable from it in
     the chain, and the set of states lying in some bottom SCC, which are
     those that every state they reach can reach back."""
 
-    rows = _chain_rows(mc)
+    _one_action(mc)
+    rows = row_table(mc)
     only = (0,) * mc.num_states
     reach = [set(rows.reachable(only, s)) for s in range(mc.num_states)]
     return reach, {s for s, seen in enumerate(reach) if all(s in reach[u] for u in seen)}
@@ -372,7 +375,7 @@ def _chain_closures(mc: Mc):
 # Markov chains
 
 
-def reach_probs(mc: Mc, target) -> np.ndarray:
+def reach_probs(mc: Mdp, target) -> np.ndarray:
     """Probability of eventually visiting the target, per state.
 
     States that cannot reach the target get exact 0, target states exact 1,
@@ -391,7 +394,7 @@ def reach_probs(mc: Mc, target) -> np.ndarray:
     a = np.eye(len(mid))
     b = np.zeros(len(mid))
     for s in mid:
-        for succ, p in mc.trans[s]:
+        for succ, p in mc.trans[s][0]:
             if succ in t:
                 b[idx[s]] += p
             elif succ in idx:
@@ -402,13 +405,14 @@ def reach_probs(mc: Mc, target) -> np.ndarray:
     return out
 
 
-def expected_reward(mc: Mc, target) -> np.ndarray:
+def expected_reward(mc: Mdp, target) -> np.ndarray:
     """Expected total reward accumulated before the target is reached.
 
     Infinite where the target is not reached almost surely, zero on the
     target itself.  Requires a reward structure.
     """
 
+    _one_action(mc)
     if mc.rewards is None:
         raise MissingRewardsError("expected_reward on a chain without rewards")
     t = _target_states(mc, target)
@@ -417,15 +421,15 @@ def expected_reward(mc: Mc, target) -> np.ndarray:
     for s in t:
         out[s] = 0.0
     inside = _mask(t)
-    mid = _states(_prob1_max(_chain_rows(mc), [(0,)] * n, inside)[0] & ~inside)
+    mid = _states(_prob1_max(row_table(mc), [(0,)] * n, inside)[0] & ~inside)
     if not mid:
         return out
     idx = {s: i for i, s in enumerate(mid)}
     a = np.eye(len(mid))
     b = np.zeros(len(mid))
     for s in mid:
-        b[idx[s]] += mc.rewards[s]
-        for succ, p in mc.trans[s]:
+        b[idx[s]] += mc.rewards[s][0]
+        for succ, p in mc.trans[s][0]:
             if succ in idx:
                 a[idx[s], idx[succ]] -= p
     x = _dense_solve(a, b)
@@ -434,7 +438,7 @@ def expected_reward(mc: Mc, target) -> np.ndarray:
     return out
 
 
-def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
+def expected_visits(mc: Mdp, from_state: int) -> np.ndarray:
     """Expected number of visits to each state, starting from from_state.
 
     Transient states get the exact count from a linear solve; states of a
@@ -454,7 +458,7 @@ def expected_visits(mc: Mc, from_state: int) -> np.ndarray:
         # visits(t) = [from] (I - Q)^{-1}, solved as (I - Q)^T x = e_from
         a = np.eye(len(transient))
         for s in transient:
-            for succ, p in mc.trans[s]:
+            for succ, p in mc.trans[s][0]:
                 if succ in idx:
                     a[idx[succ], idx[s]] -= p
         b = np.zeros(len(transient))
@@ -628,7 +632,7 @@ def check_mc(mcs, formula: InstantiatedFormula) -> CheckResult:
     formulas.  Atom values come from direct solves, so the verdict is exact
     up to machine arithmetic and the atoms' own offsets."""
 
-    if isinstance(mcs, Mc):
+    if isinstance(mcs, Mdp):
         mcs = (mcs,)
     found = {}
     for kind, slot, target in formula.queries:

@@ -4,16 +4,17 @@ Every float has an exact Fraction value, so converting a chain's rows to
 Fractions and solving the linear systems with exact Gaussian elimination
 yields the mathematically exact answer for the chain as stored.  Quadratic
 memory and cubic time in rationals: intended for models of around ten
-states, not for production checking.
+states, not for production checking.  Inputs, chains of one action per
+state as `impose` builds them, are checked as the float solvers check them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import _chain_can_reach, _chain_closures
+from .analysis import _chain_can_reach, _chain_closures, _target_states
 from .errors import MissingRewardsError, ModelError
-from .model import Mc
+from .model import Mdp
 
 
 def solve_fractions(a, b):
@@ -39,14 +40,14 @@ def solve_fractions(a, b):
     return [m[r][n] for r in range(n)]
 
 
-def _rows(mc: Mc):
-    return [[(t, Fraction(p)) for t, p in mc.trans[s]] for s in range(mc.num_states)]
+def _rows(mc: Mdp):
+    return [[(t, Fraction(p)) for t, p in menu[0]] for menu in mc.trans]
 
 
-def reach_probs_exact(mc: Mc, target) -> list[Fraction]:
+def reach_probs_exact(mc: Mdp, target) -> list[Fraction]:
     """Exact reachability probabilities of the chain as stored."""
 
-    t = frozenset(target)
+    t = _target_states(mc, target)
     rows = _rows(mc)
     n = mc.num_states
     out = [Fraction(0)] * n
@@ -70,13 +71,13 @@ def reach_probs_exact(mc: Mc, target) -> list[Fraction]:
     return out
 
 
-def expected_reward_exact(mc: Mc, target):
+def expected_reward_exact(mc: Mdp, target):
     """Exact expected rewards; None marks states where the target is not
     almost surely reached (the float engine reports +inf there)."""
 
     if mc.rewards is None:
         raise MissingRewardsError("no rewards")
-    t = frozenset(target)
+    t = _target_states(mc, target)
     reach = reach_probs_exact(mc, target)
     n = mc.num_states
     out: list[Fraction | None] = [None] * n
@@ -88,7 +89,7 @@ def expected_reward_exact(mc: Mc, target):
     rows = _rows(mc)
     idx = {s: i for i, s in enumerate(mid)}
     a = [[Fraction(1 if i == j else 0) for j in range(len(mid))] for i in range(len(mid))]
-    b = [Fraction(mc.rewards[s]) for s in mid]
+    b = [Fraction(mc.rewards[s][0]) for s in mid]
     for s in mid:
         for succ, p in rows[s]:
             if succ in idx:
@@ -99,12 +100,14 @@ def expected_reward_exact(mc: Mc, target):
     return out
 
 
-def expected_visits_exact(mc: Mc, from_state: int):
+def expected_visits_exact(mc: Mdp, from_state: int):
     """Exact expected visit counts for transient states; None marks states
     of a bottom SCC hit with positive probability (the float engine caps
     them), 0 marks unreachable ones."""
 
     n = mc.num_states
+    if not (0 <= from_state < n):
+        raise ModelError(f"state {from_state} out of range")
     # the qualitative sets are exact graph computations, so the bitmask
     # fixpoints the float module runs on chains and MDPs serve here too
     reach, bottoms = _chain_closures(mc)

@@ -1,9 +1,9 @@
-"""Explicit-state MDP and Markov chain models.
+"""Explicit-state MDP models.
 
 States are dense 0-based integers.  Each state carries an ordered menu of
 actions; action identity is the ordinal position in that menu, with an
 optional display name.  A Markov chain is the special case with exactly one
-distribution per state and is stored in its own lighter type.
+action per state, as `impose` builds it.
 
 Transition rows must sum to 1 within PROB_SUM_TOL; rows inside the tolerance
 are renormalised, rows outside it are rejected.
@@ -68,39 +68,14 @@ class Mdp:
     def target(self, label: str) -> frozenset[int]:
         """The states of a label, as the solvers take a target."""
 
-        return _label_set(self.labels, label)
+        for name, states in self.labels:
+            if name == label:
+                return states
+        raise ModelError(f"unknown label {label!r}")
 
     @property
     def has_rewards(self) -> bool:
         return self.rewards is not None
-
-
-@dataclass(frozen=True)
-class Mc:
-    """Markov chain, as induced by imposing a controller on an MDP; rewards
-    collapse to one float per state."""
-
-    num_states: int
-    trans: tuple[Row, ...]
-    labels: tuple[tuple[str, frozenset[int]], ...] = ()
-    rewards: tuple[float, ...] | None = None
-
-    def row(self, s: int) -> Row:
-        return self.trans[s]
-
-    def target(self, label: str) -> frozenset[int]:
-        return _label_set(self.labels, label)
-
-    @property
-    def has_rewards(self) -> bool:
-        return self.rewards is not None
-
-
-def _label_set(labels, label: str) -> frozenset[int]:
-    for name, states in labels:
-        if name == label:
-            return states
-    raise ModelError(f"unknown label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -208,33 +183,13 @@ def _to_float(p) -> float:
     return float(p)
 
 
-def make_mc(trans, labels=None, rewards=None) -> Mc:
-    """Validate single-distribution transition data and build an Mc."""
-
-    n = len(trans)
-    rows = []
-    for s, entries in enumerate(trans):
-        row = _normalize_row(((succ, _to_float(p)) for succ, p in entries), f"state {s}")
-        for succ, _ in row:
-            if not (0 <= succ < n):
-                raise ModelError(f"successor {succ} out of range in state {s}")
-        rows.append(row)
-    label_out = ()
-    if labels:
-        label_out = tuple(sorted((name, frozenset(states)) for name, states in dict(labels).items()))
-    rew_out = None
-    if rewards is not None:
-        rew_out = tuple(float(r) for r in rewards)
-        if any(r < 0 for r in rew_out):
-            raise ModelError("negative reward")
-    return Mc(n, tuple(rows), label_out, rew_out)
-
-
 # -- operations ------------------------------------------------------------
 
 
-def impose(m: Mdp, controller: Controller) -> Mc:
-    """Impose a controller on an MDP, giving the induced Markov chain.
+def impose(m: Mdp, controller: Controller) -> Mdp:
+    """Impose a controller on an MDP, giving the induced Markov chain: the
+    MDP whose state s has the one action the controller picks there, with
+    its row, reward and name, and the MDP's labels.
 
     The controller must pick an enabled action ordinal in every state;
     anything else raises InvalidControllerError.
@@ -244,16 +199,17 @@ def impose(m: Mdp, controller: Controller) -> Mc:
         raise InvalidControllerError(
             f"controller covers {len(controller)} states, model has {m.num_states}"
         )
-    rows = []
-    rew = [] if m.rewards is not None else None
     for s in range(m.num_states):
-        a = controller[s]
-        if not (0 <= a < m.num_actions(s)):
-            raise InvalidControllerError(f"state {s}: action {a} not enabled")
-        rows.append(m.trans[s][a])
-        if rew is not None:
-            rew.append(m.rewards[s][a])
-    return Mc(m.num_states, tuple(rows), m.labels, tuple(rew) if rew is not None else None)
+        if not (0 <= controller[s] < m.num_actions(s)):
+            raise InvalidControllerError(f"state {s}: action {controller[s]} not enabled")
+
+    def pick(table):
+        return None if table is None else tuple((menu[a],) for menu, a in zip(table, controller.choices))
+
+    names = pick(m.action_names)
+    if names is not None and all(nm is None for (nm,) in names):
+        names = None
+    return Mdp(m.num_states, pick(m.trans), m.labels, pick(m.rewards), names)
 
 
 def unfold_memory(m: Mdp, bits: int) -> Mdp:

@@ -77,7 +77,8 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import isnan, prod
+from math import prod
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -1150,12 +1151,11 @@ def synthesize(
         raise SpecError(f"unknown mode {mode!r}")
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}")
-    if time_limit is not None and isnan(time_limit):
-        raise SpecError("time limit is NaN")
-    if time_limit is not None and time_limit < 0:
-        raise SpecError(f"time limit must not be negative, not {time_limit!r}")
-    if max_iters is not None and max_iters < 0:
-        raise SpecError(f"iteration limit must not be negative, not {max_iters!r}")
+    # NaN fails every comparison, so it is rejected with the negatives
+    if time_limit is not None and not (isinstance(time_limit, Real) and time_limit >= 0):
+        raise SpecError(f"time limit must be a nonnegative number, not {time_limit!r}")
+    if max_iters is not None and not (isinstance(max_iters, Integral) and max_iters >= 0):
+        raise SpecError(f"iteration limit must be a nonnegative integer, not {max_iters!r}")
     engine = _Synthesizer(m, spec, mode, method, max_iters, time_limit)
     if method == "oracle":
         return engine.run_oracle()

@@ -22,7 +22,6 @@ from hypersynth import (
     extremal_reach,
     extremal_reward,
     impose,
-    make_mc,
     make_mdp,
     parse_spec,
     reach_probs,
@@ -30,8 +29,8 @@ from hypersynth import (
 from hypersynth import analysis
 from hypersynth.analysis import (
     INF,
+    _chain_can_reach,
     _chain_closures,
-    _chain_rows,
     _mask,
     _prob1_max,
     _qualitative,
@@ -55,6 +54,14 @@ from hypersynth.formulas import Atom, InstantiatedFormula, Query
 from hypersynth.synthesis import instantiate
 
 from conftest import dyadic_row, multi_sink_instance, random_instance, random_model
+
+
+def _chain(rows, labels=None, rewards=None):
+    """A chain: an Mdp with the one action rows[s] in each state s."""
+
+    return make_mdp(
+        [[row] for row in rows], labels, None if rewards is None else [[r] for r in rewards]
+    )
 
 
 def _random_mc(seed):
@@ -119,7 +126,7 @@ def test_reach_probs_hand_example(notes_mdp):
 
 def test_expected_reward_geometric():
     # stay with probability 3/4 paying 2 per step: E = 2 * 4 = 8
-    mc = make_mc(
+    mc = _chain(
         [[(0, 0.75), (1, 0.25)], [(1, 1.0)]],
         labels={"end": (1,)},
         rewards=[2.0, 0.0],
@@ -130,7 +137,7 @@ def test_expected_reward_geometric():
 
 
 def test_expected_reward_unreachable_is_inf():
-    mc = make_mc(
+    mc = _chain(
         [[(0, 0.5), (1, 0.5)], [(1, 1.0)], [(2, 1.0)]],
         labels={"far": (2,)},
         rewards=[1.0, 1.0, 0.0],
@@ -140,7 +147,7 @@ def test_expected_reward_unreachable_is_inf():
 
 
 def test_empty_target_conventions():
-    mc = make_mc([[(0, 1.0)]], labels={"none": ()}, rewards=[1.0])
+    mc = _chain([[(0, 1.0)]], labels={"none": ()}, rewards=[1.0])
     assert reach_probs(mc, mc.target("none"))[0] == 0.0
     assert expected_reward(mc, mc.target("none"))[0] == INF
     # the extremal solves' witnesses keep to the allowed menus
@@ -154,13 +161,13 @@ def test_empty_target_conventions():
 
 def test_expected_visits_transient_loop():
     # fundamental matrix of Q = [[2/3, 1/3], [1/2, 0]]: first row (6, 2)
-    mc = make_mc([[(0, 2 / 3.0), (1, 1 / 3.0)], [(0, 0.5), (2, 0.5)], [(2, 1.0)]])
+    mc = _chain([[(0, 2 / 3.0), (1, 1 / 3.0)], [(0, 0.5), (2, 0.5)], [(2, 1.0)]])
     v = expected_visits(mc, 0)
     assert v[0] == pytest.approx(6.0, abs=1e-9)
     assert v[1] == pytest.approx(2.0, abs=1e-9)
     assert v[2] >= 1e6  # absorbing states saturate
     # unreachable states count zero
-    mc2 = make_mc([[(0, 1.0)], [(1, 1.0)]])
+    mc2 = _chain([[(0, 1.0)], [(1, 1.0)]])
     assert expected_visits(mc2, 0)[1] == 0.0
 
 
@@ -347,8 +354,11 @@ def test_check_mc_on_worked_example(notes_mdp):
         "exists sigma : forall s in {0, 1} [sigma] : P(s, F target) <= 0.6"
     )
     formula = instantiate(spec, notes_mdp)
-    good = check_mc(impose(notes_mdp, Controller((1, 1, 0, 0))), formula)
+    mc = impose(notes_mdp, Controller((1, 1, 0, 0)))
+    good = check_mc(mc, formula)
     assert good.holds
+    # a single chain is taken as the one slot's chain
+    assert check_mc((mc,), formula) == good
     bad = check_mc(impose(notes_mdp, Controller((0, 1, 0, 0))), formula)
     assert not bad.holds
     lv, rv, ok = bad.atom_values[0]
@@ -371,15 +381,8 @@ def test_check_mc_equality_and_negation(notes_mdp):
 
 
 def test_check_mc_handles_inf_rewards():
-    mc = make_mc(
-        [[(0, 1.0)], [(1, 1.0)]],
-        labels={"end": (1,)},
-        rewards=[1.0, 0.0],
-    )
     m_text = "exists g : forall s in {0} [g] : R(s, F end) >= 5.0"
     # reward from the loop state never terminates: infinite, so >= holds
-    from hypersynth import make_mdp
-
     m = make_mdp([[[(0, 1.0)]], [[(1, 1.0)]]], labels={"end": (1,)},
                  rewards=[[1.0], [0.0]])
     formula = instantiate(parse_spec(m_text), m)
@@ -388,6 +391,43 @@ def test_check_mc_handles_inf_rewards():
     # the >= normalises to scalar <= query; the query side is infinite
     lv, rv, ok = res.atom_values[0]
     assert lv == 5.0 and math.isinf(rv) and ok
+
+
+def test_chain_solvers_reject_a_state_with_two_actions():
+    m = make_mdp(
+        [[[(0, 0.5), (1, 0.5)], [(1, 1.0)]], [[(1, 1.0)]]],
+        labels={"end": (1,)},
+        rewards=[[1.0, 2.0], [0.0]],
+    )
+    formula = instantiate(parse_spec("exists g : forall s in {0} [g] : P(s, F end) >= 0.5"), m)
+    target = m.target("end")
+    calls = (
+        lambda: reach_probs(m, target),
+        lambda: expected_reward(m, target),
+        lambda: expected_visits(m, 0),
+        lambda: check_mc(m, formula),
+        lambda: check_mc((m,), formula),
+        lambda: reach_probs_exact(m, target),
+        lambda: expected_reward_exact(m, target),
+        lambda: expected_visits_exact(m, 0),
+        lambda: _chain_can_reach(m, target),
+        lambda: _chain_closures(m),
+    )
+    for call in calls:
+        with pytest.raises(ModelError, match="state 0 has 2 actions"):
+            call()
+
+
+def test_exact_solvers_check_their_inputs_as_the_float_ones_do():
+    mc = _chain([[(1, 0.5), (2, 0.5)], [(1, 1.0)], [(2, 1.0)]], rewards=[1.0, 0.0, 0.0])
+    for target in ({-1}, {3}, {5}):
+        for solve in (reach_probs, expected_reward, reach_probs_exact, expected_reward_exact):
+            with pytest.raises(ModelError, match="out of range"):
+                solve(mc, target)
+    for start in (-1, 3):
+        for solve in (expected_visits, expected_visits_exact):
+            with pytest.raises(ModelError, match="out of range"):
+                solve(mc, start)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +439,7 @@ def _random_graph_mc(rng):
 
     n = rng.randint(1, 12)
     absorbing = set(rng.sample(range(n), rng.randint(0, n // 3)))
-    return make_mc([[(s, 1.0)] if s in absorbing else dyadic_row(rng, n) for s in range(n)])
+    return _chain([[(s, 1.0)] if s in absorbing else dyadic_row(rng, n) for s in range(n)])
 
 
 def _reach(mc, s, leave=lambda u: True):
@@ -411,7 +451,7 @@ def _reach(mc, s, leave=lambda u: True):
         u = todo.pop()
         if not leave(u):
             continue
-        for v, _ in mc.trans[u]:
+        for v, _ in mc.trans[u][0]:
             if v not in seen:
                 seen.add(v)
                 todo.append(v)
@@ -427,7 +467,7 @@ def test_bottom_scc_states_match_definition():
         # s is in a bottom SCC iff everything it reaches reaches it back
         want = {s for s in range(mc.num_states) if all(s in reach[u] for u in reach[s])}
         assert _chain_closures(mc)[1] == want, seed
-        absorbing_seen += sum(row == ((s, 1.0),) for s, row in enumerate(mc.trans))
+        absorbing_seen += sum(menu[0] == ((s, 1.0),) for s, menu in enumerate(mc.trans))
     assert absorbing_seen > 100
 
 
@@ -443,7 +483,7 @@ def test_almost_sure_reach_matches_definition():
             for s in range(mc.num_states)
             if all(_reach(mc, u) & t for u in _reach(mc, s, lambda u: u not in t))
         }
-        sure, _ = _prob1_max(_chain_rows(mc), [(0,)] * mc.num_states, _mask(t))
+        sure, _ = _prob1_max(row_table(mc), [(0,)] * mc.num_states, _mask(t))
         assert set(_states(sure)) == want, seed
 
 
@@ -454,9 +494,9 @@ def test_almost_sure_reach_matches_definition():
 def _zero_reward_cycle(mc, target) -> bool:
     """Whether the chain has a cycle of zero-reward states off the target."""
 
-    free = {s for s in range(mc.num_states) if s not in target and mc.rewards[s] == 0.0}
+    free = {s for s in range(mc.num_states) if s not in target and mc.rewards[s][0] == 0.0}
     return any(
-        s in _reach(mc, t, free.__contains__) for s in free for t, _ in mc.trans[s] if t in free
+        s in _reach(mc, t, free.__contains__) for s in free for t, _ in mc.trans[s][0] if t in free
     )
 
 
@@ -600,7 +640,7 @@ def test_compile_model_rejects_a_label_the_model_lacks():
 
 
 def test_solve_count_counts_each_solve_call_in_its_own_thread():
-    mc = make_mc([[(1, 0.5), (2, 0.5)], [(0, 0.5), (2, 0.5)], [(2, 1.0)]], labels={"goal": (2,)})
+    mc = _chain([[(1, 0.5), (2, 0.5)], [(0, 0.5), (2, 0.5)], [(2, 1.0)]], labels={"goal": (2,)})
     before = solve_count()
     reach_probs(mc, mc.target("goal"))  # states 0 and 1 in one solve
     assert solve_count() == before + 1

@@ -2,7 +2,7 @@ import random
 
 from hypersynth import Controller, build_parameter_space, impose, reach_probs, root_node
 from hypersynth import counterexamples
-from hypersynth.analysis import GUARD_BAND, _chain_rows, extremal_reach, row_table
+from hypersynth.analysis import GUARD_BAND, extremal_reach, row_table
 from hypersynth.counterexamples import (
     CeSide,
     complement_boxes,
@@ -11,9 +11,16 @@ from hypersynth.counterexamples import (
     grow_conflict,
 )
 from hypersynth.exact import reach_probs_exact
-from hypersynth.model import Mc, Mdp
+from hypersynth.model import Mdp
 
 from conftest import dyadic_row, notes_example, random_model
+
+
+def _chain(rows):
+    """A chain: an Mdp with the one action rows[s] in each state s, built
+    without the row checks of make_mdp."""
+
+    return Mdp(len(rows), tuple((row,) for row in rows))
 
 
 def _full_deflated(mc, keep, weights):
@@ -25,12 +32,12 @@ def _full_deflated(mc, keep, weights):
     rows = []
     for s in range(n):
         if s in keep:
-            rows.append(mc.trans[s])
+            rows.append(mc.trans[s][0])
             continue
         g = min(max(weights[s], 0.0), 1.0)
         rows.append(tuple((t, p) for t, p in ((n, g), (n + 1, 1.0 - g)) if p > 0))
     rows += [((n, 1.0),), ((n + 1, 1.0),)]
-    return Mc(n + 2, tuple(rows))
+    return _chain(rows)
 
 
 def _full_deflated_reach(mc, keep, weights, target, root):
@@ -38,19 +45,12 @@ def _full_deflated_reach(mc, keep, weights, target, root):
     return float(reach_probs(_full_deflated(mc, keep, weights), frozenset(target) | {n})[root])
 
 
-def _rows(mc):
-    """The chain's row table, as a model with one action per state, which
-    the choice (0,) * n picks."""
-
-    return row_table(Mdp(mc.num_states, tuple((row,) for row in mc.trans)))
-
-
 def _random_chain(rng, n):
     """A chain with some absorbing states, so that closed classes missing
     the target come up."""
 
     rows = [((s, 1.0),) if rng.random() < 0.2 else tuple(dyadic_row(rng, n)) for s in range(n)]
-    return Mc(n, tuple(rows))
+    return _chain(rows)
 
 
 def test_deflated_reach_matches_the_full_deflated_chain():
@@ -66,7 +66,7 @@ def test_deflated_reach_matches_the_full_deflated_chain():
             rng.choice((0.0, 1.0, -0.25, 1.5, rng.random(), rng.random())) for _ in range(n)
         )
         root = rng.randrange(n)
-        got = deflated_reach(_rows(mc), (0,) * n, keep, weights, target, root)
+        got = deflated_reach(row_table(mc), (0,) * n, keep, weights, target, root)
         want = _full_deflated_reach(mc, keep, weights, target, root)
         assert abs(got - want) <= 1e-12, (mc, keep, weights, target, root)
 
@@ -75,7 +75,7 @@ def test_deflated_reach_matches_the_full_deflated_chain():
         seen["weight 1"] += 1.0 in unkept
         seen["weight between"] += any(0.0 < w < 1.0 for w in unkept)
         inside = keep - target
-        rows, only = _chain_rows(mc), (0,) * n
+        rows, only = row_table(mc), (0,) * n
         seen["closed class in C"] += any(set(rows.reachable(only, s)) <= inside for s in inside)
         seen["root in target"] += root in target
         seen["unkept root"] += root not in keep and root not in target
@@ -85,14 +85,14 @@ def test_deflated_reach_matches_the_full_deflated_chain():
 def test_repeated_successors_match_the_exact_values():
     # a row that lists a successor twice reaches it once: the successor
     # masks must or the bits, as summing them would set the next state's
-    mc = Mc(3, (((1, 0.25), (2, 0.5), (1, 0.25)), ((1, 1.0),), ((2, 1.0),)))
+    mc = _chain((((1, 0.25), (2, 0.5), (1, 0.25)), ((1, 1.0),), ((2, 1.0),)))
     want = [float(x) for x in reach_probs_exact(mc, {1})]
     assert reach_probs(mc, {1}).tolist() == want == [0.5, 1.0, 0.0]
     # both unkept successors of the kept state are worth their weight, and
     # in the full deflated chain each sends an edge to top and one to bottom
-    mc = Mc(3, (((0, 0.5), (1, 0.25), (2, 0.25)), ((1, 1.0),), ((2, 1.0),)))
+    mc = _chain((((0, 0.5), (1, 0.25), (2, 0.25)), ((1, 1.0),), ((2, 1.0),)))
     weights = (0.0, 0.5, 0.75)
-    got = deflated_reach(_rows(mc), (0, 0, 0), {0}, weights, frozenset(), 0)
+    got = deflated_reach(row_table(mc), (0, 0, 0), {0}, weights, frozenset(), 0)
     want = reach_probs_exact(_full_deflated(mc, {0}, weights), {3})[0]
     assert got == float(want) == 0.625
 
@@ -160,7 +160,7 @@ def _reference_growth(m, left, right, offset):
     while not value(0) > value(1) + offset + GUARD_BAND:
         best = None
         for pos, side in enumerate((left, right)):
-            frontier = {side.root} | {t for s in keeps[pos] for t, _ in mcs[pos].trans[s]}
+            frontier = {side.root} | {t for s in keeps[pos] for t, _ in mcs[pos].trans[s][0]}
             for s in frontier - keeps[pos]:
                 key = (act_counts[s], s, pos)
                 if best is None or key < best[0]:
@@ -202,7 +202,7 @@ def test_grow_conflict_solves_once_per_step(monkeypatch):
             # gave up with both reachable parts kept
             only = (0,) * m.num_states
             steps = sum(
-                len(_chain_rows(impose(m, Controller(side.choice))).reachable(only, side.root))
+                len(row_table(impose(m, Controller(side.choice))).reachable(only, side.root))
                 for side in sides
             )
             given_up += 1

@@ -6,10 +6,12 @@ import pytest
 from hypersynth import (
     Controller,
     ModelError,
+    Mdp,
     impose,
-    make_mc,
     make_mdp,
+    parse_model,
     unfold_memory,
+    write_model,
 )
 from hypersynth.errors import InvalidControllerError, MissingRewardsError
 from hypersynth.model import MEMORY_BITS_CAP
@@ -72,7 +74,7 @@ def test_rewards_shapes():
 def test_impose_and_choices(notes_mdp):
     mc = impose(notes_mdp, Controller((1, 1, 0, 0)))
     assert mc.num_states == 4
-    assert mc.trans[0] == ((2, 0.4), (3, 0.6))
+    assert mc.trans[0] == (((2, 0.4), (3, 0.6)),)
     with pytest.raises(InvalidControllerError):
         impose(notes_mdp, Controller((2, 0, 0, 0)))
     with pytest.raises(InvalidControllerError):
@@ -83,13 +85,30 @@ def test_impose_carries_rewards():
     trans = [[[(1, 1.0)], [(0, 0.5), (1, 0.5)]], [[(1, 1.0)]]]
     m = make_mdp(trans, rewards=[[1.0, 2.0], [0.0]])
     mc = impose(m, Controller((1, 0)))
-    assert mc.rewards == (2.0, 0.0)
+    assert mc.rewards == ((2.0,), (0.0,))
 
 
-def test_make_mc():
-    mc = make_mc([[(1, 1.0)], [(1, 1.0)]], labels={"end": (1,)})
-    assert mc.num_states == 2
-    assert mc.trans[0] == ((1, 1.0),)
+def test_impose_gives_a_one_action_mdp():
+    for seed in range(100):
+        rng = random.Random(seed)
+        m = random_model(rng)
+        ctrl = Controller(tuple(rng.randrange(m.num_actions(s)) for s in range(m.num_states)))
+        mc = impose(m, ctrl)
+        assert isinstance(mc, Mdp)
+        assert mc.num_states == m.num_states and mc.labels == m.labels
+        assert mc.has_rewards == m.has_rewards
+        for s, a in enumerate(ctrl.choices):
+            assert mc.trans[s] == (m.trans[s][a],)
+            assert mc.action_name(s, 0) == m.action_name(s, a)
+            if m.has_rewards:
+                assert mc.rewards[s] == (m.rewards[s][a],)
+        # dyadic rows need no renormalising, so the chain round-trips as text
+        assert parse_model(write_model(mc)) == mc, seed
+    # a chain that picks no named action has no names, as make_mdp builds it
+    m = make_mdp([[[(0, 1.0)], [(0, 1.0)]]], action_names=[[None, "b"]])
+    mc = impose(m, Controller((0,)))
+    assert mc.action_names is None
+    assert parse_model(write_model(mc)) == mc
 
 
 def test_reward_query_needs_rewards(notes_mdp):

@@ -27,7 +27,7 @@ from hypersynth.errors import SpecError
 from hypersynth.exact import reach_probs_exact
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
-from hypersynth.model import Mc
+from hypersynth.model import Mdp
 from hypersynth.specs import DEFAULT_EQ_EPS, validate_spec
 from hypersynth.synthesis import (
     METHODS,
@@ -424,7 +424,14 @@ def test_time_and_iteration_limits_are_validated(method):
     m, spec = notes_example()
     with pytest.raises(SpecError):
         synthesize(m, spec, method=method, time_limit=float("nan"))
-    for limits in ({"max_iters": -5}, {"max_iters": -1}, {"time_limit": -1.0}, {"time_limit": -1e-9}):
+    for limits in (
+        {"max_iters": -5},
+        {"max_iters": -1},
+        {"max_iters": 2.5},
+        {"time_limit": -1.0},
+        {"time_limit": -1e-9},
+        {"time_limit": "3"},
+    ):
         with pytest.raises(SpecError):
             synthesize(m, spec, method=method, **limits)
     # a limit of 0 is valid: the run stops at its first check
@@ -672,7 +679,7 @@ def test_certificates_prune_on_the_box_solver(monkeypatch):
 
     for model in [m] + [_shuffled_actions(m, seed) for seed in (1, 2, 3)]:
         with monkeypatch.context() as patch:
-            patch.setattr(Mc, "__init__", forbidden)
+            patch.setattr(Mdp, "__init__", forbidden)
             for module, name in (
                 (synthesis, "impose"),
                 (synthesis, "check_mc"),
