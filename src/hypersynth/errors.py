@@ -1,7 +1,8 @@
 """Exception types raised by hypersynth.
 
 Everything user-facing derives from HypersynthError so callers can catch one
-base class.  Parse errors carry a source location; model errors are plain.
+base class.  Parse errors carry a source location; a model error raised by
+make_mdp names the offending item of the model in its where.
 """
 
 
@@ -10,7 +11,13 @@ class HypersynthError(Exception):
 
 
 class ModelError(HypersynthError):
-    """A model, controller or query is structurally invalid."""
+    """A model, controller or query is structurally invalid.  where names
+    the offending item of a model as make_mdp lists them, such as
+    ("trans", s, a, t), or is None."""
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class InvalidControllerError(ModelError):
@@ -40,7 +47,7 @@ class ParseError(HypersynthError):
         1-based location of the offending token.
     """
 
-    def __init__(self, message, source="<string>", line=0, col=0):
+    def __init__(self, message, source, line, col):
         super().__init__(f"{source}:{line}:{col}: {message}")
         self.source = source
         self.line = line

@@ -5,12 +5,15 @@ actions; action identity is the ordinal position in that menu, with an
 optional display name.  A Markov chain is the special case with exactly one
 action per state, as `impose` builds it.
 
+make_mdp is the one place where the rules of a model are checked.
 Transition rows must sum to 1 within PROB_SUM_TOL; rows inside the tolerance
 are renormalised, rows outside it are rejected.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,93 +97,121 @@ class Controller:
 # -- construction ---------------------------------------------------------
 
 
-def _normalize_row(entries, where: str) -> Row:
-    seen = {}
-    for succ, prob in entries:
-        if succ in seen:
-            raise ModelError(f"duplicate successor {succ} in {where}")
-        p = float(prob)
-        if not (0.0 < p <= 1.0 + PROB_SUM_TOL):
-            raise ModelError(f"probability {prob!r} out of range in {where}")
-        seen[succ] = p
-    if not seen:
-        raise ModelError(f"empty distribution in {where}")
-    total = sum(seen.values())
+def _index(x, n: int, what: str, where) -> int:
+    """x as a state index below n."""
+
+    try:
+        i = operator.index(x)
+    except TypeError:
+        raise ModelError(f"{what} {x!r} is not an integer", where) from None
+    if not 0 <= i < n:
+        raise ModelError(f"{what} {i} out of range (model has {n} states)", where)
+    return i
+
+
+def _value(x, what: str, where) -> float:
+    """x as a float "probability" or "reward", as what says; a string is
+    read the way Fraction reads it.  where is (kind, state, action, ...)."""
+
+    try:
+        v = float(Fraction(x) if isinstance(x, str) else x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ModelError(
+            f"malformed {what} {x!r} in state {where[1]} action {where[2]}", where
+        ) from None
+    except OverflowError:
+        v = math.inf
+    if not (0.0 < v <= 1.0 + PROB_SUM_TOL if what == "probability" else 0.0 <= v < math.inf):
+        raise ModelError(
+            f"{what} {x!r} out of range in state {where[1]} action {where[2]}", where
+        )
+    return v
+
+
+def _row(entries, n: int, s: int, a: int) -> Row:
+    """One transition row, checked and renormalised within PROB_SUM_TOL.
+    Duplicates are found before any value is read, so that an error names
+    the entry that breaks the row."""
+
+    dist = {}
+    for t, p in entries:
+        if t in dist:
+            raise ModelError(
+                f"duplicate successor {t} in state {s} action {a}", ("trans", s, a, t)
+            )
+        dist[t] = p
+    row = {}
+    for t, p in dist.items():
+        where = ("trans", s, a, t)
+        row[_index(t, n, "successor", where)] = _value(p, "probability", where)
+    total = sum(row.values())
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ModelError(f"row sums to {total!r}, not 1, in {where}")
+        raise ModelError(
+            f"row sums to {total!r}, not 1, in state {s} action {a}", ("trans", s, a)
+        )
     if total != 1.0:
-        seen = {s: p / total for s, p in seen.items()}
-    return tuple(sorted(seen.items()))
+        row = {t: p / total for t, p in row.items()}
+    return tuple(sorted(row.items()))
+
+
+def _table(table, rows, what: str, default) -> list:
+    """A per-(state, action) table nested as rows is.  A dict keyed by
+    (state, action) must name existing actions only, and gives default for
+    the others; a nested table must match the menus."""
+
+    if not isinstance(table, dict):
+        if [len(row) for row in table] != [len(menu) for menu in rows]:
+            raise ModelError(f"{what!r} table does not match the action menus", (what,))
+        return table
+    pairs = {(s, a) for s, menu in enumerate(rows) for a in range(len(menu))}
+    for key in table:
+        if key not in pairs:
+            where = (what, *key) if isinstance(key, tuple) else (what, key)
+            raise ModelError(f"{what!r} key {key!r} names no action of the model", where)
+    return [[table.get((s, a), default) for a in range(len(menu))] for s, menu in enumerate(rows)]
 
 
 def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
     """Validate raw nested transition data and build an Mdp.
 
     trans is a sequence over states of sequences over actions of iterables
-    of (successor, probability).  Probabilities may be floats, Fractions or
-    strings understood by Fraction.  Rows are renormalised within
-    PROB_SUM_TOL and rejected beyond it.
+    of (successor, probability).  Probabilities and rewards may be floats,
+    Fractions or strings read the way Fraction reads them.  rewards and
+    action_names are dicts keyed by (state, action), or tables nested as
+    trans is.  A model needs a state, an action in each state, rows that
+    are distributions over states (renormalised within PROB_SUM_TOL),
+    label states in range, and finite nonnegative rewards.  A violation
+    raises ModelError with where ("state", s), ("trans", s, a, t),
+    ("trans", s, a), ("label", name, s), ("rew", s, a), ("action", s, a),
+    or ("rew",) or ("action",) for a nested table of the wrong shape.
     """
 
     n = len(trans)
-    rows_out = []
+    if n == 0:
+        raise ModelError("model needs at least one state", ("state", 0))
+    rows = []
     for s, menu in enumerate(trans):
         if len(menu) == 0:
-            raise ModelError(f"state {s} has no actions")
-        menu_out = []
-        for a, entries in enumerate(menu):
-            row = _normalize_row(
-                ((succ, _to_float(p)) for succ, p in entries), f"state {s} action {a}"
-            )
-            for succ, _ in row:
-                if not (0 <= succ < n):
-                    raise ModelError(f"successor {succ} out of range in state {s}")
-            menu_out.append(row)
-        rows_out.append(tuple(menu_out))
+            raise ModelError(f"state {s} has no actions", ("state", s))
+        rows.append(tuple(_row(entries, n, s, a) for a, entries in enumerate(menu)))
 
-    label_out = ()
-    if labels:
-        items = []
-        for name, states in sorted(dict(labels).items()):
-            fs = frozenset(states)
-            for s in fs:
-                if not (0 <= s < n):
-                    raise ModelError(f"label {name!r} names unknown state {s}")
-            items.append((name, fs))
-        label_out = tuple(items)
+    label_out = tuple(
+        (name, frozenset(_index(x, n, f"label {name!r} state", ("label", name, x)) for x in states))
+        for name, states in sorted(dict(labels or {}).items())
+    )
 
     rew_out = None
     if rewards is not None:
-        rew_rows = []
-        for s, menu in enumerate(trans):
-            row = []
-            for a in range(len(menu)):
-                r = float(rewards.get((s, a), 0.0)) if isinstance(rewards, dict) else float(rewards[s][a])
-                if r < 0:
-                    raise ModelError(f"negative reward at state {s} action {a}")
-                row.append(r)
-            rew_rows.append(tuple(row))
-        rew_out = tuple(rew_rows)
-
+        rew_out = tuple(
+            tuple(_value(x, "reward", ("rew", s, a)) for a, x in enumerate(row))
+            for s, row in enumerate(_table(rewards, rows, "rew", 0.0))
+        )
     names_out = None
     if action_names is not None:
-        names_out = tuple(
-            tuple(action_names.get((s, a)) if isinstance(action_names, dict) else action_names[s][a]
-                  for a in range(len(trans[s])))
-            for s in range(n)
-        )
-        if all(all(nm is None for nm in row) for row in names_out):
+        names_out = tuple(map(tuple, _table(action_names, rows, "action", None)))
+        if all(nm is None for row in names_out for nm in row):
             names_out = None
-
-    return Mdp(n, tuple(rows_out), label_out, rew_out, names_out)
-
-
-def _to_float(p) -> float:
-    if isinstance(p, str):
-        return float(Fraction(p))
-    if isinstance(p, Fraction):
-        return float(p)
-    return float(p)
+    return Mdp(n, tuple(rows), label_out, rew_out, names_out)
 
 
 # -- operations ------------------------------------------------------------
@@ -221,6 +252,8 @@ def unfold_memory(m: Mdp, bits: int) -> Mdp:
     at cell 0 by convention of the callers.
     """
 
+    if not isinstance(bits, int):
+        raise ModelError(f"memory bits {bits!r} is not an integer")
     if bits < 0:
         raise ModelError("memory bits must be nonnegative")
     if bits > MEMORY_BITS_CAP:
@@ -228,39 +261,24 @@ def unfold_memory(m: Mdp, bits: int) -> Mdp:
     if bits == 0:
         return m
     k = 1 << bits
-    n = m.num_states * k
 
-    rows = []
-    names = [] if m.action_names is not None else None
-    rew = [] if m.rewards is not None else None
-    for s in range(m.num_states):
-        for _v in range(k):
-            menu = []
-            nm_row = [] if names is not None else None
-            rw_row = [] if rew is not None else None
-            for a in range(m.num_actions(s)):
-                base = m.trans[s][a]
-                for w in range(k):
-                    menu.append(tuple((succ * k + w, p) for succ, p in base))
-                    if nm_row is not None:
-                        nm = m.action_names[s][a]
-                        nm_row.append(None if nm is None else f"{nm}@{w}")
-                    if rw_row is not None:
-                        rw_row.append(m.rewards[s][a])
-            rows.append(tuple(menu))
-            if names is not None:
-                names.append(tuple(nm_row))
-            if rew is not None:
-                rew.append(tuple(rw_row))
+    def unfold(table, entry):
+        """State s's menu at each of its k cells, action a once per update w."""
+
+        if table is None:
+            return None
+        return tuple(
+            tuple(entry(x, w) for x in menu for w in range(k)) for menu in table for _v in range(k)
+        )
 
     labels = tuple(
         (name, frozenset(s * k + v for s in states for v in range(k)))
         for name, states in m.labels
     )
     return Mdp(
-        n,
-        tuple(rows),
+        m.num_states * k,
+        unfold(m.trans, lambda row, w: tuple((t * k + w, p) for t, p in row)),
         labels,
-        tuple(rew) if rew is not None else None,
-        tuple(names) if names is not None else None,
+        unfold(m.rewards, lambda r, w: r),
+        unfold(m.action_names, lambda nm, w: None if nm is None else f"{nm}@{w}"),
     )

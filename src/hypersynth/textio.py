@@ -24,8 +24,8 @@ The specification format is a single expression, free form over lines:
 ``~eps`` gives the comparison tolerance of ``=`` (default applied later).
 Operator precedence is ! over & over |, with parentheses.
 
-Parsers raise ParseError for every malformed input, with a 1-based
-line and column where one is known.  Writers produce canonical text whose
+Parsers raise ParseError for every malformed input, with the 1-based
+line and column of the offending item.  Writers produce canonical text whose
 reparse reproduces the value exactly (floats are written with repr).
 """
 
@@ -39,7 +39,7 @@ from math import isinf, isnan
 
 from .errors import ModelError, ParseError, SpecError
 from .formulas import Query
-from .model import PROB_SUM_TOL, Mdp, make_mdp
+from .model import Mdp, make_mdp
 from .specs import (
     HyperSpec,
     Obs,
@@ -67,35 +67,25 @@ def _split_tokens(line: str):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"[^\s#]+", line.partition("#")[0])]
 
 
-def _fraction(text: str):
-    """Parse a probability or reward token exactly; None when malformed."""
-
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(float(text))
-    except (ValueError, OverflowError):
-        return None
-
-
 # -- model format -----------------------------------------------------------
 
 
 def parse_model(text: str, source: str = "<string>") -> Mdp:
-    """Parse the model format above into an Mdp."""
+    """Parse the model format above into an Mdp.  The text decides its
+    syntax; make_mdp checks the rest, on the values as written, and its
+    ModelError becomes a ParseError at the item it names (at the 'states'
+    line for a state without 'trans' lines)."""
 
     n_states = None
     saw_mdp = False
-    trans: dict[tuple[int, int], dict[int, Fraction]] = {}
-    # (directive, state, action) -> (line, column) of its line; the first
-    # one of a row's 'trans' lines
-    at: dict[tuple[str, int, int], tuple[int, int]] = {}
+    trans: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    # ModelError.where -> (line, column): a row at its first 'trans' line,
+    # an entry at its successor token
+    at: dict[tuple, tuple[int, int]] = {}
     names: dict[tuple[int, int], str] = {}
     labels: dict[str, set[int]] = {}
-    rewards: dict[tuple[int, int], float] = {}
-    saw_rewards = False
+    rewards: dict[tuple[int, int], str] = {}
+    tables = {"action": (names, "name"), "rew": (rewards, "reward")}
 
     def fail(msg, line, col):
         raise ParseError(msg, source, line, col)
@@ -131,10 +121,9 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
             if len(toks) != 2:
                 fail("'states' takes exactly one count", lineno, col0)
             n_states = take_int(toks[1], lineno, "state count")
-            if n_states < 1:
-                fail("model needs at least one state", lineno, toks[1][1])
             if n_states > STATE_CAP:
                 fail(f"state count {n_states} above cap {STATE_CAP}", lineno, toks[1][1])
+            states_at = lineno, toks[1][1]
             continue
         if n_states is None:
             fail("'states' must come before other directives", lineno, col0)
@@ -144,49 +133,29 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
                 fail("'trans' takes state, action, successor, probability", lineno, col0)
             s = take_int(toks[1], lineno, "state", n_states)
             a = take_int(toks[2], lineno, "action ordinal")
-            t = take_int(toks[3], lineno, "successor", n_states)
-            p = _fraction(toks[4][0])
-            if p is None:
-                fail(f"malformed probability {toks[4][0]!r}", lineno, toks[4][1])
-            # exact comparison: float(p) can overflow on absurd exponents
-            if not (0 < p <= 1 + Fraction(PROB_SUM_TOL)):
-                fail(f"probability {toks[4][0]} out of range", lineno, toks[4][1])
-            dist = trans.setdefault((s, a), {})
-            if t in dist:
-                fail(f"duplicate transition {s} {a} {t}", lineno, toks[3][1])
-            dist[t] = p
+            t = take_int(toks[3], lineno, "successor")
+            trans.setdefault((s, a), []).append((t, toks[4][0]))
             at.setdefault(("trans", s, a), (lineno, col0))
-        elif word == "action":
+            at["trans", s, a, t] = lineno, toks[3][1]
+        elif word in tables:
+            table, what = tables[word]
             if len(toks) != 4:
-                fail("'action' takes state, ordinal, name", lineno, col0)
+                fail(f"'{word}' takes state, action, {what}", lineno, col0)
             s = take_int(toks[1], lineno, "state", n_states)
             a = take_int(toks[2], lineno, "action ordinal")
-            if (s, a) in names:
-                fail(f"duplicate name for action {a} of state {s}", lineno, col0)
-            names[(s, a)] = toks[3][0]
-            at["action", s, a] = lineno, col0
+            if (s, a) in table:
+                fail(f"duplicate {what} for action {a} of state {s}", lineno, col0)
+            table[s, a] = toks[3][0]
+            at[word, s, a] = lineno, col0
         elif word == "label":
             if len(toks) < 2:
                 fail("'label' takes a name and states", lineno, col0)
-            group = labels.setdefault(toks[1][0], set())
+            name = toks[1][0]
+            group = labels.setdefault(name, set())
             for tok in toks[2:]:
-                group.add(take_int(tok, lineno, "state", n_states))
-        elif word == "rew":
-            if len(toks) != 4:
-                fail("'rew' takes state, action, reward", lineno, col0)
-            s = take_int(toks[1], lineno, "state", n_states)
-            a = take_int(toks[2], lineno, "action ordinal")
-            r = _fraction(toks[3][0])
-            if r is None or r < 0:
-                fail(f"malformed reward {toks[3][0]!r}", lineno, toks[3][1])
-            if (s, a) in rewards:
-                fail(f"duplicate reward for action {a} of state {s}", lineno, col0)
-            try:
-                rewards[(s, a)] = float(r)
-            except OverflowError:
-                fail(f"reward {toks[3][0]!r} out of range", lineno, toks[3][1])
-            saw_rewards = True
-            at["rew", s, a] = lineno, col0
+                v = take_int(tok, lineno, "state")
+                group.add(v)
+                at.setdefault(("label", name, v), (lineno, tok[1]))
         else:
             fail(f"unknown directive {word!r}", lineno, col0)
 
@@ -195,48 +164,18 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
     if n_states is None:
         raise ParseError("missing 'states' line", source, 1, 1)
 
-    menus: dict[int, set[int]] = {}
-    for s, a in trans:
-        menus.setdefault(s, set()).add(a)
-    for s in range(n_states):
-        acts = menus.get(s)
-        if not acts:
-            raise ParseError(f"state {s} has no transitions", source, 0, 0)
-        if acts != set(range(len(acts))):
-            line, col = at["trans", s, min(a for a in acts if a >= len(acts))]
-            raise ParseError(
-                f"state {s}: action ordinals not contiguous from 0", source, line, col
-            )
-    for word, entries in (("action", names), ("rew", rewards)):
-        for s, a in entries:
-            if a not in menus[s]:
-                line, col = at[word, s, a]
-                raise ParseError(
-                    f"'{word}' line names missing action {a} of state {s}", source, line, col
-                )
-
-    for (s, a), dist in trans.items():
-        total = sum(dist.values())
-        if abs(float(total) - 1.0) > PROB_SUM_TOL:
-            line, col = at["trans", s, a]
-            raise ParseError(
-                f"state {s} action {a}: probabilities sum to {float(total)!r}",
-                source, line, col,
-            )
-
-    nested = [
-        [sorted(trans[(s, a)].items()) for a in range(len(menus[s]))]
-        for s in range(n_states)
-    ]
+    keys = sorted(trans)
+    nested = [[] for _ in range(n_states)]
+    for s, a in keys:
+        nested[s].append(sorted(trans[s, a]))
+    for s, a in keys:
+        if a >= len(nested[s]):
+            fail(f"state {s}: action ordinals not contiguous from 0", *at["trans", s, a])
     try:
-        return make_mdp(
-            nested,
-            labels=labels or None,
-            rewards=rewards if saw_rewards else None,
-            action_names=names or None,
-        )
-    except ModelError as e:  # backstop; the checks above should catch first
-        raise ParseError(str(e), source, 0, 0)
+        return make_mdp(nested, labels or None, rewards or None, names or None)
+    except ModelError as e:
+        line, col = at.get(e.where, states_at)
+        raise ParseError(str(e), source, line, col)
 
 
 def write_model(m: Mdp) -> str:

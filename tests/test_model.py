@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,52 @@ def test_bad_rows_rejected():
 def test_duplicate_successors_rejected():
     with pytest.raises(ModelError):
         make_mdp([[[(0, 0.25), (0, 0.25), (1, 0.5)]], [[(1, 1.0)]]])
+
+
+# one bad input each; where names the item that breaks the rule
+ONE = [[(0, 1.0)]]
+
+
+@pytest.mark.parametrize(
+    "kwargs, where",
+    [
+        ({"trans": []}, ("state", 0)),
+        ({"trans": [ONE, []]}, ("state", 1)),
+        ({"trans": [[[(0, "abc")]]]}, ("trans", 0, 0, 0)),
+        ({"trans": [[[(0, "1/0")]]]}, ("trans", 0, 0, 0)),
+        ({"trans": [[[(0, None)]]]}, ("trans", 0, 0, 0)),
+        ({"trans": [[[(0, "1e400")]]]}, ("trans", 0, 0, 0)),
+        ({"trans": [[[(0, "1e-400"), (1, 1.0)]], ONE]}, ("trans", 0, 0, 0)),
+        ({"trans": [[[(0, 0.5), (0, 0.5)]]]}, ("trans", 0, 0, 0)),
+        ({"trans": [[[(1.0, 1.0)]], ONE]}, ("trans", 0, 0, 1.0)),
+        ({"trans": [[[(2, 1.0)]], ONE]}, ("trans", 0, 0, 2)),
+        ({"trans": [[[(0, 0.5)]]]}, ("trans", 0, 0)),
+        ({"trans": [[[]]]}, ("trans", 0, 0)),
+        ({"trans": [ONE], "rewards": [[math.nan]]}, ("rew", 0, 0)),
+        ({"trans": [ONE], "rewards": [[math.inf]]}, ("rew", 0, 0)),
+        ({"trans": [ONE], "rewards": [["abc"]]}, ("rew", 0, 0)),
+        ({"trans": [ONE], "rewards": {(0, 0): "1e400"}}, ("rew", 0, 0)),
+        ({"trans": [ONE], "rewards": {(0, 0): -1.0}}, ("rew", 0, 0)),
+        ({"trans": [ONE], "rewards": {(0, 5): 1.0}}, ("rew", 0, 5)),
+        ({"trans": [ONE], "action_names": {(0, 5): "x"}}, ("action", 0, 5)),
+        ({"trans": [ONE], "rewards": [[]]}, ("rew",)),
+        ({"trans": [ONE], "rewards": []}, ("rew",)),
+        ({"trans": [ONE], "action_names": [["a", "b"]]}, ("action",)),
+        ({"trans": [ONE, ONE], "labels": {"x": (1.5,)}}, ("label", "x", 1.5)),
+        ({"trans": [ONE], "labels": {"x": (0, 7)}}, ("label", "x", 7)),
+    ],
+)
+def test_make_mdp_rejects_with_a_model_error_naming_the_item(kwargs, where):
+    with pytest.raises(ModelError) as e:
+        make_mdp(**kwargs)
+    assert type(e.value) is ModelError
+    assert e.value.where == where
+
+
+def test_make_mdp_reads_probability_strings_as_fractions():
+    m = make_mdp([[[(0, "1/3"), (1, Fraction(2, 3))]], [[(1, "1e0")]]], rewards=[["1/4"], [0]])
+    assert m.trans == (((((0, 1 / 3), (1, 2 / 3)),), (((1, 1.0),),)))
+    assert m.rewards == ((0.25,), (0.0,))
 
 
 def test_rewards_shapes():
@@ -138,7 +185,16 @@ def test_unfold_memory_shape(notes_mdp):
 def test_unfold_memory_cap(notes_mdp):
     with pytest.raises(ModelError):
         unfold_memory(notes_mdp, MEMORY_BITS_CAP + 1)
+    with pytest.raises(ModelError):
+        unfold_memory(notes_mdp, 1.5)
     assert unfold_memory(notes_mdp, 0) is notes_mdp
+
+
+def test_unfold_memory_copies_rewards():
+    m = make_mdp([[[(1, 1.0)], [(0, 0.5), (1, 0.5)]], [[(1, 1.0)]]], rewards=[[1.0, 2.0], [0.0]])
+    u = unfold_memory(m, 1)
+    assert u.rewards == ((1.0, 1.0, 2.0, 2.0),) * 2 + ((0.0, 0.0),) * 2
+    assert u.action_names is None
 
 
 def test_random_models_well_formed():

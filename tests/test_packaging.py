@@ -1,10 +1,12 @@
 """Every module the package imports is standard library, the package
 itself, or a declared runtime dependency, every module-level import is
-used, and every name the package exports resolves."""
+used, every name the package exports resolves, and every function or
+class the package defines is used somewhere."""
 
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,33 @@ def test_no_unused_imports():
     assert sources
     unused = [entry for path in sources for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_no_unreferenced_definitions():
+    """Every module-level or class-level function or class of the package
+    is named in src/, tests/, demos/ or bench/ other than at its own
+    definition.  Dunder methods are exempt."""
+
+    words = Counter(
+        word
+        for folder in ("src", "tests", "demos", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    )
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []
+    for path in sorted((ROOT / "src" / "hypersynth").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        defined += [
+            (f"{path.name}:{node.lineno}", node.name)
+            for body in bodies
+            for node in body
+            if isinstance(node, kinds)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+    definitions = Counter(name for _, name in defined)
+    unreferenced = [
+        f"{where}: {name}" for where, name in defined if words[name] <= definitions[name]
+    ]
+    assert not unreferenced, unreferenced

@@ -77,8 +77,8 @@ def test_parse_error_carries_position():
     assert "m.txt:3:" in str(err)
     # checks made once the whole model is read point at the line they name
     for text, where in (
-        ("trans 0 0 0 1\naction 0 3 x\n", "m.txt:5:1: 'action' line names missing action 3"),
-        ("trans 0 0 0 1\n  rew 0 2 1\n", "m.txt:5:3: 'rew' line names missing action 2"),
+        ("trans 0 0 0 1\naction 0 3 x\n", "m.txt:5:1: 'action' key (0, 3) names no action"),
+        ("trans 0 0 0 1\n  rew 0 2 1\n", "m.txt:5:3: 'rew' key (0, 2) names no action"),
         # ordinals 0, 2, 3 of three actions: 3 is out of place, first named on line 5
         (
             "trans 0 0 0 1\ntrans 0 3 0 0.5\ntrans 0 2 0 1\ntrans 0 3 1 0.5\n",
@@ -97,6 +97,31 @@ def test_parse_error_carries_position():
         parse_spec("exists g : forall s in {0} [g] :\n P(s, F goal) = 0.4 ~1e400", source="s.spec")
     assert (e.value.line, e.value.col) == (2, 22)
     assert "s.spec:2:22: number '1e400' is too large" in str(e.value)
+
+
+# each text breaks one rule; the error points at the item that breaks it
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("states 0\n", "2:8: model needs at least one state"),
+        ("states 2\ntrans 1 0 1 1\n", "2:8: state 0 has no actions"),
+        ("states 2\ntrans 1 0 1 1\ntrans 0 0 0 1e-400\ntrans 0 0 1 1\n", "4:11: probability '1e-400' out of range"),
+        ("states 1\ntrans 0 0 0 1e400\n", "3:11: probability '1e400' out of range"),
+        ("states 1\ntrans 0 0 0 1/0\n", "3:11: malformed probability '1/0'"),
+        ("states 2\ntrans 1 0 1 1\ntrans 0 0 1 0.5\ntrans 0 0 1 0.5\n", "5:11: duplicate successor 1"),
+        ("states 2\ntrans 1 0 1 1\ntrans 0 0 2 1\n", "4:11: successor 2 out of range"),
+        ("states 2\ntrans 1 0 1 1\ntrans 0 0 1 0.25\n\ntrans 0 0 0 0.25\n", "4:1: row sums to 0.5"),
+        ("states 2\ntrans 1 0 1 1\ntrans 0 0 0 1\nlabel goal 1 5\n", "5:14: label 'goal' state 5 out of range"),
+        ("states 1\ntrans 0 0 0 1\nrew 0 0 1e400\n", "4:1: reward '1e400' out of range"),
+        ("states 1\ntrans 0 0 0 1\nrew 0 0 nan\n", "4:1: malformed reward 'nan'"),
+        ("states 1\ntrans 0 0 0 1\n rew 0 0 -1\n", "4:2: reward '-1' out of range"),
+    ],
+)
+def test_parse_model_points_at_the_offending_item(body, where):
+    with pytest.raises(ParseError) as e:
+        parse_model("mdp\n" + body, source="m.txt")
+    assert e.value.line >= 1 and e.value.col >= 1
+    assert str(e.value).startswith("m.txt:" + where), str(e.value)
 
 
 def test_model_roundtrip_exact():
