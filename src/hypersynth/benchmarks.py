@@ -40,8 +40,8 @@ def knuth_yao_pc(n: int = 0) -> tuple[Mdp, HyperSpec]:
     up to 7+n may pick any unordered pair {u, v} of implementation states
     as their fair flip; the rest keep the textbook row.  With n = 0 the
     second flip state additionally chooses between its own textbook row and
-    its sibling's, giving a family of 156; each further freed state
-    multiplies the family by 78.
+    that of the other flip state at its depth, giving a family of 156; each
+    further freed state multiplies the family by 78.
     """
 
     if not 0 <= n <= 6:

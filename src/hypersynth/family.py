@@ -19,7 +19,7 @@ from math import prod
 
 from .errors import ConstraintError, ModelError
 from .model import Controller, Mdp
-from .specs import Obs, Same
+from .specs import Same, check_constraint
 
 
 class _UnionFind:
@@ -74,9 +74,10 @@ class ParameterSpace:
 def build_parameter_space(m: Mdp, n_controllers: int, constraints=()) -> ParameterSpace:
     """Close the structural constraints into parameter classes.
 
-    Classes merged by an obs constraint must expose identical action menus;
-    a size mismatch raises ConstraintError.  same() merges across
-    controllers at a single state, so menus match trivially.
+    Each constraint must pass specs.check_constraint on the model's states,
+    else SpecError.  Classes merged by an obs constraint must expose
+    identical action menus; a size mismatch raises ConstraintError.  same()
+    merges across controllers at a single state, so menus match trivially.
     """
 
     if n_controllers < 1:
@@ -85,27 +86,15 @@ def build_parameter_space(m: Mdp, n_controllers: int, constraints=()) -> Paramet
     uf = _UnionFind(pairs)
 
     for c in constraints:
+        check_constraint(c, n_controllers, m.num_states)
         if isinstance(c, Same):
-            if not (0 <= c.state < m.num_states):
-                raise ConstraintError(f"same() names unknown state {c.state}")
             ctrls = sorted(set(c.controllers))
-            for i in ctrls:
-                if not (0 <= i < n_controllers):
-                    raise ConstraintError(f"same() names unknown controller {i}")
             for i in ctrls[1:]:
                 uf.union((ctrls[0], c.state), (i, c.state))
-        elif isinstance(c, Obs):
-            i = c.controller
-            if not (0 <= i < n_controllers):
-                raise ConstraintError(f"obs() names unknown controller {i}")
-            states = sorted(set(c.states))
-            for s in states:
-                if not (0 <= s < m.num_states):
-                    raise ConstraintError(f"obs() names unknown state {s}")
-            for s in states[1:]:
-                uf.union((i, states[0]), (i, s))
         else:
-            raise ConstraintError(f"unknown constraint {c!r}")
+            states = sorted(set(c.states))
+            for s in states[1:]:
+                uf.union((c.controller, states[0]), (c.controller, s))
 
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for p in pairs:

@@ -128,6 +128,17 @@ def _value(x, what: str, where) -> float:
     return v
 
 
+def check_name(name, where) -> str:
+    """A label or action name, as where's kind says: a nonempty str with no
+    whitespace and no '#', so that a model text can carry it."""
+
+    if not (isinstance(name, str) and name and not any(c.isspace() or c == "#" for c in name)):
+        raise ModelError(
+            f"{where[0]} name {name!r} must be a nonempty string without whitespace or '#'", where
+        )
+    return name
+
+
 def _row(entries, n: int, s: int, a: int) -> Row:
     """One transition row, checked and renormalised within PROB_SUM_TOL.
     Duplicates are found before any value is read, so that an error names
@@ -180,10 +191,12 @@ def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
     action_names are dicts keyed by (state, action), or tables nested as
     trans is.  A model needs a state, an action in each state, rows that
     are distributions over states (renormalised within PROB_SUM_TOL),
-    label states in range, and finite nonnegative rewards.  A violation
-    raises ModelError with where ("state", s), ("trans", s, a, t),
-    ("trans", s, a), ("label", name, s), ("rew", s, a), ("action", s, a),
-    or ("rew",) or ("action",) for a nested table of the wrong shape.
+    label states in range, finite nonnegative rewards, and label and action
+    names that pass check_name (an action may have None, no name).  A
+    violation raises ModelError with where ("state", s), ("trans", s, a, t),
+    ("trans", s, a), ("label", name), ("label", name, s), ("rew", s, a),
+    ("action", s, a), or ("rew",) or ("action",) for a nested table of the
+    wrong shape.
     """
 
     n = len(trans)
@@ -195,9 +208,12 @@ def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
             raise ModelError(f"state {s} has no actions", ("state", s))
         rows.append(tuple(_row(entries, n, s, a) for a, entries in enumerate(menu)))
 
+    labels = dict(labels or {})
+    for name in labels:
+        check_name(name, ("label", name))
     label_out = tuple(
         (name, frozenset(_index(x, n, f"label {name!r} state", ("label", name, x)) for x in states))
-        for name, states in sorted(dict(labels or {}).items())
+        for name, states in sorted(labels.items())
     )
 
     rew_out = None
@@ -208,7 +224,10 @@ def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
         )
     names_out = None
     if action_names is not None:
-        names_out = tuple(map(tuple, _table(action_names, rows, "action", None)))
+        names_out = tuple(
+            tuple(nm if nm is None else check_name(nm, ("action", s, a)) for a, nm in enumerate(row))
+            for s, row in enumerate(_table(action_names, rows, "action", None))
+        )
         if all(nm is None for row in names_out for nm in row):
             names_out = None
     return Mdp(n, tuple(rows), label_out, rew_out, names_out)

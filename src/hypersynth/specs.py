@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Integral, Real
 
 from .errors import SpecError
 
@@ -78,16 +79,36 @@ class HyperSpec:
 def formula_atoms(node):
     """All SpecAtoms in the tree, left to right, duplicates kept."""
 
-    tag = node[0]
-    if tag == "atom":
-        yield node[1]
+    if not (isinstance(node, tuple) and len(node) == 2):
+        raise SpecError(f"malformed formula node {node!r}")
+    tag, arg = node
+    if tag == "atom" and isinstance(arg, SpecAtom):
+        yield arg
     elif tag == "not":
-        yield from formula_atoms(node[1])
-    elif tag in ("and", "or"):
-        for c in node[1]:
+        yield from formula_atoms(arg)
+    elif tag in ("and", "or") and isinstance(arg, tuple):
+        for c in arg:
             yield from formula_atoms(c)
     else:
         raise SpecError(f"malformed formula node {node!r}")
+
+
+def _check_index(what: str, i, bound: int | None = None) -> None:
+    """An integer index, below bound when one is given."""
+
+    if not isinstance(i, Integral):
+        raise SpecError(f"{what} must be an integer, not {i!r}")
+    if bound is not None and not 0 <= i < bound:
+        raise SpecError(f"{what} {i} out of range")
+
+
+def _check_indices(what: str, indices, bound: int | None = None) -> None:
+    """A tuple of indices, each passing _check_index."""
+
+    if not isinstance(indices, tuple):
+        raise SpecError(f"{what}: expected a tuple, not {indices!r}")
+    for i in indices:
+        _check_index(what, i, bound)
 
 
 def validate_spec(spec: HyperSpec) -> None:
@@ -97,6 +118,9 @@ def validate_spec(spec: HyperSpec) -> None:
     paired with a model.
     """
 
+    for part in ("controller_names", "constraints", "quantifiers"):
+        if not isinstance(getattr(spec, part), tuple):
+            raise SpecError(f"{part} must be a tuple, not {getattr(spec, part)!r}")
     names = spec.controller_names
     if len(set(names)) != len(names):
         raise SpecError("duplicate controller names")
@@ -105,14 +129,16 @@ def validate_spec(spec: HyperSpec) -> None:
 
     seen_vars = {}
     for q in spec.quantifiers:
+        if not (isinstance(q, Quantifier) and isinstance(q.var, str)):
+            raise SpecError(f"malformed quantifier {q!r}")
         if q.kind not in ("forall", "exists"):
             raise SpecError(f"unknown quantifier kind {q.kind!r}")
         if q.var in seen_vars:
             raise SpecError(f"state variable {q.var!r} bound twice")
+        _check_indices(f"initial state of {q.var!r}", q.domain)
         if not q.domain:
             raise SpecError(f"empty domain for state variable {q.var!r}")
-        if not (0 <= q.controller < len(names)):
-            raise SpecError(f"quantifier for {q.var!r} names an unknown controller")
+        _check_index(f"controller of {q.var!r}", q.controller, len(names))
         seen_vars[q.var] = q
     if not spec.quantifiers:
         raise SpecError("a specification needs at least one state quantifier")
@@ -123,19 +149,20 @@ def validate_spec(spec: HyperSpec) -> None:
         check_atom(atom, seen_vars)
 
 
-def check_constraint(c, n_controllers: int) -> None:
-    """The rules of one structural constraint over n controllers."""
+def check_constraint(c, n_controllers: int, num_states: int | None = None) -> None:
+    """The type and range rules of one structural constraint over n
+    controllers, and over a model's states when their number is given."""
 
     if isinstance(c, Same):
+        _check_index("same() state", c.state, num_states)
+        _check_indices("same() controller", c.controllers, n_controllers)
         if len(set(c.controllers)) < 2:
             raise SpecError("same() needs at least two distinct controllers")
-        if any(not (0 <= i < n_controllers) for i in c.controllers):
-            raise SpecError("same() names an unknown controller")
     elif isinstance(c, Obs):
+        _check_indices("obs() state", c.states, num_states)
+        _check_index("obs() controller", c.controller, n_controllers)
         if len(set(c.states)) < 2:
             raise SpecError("obs() needs at least two distinct states")
-        if not (0 <= c.controller < n_controllers):
-            raise SpecError("obs() names an unknown controller")
     else:
         raise SpecError(f"unknown constraint {c!r}")
 
@@ -151,6 +178,8 @@ def check_atom(atom: SpecAtom, variables) -> None:
         sides.append(atom.right)
         if atom.right.kind != atom.left.kind:
             raise SpecError("cannot compare a probability with a reward")
+    elif not isinstance(atom.right, Real):
+        raise SpecError(f"comparison bound must be a number, not {atom.right!r}")
     else:
         bound = float(atom.right)
         if not isfinite(bound):
@@ -160,6 +189,8 @@ def check_atom(atom: SpecAtom, variables) -> None:
         if atom.left.kind == "reward" and bound < 0.0:
             raise SpecError(f"negative reward bound {bound}")
     for side in sides:
+        if not (isinstance(side.var, str) and isinstance(side.target, str)):
+            raise SpecError(f"malformed query {side!r}")
         if side.kind not in ("reach", "reward"):
             raise SpecError(f"unknown query kind {side.kind!r}")
         if side.var not in variables:
@@ -169,7 +200,7 @@ def check_atom(atom: SpecAtom, variables) -> None:
     if atom.eps is not None:
         if atom.rel != "=":
             raise SpecError("~eps tolerance is only meaningful for =")
-        if not (atom.eps >= 0.0 and isfinite(atom.eps)):
+        if not (isinstance(atom.eps, Real) and atom.eps >= 0.0 and isfinite(atom.eps)):
             raise SpecError(f"bad equality tolerance {atom.eps!r}")
 
 
@@ -182,10 +213,7 @@ def check_against_model(spec: HyperSpec, m) -> None:
             if not (0 <= s < n):
                 raise SpecError(f"initial state {s} of {q.var!r} out of range")
     for c in spec.constraints:
-        states = (c.state,) if isinstance(c, Same) else c.states
-        for s in states:
-            if not (0 <= s < n):
-                raise SpecError(f"constraint state {s} out of range")
+        check_constraint(c, spec.n_controllers, n)
     for atom in formula_atoms(spec.formula):
         sides = [atom.left] + ([atom.right] if isinstance(atom.right, SpecQuery) else [])
         for side in sides:

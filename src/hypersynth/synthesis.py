@@ -24,19 +24,15 @@ the whole sub-box sharing the violation's local structure (see
 counterexamples).
 
 Member checks run on the model and formula, compiled together once per run
-(see analysis).  The enumerator streams the members of one or more boxes
-as arrays of action ordinals, box by box and in lexicographic order within
-a box, and checks each chunk with one batched call.  It then settles the
-chunk in one step, in that order: the first member that holds is the
-witness, or every one that holds is a satisfying box, or the first at the
-greatest distance updates the incumbent.  Limits are checked before and
-after each batch, and iterations are counted per member, so an iteration
-limit stops at its member exactly.  When refinement enumerates a box, the
-boxes right below it on the stack that it would enumerate too join the
-call, so that no box but the last ends in a part-filled chunk, except in
-optimal mode.  An open box checks its candidates and hybrid's member in
-one batch; a box of one member and an accepted box's recheck are batches
-of one.
+(see analysis).  The enumerator streams the members of one box as arrays of
+action ordinals, in lexicographic order, and checks each chunk with one
+batched call.  It then settles the chunk in one step, in that order: the
+first member that holds is the witness, or every one that holds is a
+satisfying box, or the first at the greatest distance updates the
+incumbent.  Limits are checked before and after each batch, and iterations
+are counted per member, so an iteration limit stops at its member exactly.
+An open box checks its candidates and hybrid's member in one batch; a box
+of one member and an accepted box's recheck are batches of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
@@ -46,14 +42,13 @@ one system or a batch, so the same call makes the same decisions on every
 run and every machine.  A batch of member checks makes one solve per
 query group of the formula (analysis.CompiledModel.solves), known from the
 compiled model before any check runs.  Enumerating a box of N members costs
-its share of the batches: groups * N / chunk, since stacked sibling boxes
-share a chunk, or in optimal mode, where each box gets its own batches,
-groups * ceil(N / chunk).  An analysis is priced by the subtree it leaves
-behind: the mean solves of one box analysis (policy-iteration rounds,
-certificate solves and the member checks made during it) over the
-run's settle rate, (settling + 1) / (analyses + 2), where an analysis
-settles when members were settled during it or it found the outcome.
-The root is always analysed, since no analysis has been counted when it is popped.
+its own batches, groups * ceil(N / chunk).  An analysis is priced by the
+subtree it leaves behind: the mean solves of one box analysis
+(policy-iteration rounds, certificate solves and the member checks made
+during it) over the run's settle rate, (settling + 1) / (analyses + 2),
+where an analysis settles when members were settled during it or it found
+the outcome.  The root is always analysed, since no analysis has been
+counted when it is popped.
 
 In complete mode a family that factors is settled by a join instead of
 refinement, once the root's analysis leaves it open.  A side of the formula
@@ -466,43 +461,32 @@ def controllers(space: ParameterSpace, realisation) -> tuple[Controller, ...]:
 _INDEX_LIMIT = np.iinfo(np.intp).max
 
 
-def member_chunks(boxes, size: int):
-    """The members of the boxes, each box given by its per-class domains,
-    as consecutive (members x classes) intp arrays of up to size rows.  The
-    boxes come one after another, each in the order itertools.product lists
-    it, and a box's last chunk is filled up with the next box's members.
+def member_chunks(domains, size: int):
+    """The members of the box given by its per-class domains, in the order
+    itertools.product lists them, as consecutive (members x classes) intp
+    arrays of up to size rows.
 
-    A box's members are numbered in the mixed radix of its domain sizes and
-    decoded with np.unravel_index.  When a box has more members than an
+    The members are numbered in the mixed radix of the domain sizes and
+    decoded with np.unravel_index.  When the box has more members than an
     intp can number, its leading classes are stepped through in Python and
-    the rest decoded as before."""
+    the rest decoded as before, so each step ends in a chunk of its own."""
 
-    parts, filled = [], 0
-    for domains in boxes:
-        radix = [len(d) for d in domains]
-        cut, count = len(radix), 1
-        while cut and count * radix[cut - 1] <= _INDEX_LIMIT:
-            cut -= 1
-            count *= radix[cut]
-        tail = [np.array(d, dtype=np.intp) for d in domains[cut:]]
-        for head in product(*domains[:cut]):
-            start = 0
-            while start < count:
-                stop = min(count, start + size - filled)
-                block = np.empty((stop - start, len(radix)), dtype=np.intp)
-                block[:, :cut] = head
-                if tail:
-                    digits = np.unravel_index(np.arange(start, stop), radix[cut:])
-                    for k, (dom, digit) in enumerate(zip(tail, digits), cut):
-                        block[:, k] = dom[digit]
-                parts.append(block)
-                filled += stop - start
-                start = stop
-                if filled == size:
-                    yield np.concatenate(parts)
-                    parts, filled = [], 0
-    if parts:
-        yield np.concatenate(parts)
+    radix = [len(d) for d in domains]
+    cut, count = len(radix), 1
+    while cut and count * radix[cut - 1] <= _INDEX_LIMIT:
+        cut -= 1
+        count *= radix[cut]
+    tail = [np.array(d, dtype=np.intp) for d in domains[cut:]]
+    for head in product(*domains[:cut]):
+        for start in range(0, count, size):
+            stop = min(count, start + size)
+            block = np.empty((stop - start, len(radix)), dtype=np.intp)
+            block[:, :cut] = head
+            if tail:
+                digits = np.unravel_index(np.arange(start, stop), radix[cut:])
+                for k, (dom, digit) in enumerate(zip(tail, digits), cut):
+                    block[:, k] = dom[digit]
+            yield block
 
 
 def prefix_boxes(domains, classes, holds: np.ndarray) -> list[tuple]:
@@ -551,7 +535,7 @@ def satisfying_realisations(m: Mdp, space: ParameterSpace, formula: Instantiated
     satisfying members have all been asked for."""
 
     compiled = compile_model(m, space, formula)
-    for chunk in member_chunks([space.domains], compiled.chunk):
+    for chunk in member_chunks(space.domains, compiled.chunk):
         holds = check_members(compiled, chunk).holds
         yield from map(tuple, chunk[holds].tolist())
 
@@ -568,15 +552,13 @@ def subtree_price(analysis_solves: int, analyses: int, settling: int) -> float |
     return analysis_solves / analyses * (analyses + 2) / (settling + 1)
 
 
-def cheaper_to_enumerate(size: int, member_cost: float, price: float | None) -> bool:
-    """Whether checking all ``size`` members of a box is expected to cost no
-    more than settling it by analysis, given the solves per enumerated
-    member and the solves an analysis is priced at (None while no analysis
-    is counted)."""
+def cheaper_to_enumerate(solves: int, price: float | None) -> bool:
+    """Whether checking all members of a box, at the given solves of its
+    batches, is expected to cost no more than settling it by analysis, at
+    the solves an analysis is priced at (None while no analysis is
+    counted)."""
 
-    if price is None:
-        return False
-    return size * member_cost <= price
+    return price is not None and solves <= price
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +588,8 @@ class _Synthesizer:
         self.m = m
         self.mode = mode
         self.method = method
+        self.formula = instantiate(spec, m)  # validates the spec first
         self.space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-        self.formula = instantiate(spec, m)
         self.pairs = distance_pairs(self.space) if mode == "optimal" else None
         self.max_iters = max_iters
         self.time_limit = time_limit
@@ -727,21 +709,10 @@ class _Synthesizer:
             and node_distance_bound(node, self.pairs) <= self.incumbent
         )
 
-    def _member_solves(self, size: int) -> float:
-        """Solves per member of enumerating a box of this size: a share of
-        its chunk's batch, which stacked sibling boxes share, or in optimal
-        mode a share of the box's own batches."""
-
-        chunk, solves = self.compiled.chunk, self.compiled.solves
-        if self.mode == "optimal":
-            return solves * -(-size // chunk) / size
-        return solves / chunk
-
     def _enumeration_pays(self, node) -> bool:
-        size = node.size()
+        compiled = self.compiled
         return cheaper_to_enumerate(
-            size,
-            self._member_solves(size),
+            compiled.solves * -(-node.size() // compiled.chunk),
             subtree_price(self.analysis_solves, self.analyses, self.settling),
         )
 
@@ -755,20 +726,10 @@ class _Synthesizer:
             if node is root or self._outranked(node) or not self._enumeration_pays(node):
                 done = self._refine(node, stack)
             else:
-                done = self._enumerate(self._siblings(node, stack))
+                done = self._enumerate(node)
             if done is not None:
                 return done
         return self._finish()
-
-    def _siblings(self, node, stack):
-        """The popped box plus the boxes right below it on the stack that
-        the switch would enumerate too.  Optimal mode takes one box at a
-        time: a member found in one box can outrank the next."""
-
-        nodes = [node]
-        while self.mode != "optimal" and stack and self._enumeration_pays(stack[-1]):
-            nodes.append(stack.pop())
-        return nodes
 
     def _refine(self, node, stack):
         """One refinement step: prune the box against the incumbent, check
@@ -829,16 +790,15 @@ class _Synthesizer:
                 return self._join(*factors)
         return self._handle_open(node, residual, verdicts, bounds, stack)
 
-    def _checked(self, boxes):
-        """Check the members of the boxes, given by their per-class domains,
-        as one stream of index arrays (member_chunks), so small sibling
-        boxes share a batch.  Yields each chunk, cut to the members the
-        iteration limit leaves room for, with its checks; the caller counts
-        the members it takes as iterations.  The limits are checked before
-        and after each batch, and once more after a cut chunk, so the counts
-        stop at the limit's member exactly."""
+    def _checked(self, domains):
+        """Check the members of the box given by its per-class domains, a
+        chunk of index arrays at a time (member_chunks).  Yields each chunk,
+        cut to the members the iteration limit leaves room for, with its
+        checks; the caller counts the members it takes as iterations.  The
+        limits are checked before and after each batch, and once more after
+        a cut chunk, so the counts stop at the limit's member exactly."""
 
-        for chunk in member_chunks(boxes, self.compiled.chunk):
+        for chunk in member_chunks(domains, self.compiled.chunk):
             self._check_limits()
             checks = check_members(self.compiled, chunk)
             self._check_limits()
@@ -847,13 +807,12 @@ class _Synthesizer:
             if room < len(chunk):
                 self._check_limits()  # the iteration limit, reached mid-chunk
 
-    def _enumerate(self, nodes):
-        """Settle boxes by checking their members, box by box and each in
-        lexicographic order: the oracle's whole run, and refinement's on
-        cheap boxes.  Each chunk is checked in one batch and settled in one
-        step."""
+    def _enumerate(self, node):
+        """Settle a box by checking its members in lexicographic order: the
+        oracle's whole run, and refinement's on cheap boxes.  Each chunk is
+        checked in one batch and settled in one step."""
 
-        for members, checks in self._checked(node.domains for node in nodes):
+        for members, checks in self._checked(node.domains):
             explored = self.explored
             witness = self._settle(members, checks.holds[: len(members)])
             self.iterations += self.explored - explored
@@ -920,7 +879,7 @@ class _Synthesizer:
         for classes in factors:
             box = [d if k in classes else d[:1] for k, d in enumerate(domains)]
             parts = []
-            for members, checks in self._checked([box]):
+            for members, checks in self._checked(box):
                 parts.append(checks.values[: len(members)])
                 self.iterations += len(members)
                 self.enumerated += len(members)
@@ -1125,7 +1084,7 @@ class _Synthesizer:
     # -- exhaustive enumeration ------------------------------------------
 
     def run_oracle(self) -> SynthesisOutcome:
-        done = self._enumerate([root_node(self.space)])
+        done = self._enumerate(root_node(self.space))
         return done if done is not None else self._finish()
 
 
@@ -1165,5 +1124,6 @@ def synthesize(
 def enumerate_satisfying(m: Mdp, spec: HyperSpec):
     """All satisfying realisations, lexicographically.  Test oracle."""
 
+    formula = instantiate(spec, m)
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-    return list(satisfying_realisations(m, space, instantiate(spec, m)))
+    return list(satisfying_realisations(m, space, formula))

@@ -39,7 +39,7 @@ from math import isinf, isnan
 
 from .errors import ModelError, ParseError, SpecError
 from .formulas import Query
-from .model import Mdp, make_mdp
+from .model import Mdp, check_name, make_mdp
 from .specs import (
     HyperSpec,
     Obs,
@@ -180,7 +180,8 @@ def parse_model(text: str, source: str = "<string>") -> Mdp:
 
 def write_model(m: Mdp) -> str:
     """Canonical text for an Mdp.  parse_model(write_model(m)) == m holds
-    whenever no transition row needed renormalising.
+    whenever no transition row needed renormalising.  A label or action
+    name that model.check_name rejects raises ModelError.
     """
 
     lines = ["mdp", f"states {m.num_states}"]
@@ -189,16 +190,13 @@ def write_model(m: Mdp) -> str:
             name = m.action_name(s, a)
             if name is None:
                 continue
-            if any(c.isspace() for c in name) or "#" in name:
-                raise ModelError(f"action name {name!r} not serialisable")
-            lines.append(f"action {s} {a} {name}")
+            lines.append(f"action {s} {a} {check_name(name, ('action', s, a))}")
     for s in range(m.num_states):
         for a in range(m.num_actions(s)):
             for t, p in m.trans[s][a]:
                 lines.append(f"trans {s} {a} {t} {p!r}")
     for name, states in m.labels:
-        if any(c.isspace() for c in name) or "#" in name or not name:
-            raise ModelError(f"label {name!r} not serialisable")
+        check_name(name, ("label", name))
         lines.append(("label " + name + " " + " ".join(map(str, sorted(states)))).rstrip())
     if m.rewards is not None:
         for s in range(m.num_states):

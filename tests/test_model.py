@@ -1,5 +1,6 @@
 import math
 import random
+import string
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,15 @@ ONE = [[(0, 1.0)]]
         ({"trans": [ONE], "action_names": [["a", "b"]]}, ("action",)),
         ({"trans": [ONE, ONE], "labels": {"x": (1.5,)}}, ("label", "x", 1.5)),
         ({"trans": [ONE], "labels": {"x": (0, 7)}}, ("label", "x", 7)),
+        # names must be nonempty strs without whitespace or '#'
+        ({"trans": [ONE], "labels": {"a": (0,), 5: (0,)}}, ("label", 5)),
+        ({"trans": [ONE], "labels": {None: (0,)}}, ("label", None)),
+        ({"trans": [ONE], "labels": {"": (0,)}}, ("label", "")),
+        ({"trans": [ONE], "labels": {"a b": (0,)}}, ("label", "a b")),
+        ({"trans": [ONE], "action_names": {(0, 0): ""}}, ("action", 0, 0)),
+        ({"trans": [ONE], "action_names": {(0, 0): 5}}, ("action", 0, 0)),
+        ({"trans": [ONE], "action_names": [["a#b"]]}, ("action", 0, 0)),
+        ({"trans": [ONE], "action_names": [["a\nb"]]}, ("action", 0, 0)),
     ],
 )
 def test_make_mdp_rejects_with_a_model_error_naming_the_item(kwargs, where):
@@ -96,6 +106,40 @@ def test_make_mdp_rejects_with_a_model_error_naming_the_item(kwargs, where):
         make_mdp(**kwargs)
     assert type(e.value) is ModelError
     assert e.value.where == where
+
+
+@pytest.mark.parametrize(
+    "labels, names, where",
+    [
+        ((), ((5,),), ("action", 0, 0)),
+        ((), (("",),), ("action", 0, 0)),
+        (((5, frozenset({0})),), None, ("label", 5)),
+        ((("a b", frozenset({0})),), None, ("label", "a b")),
+    ],
+)
+def test_write_model_rejects_names_with_a_model_error(labels, names, where):
+    # an Mdp built without make_mdp can hold names no model text carries
+    m = Mdp(1, ((((0, 1.0),),),), labels, None, names)
+    with pytest.raises(ModelError) as e:
+        write_model(m)
+    assert e.value.where == where
+
+
+NAME_CHARS = string.ascii_letters + string.digits + "_-.:@/!$%é"
+
+
+def test_model_text_round_trips_random_names():
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = random_model(rng, rewards=rng.random() < 0.5)
+
+        def name():
+            return "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 6)))
+
+        labels = {name(): states for _, states in m.labels}
+        names = [[rng.choice((None, name())) for _ in menu] for menu in m.trans]
+        m = make_mdp(m.trans, labels, m.rewards, names)
+        assert parse_model(write_model(m)) == m, seed
 
 
 def test_make_mdp_reads_probability_strings_as_fractions():

@@ -1,7 +1,7 @@
 """Every module the package imports is standard library, the package
 itself, or a declared runtime dependency, every module-level import is
-used, every name the package exports resolves, and every function or
-class the package defines is used somewhere."""
+used or kept for a bench hook, every name the package exports resolves,
+and every function or class the package defines is used somewhere."""
 
 import ast
 import re
@@ -60,9 +60,10 @@ def test_public_names_resolve():
     assert not missing, missing
 
 
-def _unused_imports(path: Path) -> list[str]:
-    """Module-level imports of the file that nothing in it uses, that
-    ``__all__`` does not list and whose line carries no ``# noqa: F401``."""
+def _unused_imports(path: Path) -> list[tuple[int, str, bool]]:
+    """Module-level imports of the file that nothing in it uses and that
+    ``__all__`` does not list, as (line, name, whether the line carries a
+    ``# noqa: F401``)."""
 
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
@@ -82,9 +83,9 @@ def _unused_imports(path: Path) -> list[str]:
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            if name in used or name in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+            if name in used or name in exported:
                 continue
-            unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
+            unused.append((alias.lineno, name, "# noqa: F401" in lines[alias.lineno - 1]))
     return unused
 
 
@@ -92,8 +93,36 @@ def test_no_unused_imports():
     folders = ("src/hypersynth", "tests", "demos")
     sources = [path for folder in folders for path in sorted((ROOT / folder).glob("*.py"))]
     assert sources
-    unused = [entry for path in sources for entry in _unused_imports(path)]
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sources
+        for line, name, noqa in _unused_imports(path)
+        if not noqa
+    ]
     assert not unused, unused
+
+
+def test_hook_only_imports_are_bench_hooks():
+    """An import of the package that its module keeps only under a
+    ``# noqa: F401`` must be one bench/spans.py hooks at that module's
+    name; once the bench drops the hook, the import goes too."""
+
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    hooks = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "MODULE_HOOKS" for t in node.targets)
+    )
+    kept = [
+        (path.stem, line, name)
+        for path in sorted((ROOT / "src" / "hypersynth").glob("*.py"))
+        for line, name, noqa in _unused_imports(path)
+        if noqa
+    ]
+    assert kept
+    unhooked = [f"{module}.py:{line}: {name}" for module, line, name in kept if (module, name) not in hooks]
+    assert not unhooked, unhooked
 
 
 def test_no_unreferenced_definitions():

@@ -23,14 +23,15 @@ from hypersynth import (
 )
 from hypersynth import analysis, counterexamples, synthesis
 from hypersynth.analysis import check_members, compile_model, solve_count
-from hypersynth.errors import SpecError
+from hypersynth.errors import ConstraintError, SpecError
 from hypersynth.exact import reach_probs_exact
 from hypersynth.family import build_parameter_space, induce
 from hypersynth.formulas import Query
 from hypersynth.model import Mdp
-from hypersynth.specs import DEFAULT_EQ_EPS, validate_spec
+from hypersynth.specs import DEFAULT_EQ_EPS, Obs, Same, validate_spec
 from hypersynth.synthesis import (
     METHODS,
+    MODES,
     _Synthesizer,
     cheaper_to_enumerate,
     distance_pairs,
@@ -419,6 +420,47 @@ def test_bad_equality_tolerance_is_rejected(eps):
             synthesize(m, bad, method=method)
 
 
+def _edit_quantifier(spec, **fields):
+    return replace(spec, quantifiers=(replace(spec.quantifiers[0], **fields),) + spec.quantifiers[1:])
+
+
+def _edit_atom(spec, **fields):
+    return replace(spec, formula=("atom", replace(spec.formula[1], **fields)))
+
+
+BAD_SPEC_EDITS = {
+    "domain 0.5": lambda spec: _edit_quantifier(spec, domain=(0.5,)),
+    "domain '0'": lambda spec: _edit_quantifier(spec, domain=("0",)),
+    "quantifier controller 0.0": lambda spec: _edit_quantifier(spec, controller=0.0),
+    "bound 'abc'": lambda spec: _edit_atom(spec, right="abc"),
+    "bound None": lambda spec: _edit_atom(spec, right=None),
+    "tolerance 'x'": lambda spec: _edit_atom(spec, rel="=", eps="x"),
+    "same state '1'": lambda spec: replace(spec, constraints=(Same("1", (0, 1)),)),
+    "obs state 1.5": lambda spec: replace(spec, constraints=(Obs((0, 1.5), 0),)),
+    "obs controller 0.0": lambda spec: replace(spec, constraints=(Obs((0, 1), 0.0),)),
+    "constraints None": lambda spec: replace(spec, constraints=None),
+    "quantifiers None": lambda spec: replace(spec, quantifiers=None),
+    "node ('not',)": lambda spec: replace(spec, formula=("not",)),
+    "node ('atom',)": lambda spec: replace(spec, formula=("atom",)),
+    "formula None": lambda spec: replace(spec, formula=None),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_SPEC_EDITS)
+def test_malformed_api_specs_raise_package_errors(edit):
+    # each edit once crashed with a TypeError, ValueError, KeyError or
+    # IndexError, or a controller index of 0.0 was read as 0
+    for bench, params in [("thread-scheduling", {"h1": 2, "h2": 3}), ("timing-attack", {"n": 2})]:
+        m, spec = generate(bench, **params)
+        assert spec.formula[0] == "atom" and spec.constraints == ()
+        bad = BAD_SPEC_EDITS[edit](spec)
+        for method in METHODS:
+            with pytest.raises((SpecError, ConstraintError)):
+                synthesize(m, bad, method=method)
+        with pytest.raises((SpecError, ConstraintError)):
+            enumerate_satisfying(m, bad)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_time_and_iteration_limits_are_validated(method):
     m, spec = notes_example()
@@ -475,23 +517,21 @@ STUBBORN = "exists sigma : forall s in {0} [sigma] : P(s, F target) = 0.55 ~0.00
 
 
 def test_cheaper_to_enumerate_on_fixed_costs():
-    # costs in solves: a member's share of its batches against the price
-    # of analysing the box
-    assert cheaper_to_enumerate(40, 4 / 64, 3)
-    assert not cheaper_to_enumerate(60, 4 / 64, 3)
-    assert cheaper_to_enumerate(64, 4 / 64, 4)  # equal costs enumerate
-    assert cheaper_to_enumerate(1, 2, 2)
-    assert not cheaper_to_enumerate(2, 2, 2)
+    # costs in solves: the solves of a box's batches against the price of
+    # analysing the box
+    assert cheaper_to_enumerate(3, 3.5)
+    assert not cheaper_to_enumerate(4, 3.5)
+    assert cheaper_to_enumerate(4, 4.0)  # equal costs enumerate
     # a formula without queries checks members for free
-    assert cheaper_to_enumerate(10**9, 0.0, 0.0)
+    assert cheaper_to_enumerate(0, 0.0)
     # before any analysis is counted, nothing is enumerated
-    assert not cheaper_to_enumerate(1, 0.0, None)
+    assert not cheaper_to_enumerate(0, None)
 
 
 def test_subtree_price_follows_the_settle_rate():
     # an uncounted run never enumerates
     assert subtree_price(0, 0, 0) is None
-    assert not cheaper_to_enumerate(1, 1e-9, subtree_price(0, 0, 0))
+    assert not cheaper_to_enumerate(0, subtree_price(0, 0, 0))
     # analyses that never settle raise the price, the more the more of them
     never = [subtree_price(12 * n, n, 0) for n in (1, 10, 100)]
     assert 12 < never[0] < never[1] < never[2]
@@ -512,7 +552,9 @@ def test_subtree_price_follows_the_settle_rate():
     ],
     ids=["knuth-yao-pc", "maze-sd"],
 )
-def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode, groups):
+def test_a_batch_of_member_checks_costs_one_solve_per_group(
+    monkeypatch, bench, params, mode, groups
+):
     m, spec = generate(bench, **params)
     engine = _Synthesizer(m, spec, mode, "ar", None, None)
     assert "compiled" not in vars(engine)  # nothing compiles before it is needed
@@ -522,15 +564,15 @@ def test_a_batch_of_member_checks_costs_one_solve_per_group(bench, params, mode,
         before = solve_count()
         check_members(engine.compiled, batch)
         assert solve_count() - before == engine.compiled.solves
-    # optimal mode: each box pays for its own batches
-    chunk, q = engine.compiled.chunk, engine.compiled.solves
-    engine.mode = "optimal"
-    assert engine._member_solves(1) == q
-    assert engine._member_solves(chunk) * chunk == pytest.approx(q)
-    assert engine._member_solves(chunk + 1) * (chunk + 1) == pytest.approx(2 * q)
-    # elsewhere sibling boxes share a chunk, so a member costs its share
-    engine.mode = "complete"
-    assert engine._member_solves(1) == engine._member_solves(chunk + 1) == q / chunk
+    # in every mode a box pays for its own batches
+    prices = []
+    monkeypatch.setattr(synthesis, "cheaper_to_enumerate", lambda solves, price: prices.append(solves))
+    chunk = engine.compiled.chunk
+    for engine.mode in ("complete", "optimal"):
+        prices.clear()
+        for size in (1, chunk, chunk + 1):
+            engine._enumeration_pays(SimpleNamespace(size=lambda size=size: size))
+        assert prices == [groups, groups, 2 * groups]
 
 
 @pytest.mark.parametrize(
@@ -720,11 +762,11 @@ def _always_enumerate(monkeypatch):
     seen = []
     enumerate_box = _Synthesizer._enumerate
 
-    def spy(self, nodes):
-        seen.extend(nodes)
-        return enumerate_box(self, nodes)
+    def spy(self, node):
+        seen.append(node)
+        return enumerate_box(self, node)
 
-    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda solves, price: True)
     monkeypatch.setattr(_Synthesizer, "_enumerate", spy)
     return seen
 
@@ -807,65 +849,44 @@ def _count_batches(monkeypatch):
     return batches
 
 
-def test_one_enumeration_settles_sibling_boxes_in_one_batch(monkeypatch):
-    m = binary_family(4)
-    spec = binary_spec(0.0)  # every member satisfies
-    engine = _Synthesizer(m, spec, "complete", "ar", None, None)
-    root = root_node(engine.space)
-    boxes = [
-        root.with_domain(1, (1,)).with_domain(2, (0,)),
-        root.with_domain(1, (0,)),
-        root.with_domain(1, (1,)).with_domain(2, (1,)),
-    ]
-    assert sum(b.size() for b in boxes) == root.size() <= engine.compiled.chunk
-    batches = _count_batches(monkeypatch)
-    assert engine._enumerate(boxes) is None
-    assert batches == [root.size()]
-    # box by box, each in lexicographic order
-    assert [b.domains for b in engine.sat_boxes] == [
-        tuple((a,) for a in r) for b in boxes for r in product(*b.domains)
-    ]
-    assert engine.iterations == engine.enumerated == engine.explored == root.size()
-    assert engine.satisfying == root.size()
+@pytest.mark.parametrize("mode", MODES)
+def test_run_enumerates_one_box_per_batch(monkeypatch, mode):
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda *costs: True)
+    boxes, batches, enumerating = [], [], []
+    split, enumerate_box = synthesis.split_node, _Synthesizer._enumerate
+    batched = synthesis.check_members
 
+    def split_spy(*args):
+        children = split(*args)
+        boxes.extend(children)
+        return children
 
-@pytest.mark.parametrize("mode", ["complete", "optimal"])
-def test_run_enumerates_stacked_siblings_together_except_in_optimal_mode(monkeypatch, mode):
-    calls = []
-    enumerate_box = _Synthesizer._enumerate
+    def enumerate_spy(self, *args):
+        enumerating.append(True)
+        try:
+            return enumerate_box(self, *args)
+        finally:
+            enumerating.pop()
 
-    def spy(self, nodes):
-        calls.append(list(nodes))
-        return enumerate_box(self, nodes)
+    def check_spy(compiled, realisations):
+        if enumerating:
+            batches.append(np.asarray(realisations).tolist())
+        return batched(compiled, realisations)
 
-    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
-    monkeypatch.setattr(_Synthesizer, "_enumerate", spy)
+    monkeypatch.setattr(synthesis, "split_node", split_spy)
+    monkeypatch.setattr(_Synthesizer, "_enumerate", enumerate_spy)
+    monkeypatch.setattr(synthesis, "check_members", check_spy)
     # the root splits into two boxes of two members, and the family does
     # not factor
     m, spec = random_instance(361)
     out = synthesize(m, spec, mode=mode)
-    assert out.stats["factors"] == 0
-    assert out.stats["enumerated_members"] == sum(n.size() for nodes in calls for n in nodes)
-    sizes = [[n.size() for n in nodes] for nodes in calls]
-    if mode == "optimal":
-        # an incumbent from one box may outrank the next, so one box a call
-        assert sizes == [[2], [2]]
-    else:
-        assert sizes == [[2, 2]]
+    assert out.stats["factors"] == 0 and out.stats["splits"] == 1
+    assert [b.size() for b in boxes] == [2, 2] and batches
 
+    def within(box, batch):
+        return all(a in dom for real in batch for a, dom in zip(real, box.domains))
 
-def test_run_streams_enumerated_siblings_larger_than_a_chunk(monkeypatch):
-    # boxes of any size share their part-filled chunks, so the stream of
-    # the root's children needs no more batches than the oracle's
-    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: True)
-    m, spec = binary_family(BINARY_K), binary_spec(0.3)
-    chunk, size = _chunk(m, spec), 2**BINARY_K
-    batches = _count_batches(monkeypatch)
-    out = synthesize(m, spec, mode="complete")
-    assert out.stats["analyses"] == out.stats["splits"] == 1
-    assert out.stats["enumerated_members"] == size == sum(batches)
-    assert size // 2 % chunk and len(batches) == math.ceil(size / chunk)
-    assert out.stats["satisfying_count"] == size - math.ceil(0.3 * size)
+    assert all(any(within(box, batch) for box in boxes) for batch in batches)
 
 
 @pytest.mark.parametrize(
@@ -874,7 +895,7 @@ def test_run_streams_enumerated_siblings_larger_than_a_chunk(monkeypatch):
 )
 def test_hybrid_checks_each_open_box_in_one_batch(monkeypatch, bench, params, mode):
     # the candidates and hybrid's first member of an open box share a batch
-    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda size, check_s, analysis_s: False)
+    monkeypatch.setattr("hypersynth.synthesis.cheaper_to_enumerate", lambda solves, price: False)
     batches = _count_batches(monkeypatch)
     per_box = []
     handle_open = _Synthesizer._handle_open
@@ -1030,20 +1051,22 @@ BOXES = [
 @pytest.mark.parametrize("size", [1, 2, 5, 7, 64])
 def test_member_chunks_follow_product_order(monkeypatch, size, limit):
     # with a small index limit, a box's leading classes are stepped through
-    # in Python, as for a box with more members than an intp can number
+    # in Python, as for a box with more members than an intp can number,
+    # and each step may end in a part-filled chunk
     if limit is not None:
         monkeypatch.setattr(synthesis, "_INDEX_LIMIT", limit)
-    chunks = list(member_chunks(BOXES, size))
-    assert all(c.dtype == np.intp and c.shape[1] == 3 for c in chunks)
-    assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
-    assert 0 < len(chunks[-1]) <= size
-    want = [r for box in BOXES for r in product(*box)]
-    assert [tuple(r) for c in chunks for r in c.tolist()] == want
+    for box in BOXES:
+        chunks = list(member_chunks(box, size))
+        assert all(c.dtype == np.intp and c.shape[1] == 3 for c in chunks)
+        assert all(0 < len(c) <= size for c in chunks)
+        if limit is None:
+            assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert [tuple(r) for c in chunks for r in c.tolist()] == list(product(*box))
 
 
 def test_member_chunks_of_a_box_past_the_index_range():
     box = ((0, 1),) * 70 + ((0, 1, 2),)  # 3 * 2**70 members
-    got = [r for c in islice(member_chunks([box], 100), 2) for r in c.tolist()]
+    got = [r for c in islice(member_chunks(box, 100), 2) for r in c.tolist()]
     assert got == [list(r) for r in islice(product(*box), 200)]
 
 
