@@ -56,6 +56,7 @@ from .specs import (
     validate_spec,
 )
 from .synthesis import (
+    SatisfyingSet,
     SynthesisOutcome,
     enumerate_satisfying,
     instantiate,
@@ -89,6 +90,7 @@ __all__ = [
     "ParseError",
     "Quantifier",
     "Same",
+    "SatisfyingSet",
     "SpecAtom",
     "SpecError",
     "SpecQuery",

@@ -136,7 +136,9 @@ class RowTable:
     solves read them, built once per model (`row_table`).  For action a of
     state s: succ[s][a] is the row's successors as a bitmask (bit t set
     when t is one), out[s][a] its transitions to other states in successor
-    order, and leave[s][a] their total probability."""
+    order, and leave[s][a] their total probability.  A chain's table for the
+    graph fixpoints and closures (_chain_rows) has succ alone: out and leave
+    are empty there, since only the extremal solves read them."""
 
     num_states: int
     succ: tuple[tuple[int, ...], ...]
@@ -347,13 +349,20 @@ def _one_action(mc: Mdp) -> None:
             raise ModelError(f"state {s} has {len(menu)} actions; a chain has one")
 
 
+def _chain_rows(mc: Mdp) -> RowTable:
+    """The chain's row table with its successor masks alone, all that the
+    graph fixpoints and closures read: out and leave are left empty."""
+
+    _one_action(mc)
+    return RowTable(mc.num_states, tuple((_row_mask(menu[0]),) for menu in mc.trans), (), ())
+
+
 def _chain_can_reach(mc: Mdp, t) -> list[int]:
     """The states outside the target t that can reach it in the chain, in
     ascending order: those outside extremal_reach's prob0, on the chain's
     one action."""
 
-    _one_action(mc)
-    rows, inside = row_table(mc), _mask(t)
+    rows, inside = _chain_rows(mc), _mask(t)
     only = [(0,)] * mc.num_states
     can, _, _ = _attractor(inside, _some_action_enters(rows, only), rows.everything)
     return _states(can & ~inside)
@@ -364,8 +373,7 @@ def _chain_closures(mc: Mdp):
     the chain, and the set of states lying in some bottom SCC, which are
     those that every state they reach can reach back."""
 
-    _one_action(mc)
-    rows = row_table(mc)
+    rows = _chain_rows(mc)
     only = (0,) * mc.num_states
     reach = [set(rows.reachable(only, s)) for s in range(mc.num_states)]
     return reach, {s for s, seen in enumerate(reach) if all(s in reach[u] for u in seen)}
@@ -421,7 +429,7 @@ def expected_reward(mc: Mdp, target) -> np.ndarray:
     for s in t:
         out[s] = 0.0
     inside = _mask(t)
-    mid = _states(_prob1_max(row_table(mc), [(0,)] * n, inside)[0] & ~inside)
+    mid = _states(_prob1_max(_chain_rows(mc), [(0,)] * n, inside)[0] & ~inside)
     if not mid:
         return out
     idx = {s: i for i, s in enumerate(mid)}
@@ -814,13 +822,14 @@ def _reach_closure(adj: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(a: np.ndarray):
-    """The distinct rows of a 2-D integer array, in some order, and for each
-    row of a the index of its distinct row."""
+    """(first, inverse): the index in a of the first occurrence of each
+    distinct row of a 2-D array, rows compared bit for bit, in some order,
+    and for each row of a the index of its distinct row."""
 
     a = np.ascontiguousarray(a)
     keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return a[first], inverse
+    return first, inverse
 
 
 def _slot(cm: CompiledModel, real: np.ndarray, i: int):
@@ -838,7 +847,8 @@ def _slot(cm: CompiledModel, real: np.ndarray, i: int):
     unread = cm.varies.copy()
     unread[cm.classes[i]] = False
     if unread.any():
-        actions, pick = _distinct_rows(actions)
+        first, pick = _distinct_rows(actions)
+        actions = actions[first]
     rows = cm.offsets + actions
     return rows, _reach_closure(cm.edges[rows]), pick
 

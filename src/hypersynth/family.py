@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from numbers import Integral
 
-from .errors import ConstraintError, ModelError
+from .errors import ConstraintError, ModelError, SpecError
 from .model import Controller, Mdp
 from .specs import Same, check_constraint
 
@@ -74,14 +75,24 @@ class ParameterSpace:
 def build_parameter_space(m: Mdp, n_controllers: int, constraints=()) -> ParameterSpace:
     """Close the structural constraints into parameter classes.
 
-    Each constraint must pass specs.check_constraint on the model's states,
-    else SpecError.  Classes merged by an obs constraint must expose
-    identical action menus; a size mismatch raises ConstraintError.  same()
-    merges across controllers at a single state, so menus match trivially.
+    n_controllers must be a positive integer (not a bool), else
+    ConstraintError.  constraints must be an iterable, and each constraint
+    must pass specs.check_constraint on the model's states, else SpecError.
+    Classes merged by an obs constraint must expose identical action menus;
+    a size mismatch raises ConstraintError.  same() merges across
+    controllers at a single state, so menus match trivially.
     """
 
+    if isinstance(n_controllers, bool) or not isinstance(n_controllers, Integral):
+        raise ConstraintError(
+            f"the number of controllers must be an integer, not {n_controllers!r}"
+        )
     if n_controllers < 1:
         raise ConstraintError("need at least one controller")
+    try:
+        constraints = tuple(constraints)
+    except TypeError:
+        raise SpecError(f"constraints must be an iterable, not {constraints!r}") from None
     pairs = [(i, s) for i in range(n_controllers) for s in range(m.num_states)]
     uf = _UnionFind(pairs)
 

@@ -27,9 +27,9 @@ Member checks run on the model and formula, compiled together once per run
 (see analysis).  The enumerator streams the members of one box as arrays of
 action ordinals, in lexicographic order, and checks each chunk with one
 batched call.  It then settles the chunk in one step, in that order: the
-first member that holds is the witness, or every one that holds is a
-satisfying box, or the first at the greatest distance updates the
-incumbent.  Limits are checked before and after each batch, and iterations
+first member that holds is the witness, or those that hold join the
+satisfying set as one array, or the first at the greatest distance updates
+the incumbent.  Limits are checked before and after each batch, and iterations
 are counted per member, so an iteration limit stops at its member exactly.
 An open box checks its candidates and hybrid's member in one batch; a box
 of one member and an accepted box's recheck are batches of one.
@@ -57,12 +57,15 @@ states reachable from its state under any action (analysis.cone_classes).
 Sides whose cones share a varying class form one factor, and a varying
 class in no cone is free.  With two or more factors, or one and a free
 class, each factor's members are checked once, every other class at its
-first action, and the atoms are evaluated on the product of the factors'
-value tables.  The satisfying set goes out as the maximal boxes that fix a
-prefix of the factors' classes in index order, free classes whole, in
-lexicographic order (prefix_boxes), so the witness is the least satisfying
-member, as the oracle's is.  A join that would hold more than JOIN_BYTES
-of tables and product is not made, and the family is refined.  Feasibility
+first action, and the rows of side values in each factor's table are
+grouped bit for bit into value classes.  The atoms are evaluated once per
+tuple of value classes, one per factor, never on the product of the tables.
+A join whose tables and tuples would hold more than JOIN_BYTES is not made,
+and the family is refined.  The answer is a SatisfyingSet that keeps the
+join as found: its count and least member come from the held tuples, and
+its boxes, the maximal boxes that fix a prefix of the factors' classes in
+index order, free classes whole, in lexicographic order (prefix_boxes), are
+laid out only when asked for, a block of members at a time.  Feasibility
 and optimal modes do not join.
 """
 
@@ -70,8 +73,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial
+from itertools import chain, product
 from math import prod
 from numbers import Integral, Real
 
@@ -86,6 +89,7 @@ from .analysis import (
     GUARD_BAND,
     CompiledModel,
     RowTable,
+    _distinct_rows,
     check_mc,  # noqa: F401
     check_members,
     compile_model,
@@ -136,10 +140,11 @@ METHODS = ("ar", "hybrid", "oracle")
 # Candidate combinations tried per open box before splitting.
 COMPOSE_CAP = 8
 
-# Bytes a complete-mode join may hold besides its answer: its factors'
-# value tables, 16 bytes per atom and table member, and 2 bytes per member
-# of their product, for the satisfying set and the fullness of its
-# prefixes.  A family whose join would hold more is refined instead.
+# Bytes a complete-mode join may hold besides its answer's parts: its
+# factors' value tables, 16 bytes per atom and table member, and 2 bytes per
+# tuple of their value classes, for the tuples that hold and the fullness
+# of a box's tuples when its boxes are laid out.  A family whose join would
+# hold more is refined instead.
 JOIN_BYTES = 1 << 26
 
 
@@ -565,12 +570,166 @@ def cheaper_to_enumerate(solves: int, price: float | None) -> bool:
 # Outcome
 
 
+class _Join:
+    """The satisfying members of a joined family.  A member holds when the
+    value classes of its factors' table members, one per factor, form a
+    tuple that holds; no free class changes that.
+
+    factors lists each factor's classes in index order; classes[f] gives
+    each member of factor f's table, in product order, its value class;
+    held has one axis per factor, over its value classes.  count and the
+    least member come from the join."""
+
+    def __init__(self, space: ParameterSpace, factors, classes, held, count: int, least: tuple):
+        self.space = space
+        self.factors = factors
+        self.classes = classes
+        self.held = held
+        self.count = count
+        self.least = least
+        self.dims = [[len(space.domains[k]) for k in members] for members in factors]
+
+    def first(self) -> tuple:
+        return self.least
+
+    def contains(self, realisation) -> bool:
+        domains = self.space.domains
+        if not all(a in d for a, d in zip(realisation, domains)):
+            return False
+        cell = tuple(
+            classes[np.ravel_multi_index([domains[k].index(realisation[k]) for k in members], dims)]
+            for members, classes, dims in zip(self.factors, self.classes, self.dims)
+        )
+        return bool(self.held[cell])
+
+    def boxes(self):
+        """The prefix boxes of the set, in lexicographic order.
+
+        The boxes below a prefix of the factors' classes with at most
+        CHUNK_BYTES // 8 members are laid out by prefix_boxes on their
+        holds, gathered from held.  A prefix with more members is walked
+        depth first.  Its members take one range of each factor's table,
+        so it is a box when every tuple of the value classes met in those
+        ranges holds, is dropped when none does, and is otherwise split on
+        its next class."""
+
+        space, held = self.space, self.held
+        layout = sorted(k for members in self.factors for k in members)
+        dims = [len(space.domains[k]) for k in layout]
+        owner = {k: f for f, members in enumerate(self.factors) for k in members}
+        node = partial(FamilyNode, space)
+        present = {}
+
+        def met(f, start, span):
+            if (f, start, span) not in present:
+                mask = np.zeros(held.shape[f], dtype=bool)
+                mask[self.classes[f][start : start + span]] = True
+                present[f, start, span] = mask
+            return present[f, start, span]
+
+        def walk(n, box, starts, spans):
+            if n < len(layout) and prod(dims[n:]) <= CHUNK_BYTES // 8:
+                cells = tuple(
+                    self.classes[f][start : start + span].reshape(
+                        [d if owner[k] == f else 1 for k, d in zip(layout[n:], dims[n:])]
+                    )
+                    for f, (start, span) in enumerate(zip(starts, spans))
+                )
+                return map(node, prefix_boxes(box, layout[n:], held[cells]))
+            sub = held[np.ix_(*(met(f, *range_) for f, range_ in enumerate(zip(starts, spans))))]
+            if sub.all():
+                return iter((node(box),))
+            if not sub.any():
+                return iter(())
+            k = layout[n]
+            f = owner[k]
+            width = spans[f] // dims[n]
+            return chain.from_iterable(
+                walk(
+                    n + 1,
+                    box[:k] + ((action,),) + box[k + 1 :],
+                    [*starts[:f], starts[f] + x * width, *starts[f + 1 :]],
+                    [*spans[:f], width, *spans[f + 1 :]],
+                )
+                for x, action in enumerate(space.domains[k])
+            )
+
+        return walk(0, space.domains, [0] * len(self.factors), [len(c) for c in self.classes])
+
+
+class SatisfyingSet:
+    """The satisfying members of a complete-mode run, kept in the parts
+    they were found in, in that order: a box accepted whole (a FamilyNode),
+    an array of members checked one by one (members x classes), or a join
+    (at most one, and then alone).
+
+    count is the number of members.  boxes(), also the iteration, yields
+    the answer as disjoint boxes, one part after the other: a checked
+    member as a box of one and a join as its prefix boxes, built only as
+    they are asked for."""
+
+    def __init__(self, space: ParameterSpace):
+        self.space = space
+        self.parts: list = []
+        self.count = 0
+
+    def __repr__(self) -> str:
+        return f"SatisfyingSet(count={self.count}, parts={len(self.parts)})"
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+    def add(self, part, count: int):
+        """Append a part of count members; a part of none is not kept."""
+
+        if count:
+            self.parts.append(part)
+            self.count += count
+
+    def first(self) -> tuple | None:
+        """The first member of the first part, None when the set is empty;
+        a join's least member."""
+
+        if not self.parts:
+            return None
+        part = self.parts[0]
+        if isinstance(part, FamilyNode):
+            return part.first_realisation()
+        if isinstance(part, np.ndarray):
+            return tuple(part[0].tolist())
+        return part.first()
+
+    def contains(self, realisation) -> bool:
+        realisation = tuple(realisation)
+        if len(realisation) != self.space.n_classes:
+            return False
+        for part in self.parts:
+            if isinstance(part, np.ndarray):
+                if (part == realisation).all(axis=1).any():
+                    return True
+            elif part.contains(realisation):
+                return True
+        return False
+
+    def boxes(self):
+        return chain.from_iterable(map(self._boxes, self.parts))
+
+    def _boxes(self, part):
+        if isinstance(part, FamilyNode):
+            return (part,)
+        if isinstance(part, np.ndarray):
+            return (FamilyNode(self.space, tuple(zip(real))) for real in part.tolist())
+        return part.boxes()
+
+    __iter__ = boxes
+
+
 @dataclass
 class SynthesisOutcome:
     verdict: str  # "feasible" | "unfeasible"
     realisation: tuple | None
     witness: tuple | None  # Controllers, one per slot
-    satisfying: tuple = ()  # complete mode: disjoint boxes of members
+    satisfying: SatisfyingSet  # complete mode: the members that hold
     optimal_value: int | None = None
     stats: dict = field(default_factory=dict)
 
@@ -605,8 +764,7 @@ class _Synthesizer:
         self.enumerated = 0
         self.factors = 0
         self.atom_report = []
-        self.sat_boxes: list[FamilyNode] = []
-        self.satisfying = 0  # members of sat_boxes
+        self.sat = SatisfyingSet(self.space)
         self.incumbent: int | None = None
         self.incumbent_real = None
         # solves made by box analyses, the analyses, and those during which
@@ -664,7 +822,7 @@ class _Synthesizer:
                 "controllers": [list(c.choices) for c in witness],
             }
         if self.mode == "complete":
-            out["satisfying_count"] = self.satisfying
+            out["satisfying_count"] = self.sat.count
         return out
 
     def _outcome(self, verdict, realisation=None, witness=None, optimal_value=None):
@@ -672,7 +830,7 @@ class _Synthesizer:
             verdict,
             realisation,
             witness,
-            tuple(self.sat_boxes),
+            self.sat,
             optimal_value,
             self._stats(verdict, realisation, witness, optimal_value),
         )
@@ -786,8 +944,8 @@ class _Synthesizer:
             return self._handle_allsat(node, stack)
         if self.mode == "complete" and node.domains == self.space.domains:
             factors = self._factors()
-            if factors is not None:
-                return self._join(*factors)
+            if factors is not None and self._join(*factors):
+                return None
         return self._handle_open(node, residual, verdicts, bounds, stack)
 
     def _checked(self, domains):
@@ -825,8 +983,8 @@ class _Synthesizer:
 
     def _factors(self):
         """(factors, free, owner) when the family factors into a join: two
-        or more factors, or one and a free class, whose tables and product
-        fit in JOIN_BYTES; else None.
+        or more factors, or one and a free class, whose tables fit in
+        JOIN_BYTES; else None.
 
         A side's values depend only on the varying classes of its cone
         (analysis.cone_classes).  Sides whose cones share a class fall in
@@ -851,7 +1009,7 @@ class _Synthesizer:
             return None
         atoms = self.formula.atoms
         sizes = [prod(len(self.space.domains[k]) for k in classes) for classes in factors]
-        if 16 * len(atoms) * sum(sizes) + 2 * prod(sizes) > JOIN_BYTES:
+        if 16 * len(atoms) * sum(sizes) + 2 > JOIN_BYTES:
             return None
         factor_of = {k: f for f, classes in enumerate(factors) for k in classes}
         owner = np.full((len(atoms), 2), -1)
@@ -861,53 +1019,92 @@ class _Synthesizer:
                     owner[i, j] = factor_of[cones[side.slot, side.state][0]]
         return factors, free, owner
 
-    def _join(self, factors, free, owner):
+    def _join(self, factors, free, owner) -> bool:
         """Settle the whole family as the join of its factors' value
-        tables, in satisfying boxes.
+        tables, into one part of the satisfying set (_Join).  False, with
+        nothing settled, when the tables and the tuples of their value
+        classes would hold more than JOIN_BYTES; the family is refined.
 
         Each factor's members are checked once, with every class outside
         the factor at its first action, and counted as enumerated members.
-        A side's values come from its factor's table; the other sides are
-        constants, read off the first table's first row.  The atoms are
-        evaluated on the product of the tables, a chunk of about CHUNK_BYTES
-        of side values at a time, and the satisfying set goes out as
-        prefix_boxes, every free class whole."""
+        The rows of a factor's side values are grouped bit for bit into
+        value classes: equal rows give every atom the same truth.  The
+        atoms are evaluated once per tuple of value classes, one per
+        factor, a chunk of about CHUNK_BYTES of side values at a time, the
+        sides of no factor read off the first table's first row, as
+        constants.  A tuple that holds adds the product of its classes'
+        sizes to the count.  Its least member takes each factor's least
+        table member in its class, and every other class at its first
+        action; the set's least member is the least of these."""
 
         self.factors = len(factors)
-        domains = self.space.domains
-        tables = []
-        for classes in factors:
-            box = [d if k in classes else d[:1] for k, d in enumerate(domains)]
+        space = self.space
+        base, rows, classes, least = None, [], [], []
+        for f, members in enumerate(factors):
+            box = [d if k in members else d[:1] for k, d in enumerate(space.domains)]
             parts = []
-            for members, checks in self._checked(box):
-                parts.append(checks.values[: len(members)])
-                self.iterations += len(members)
-                self.enumerated += len(members)
-            tables.append(np.concatenate(parts))
+            for chunk, checks in self._checked(box):
+                if base is None:
+                    base = checks.values[0]
+                parts.append(checks.values[: len(chunk)][:, owner == f])
+                self.iterations += len(chunk)
+                self.enumerated += len(chunk)
+            table = np.concatenate(parts)
+            first, inverse = _distinct_rows(table)
+            rows.append(table[first])
+            classes.append(inverse)
+            least.append(first)
 
-        columns = [table[:, owner == f] for f, table in enumerate(tables)]
-        sizes = [len(table) for table in tables]
-        holds = np.empty(prod(sizes), dtype=bool)
-        step = max(1, CHUNK_BYTES // tables[0][0].nbytes)
-        for start in range(0, len(holds), step):
+        shape = [len(distinct) for distinct in rows]
+        tables = [len(inverse) for inverse in classes]
+        if 16 * len(self.formula.atoms) * sum(tables) + 2 * prod(shape) > JOIN_BYTES:
+            self.factors = 0
+            return False
+        # the weights of all tuples sum to the product of the tables
+        exact = np.intp if prod(tables) <= _INDEX_LIMIT else object
+        sizes = [np.bincount(c, minlength=n).astype(exact) for c, n in zip(classes, shape)]
+        # the lexicographic index of a tuple's least member is the sum of
+        # its value classes' ranks: factors own disjoint classes, and a
+        # class's domain is its actions 0, 1, ..., so a table member's
+        # digits are its actions
+        radix = [len(d) for d in space.domains]
+        index = np.intp if prod(radix) <= _INDEX_LIMIT else object
+        ranks = []
+        for members, first in zip(factors, least):
+            digits = np.unravel_index(first, [radix[k] for k in members])
+            strides = (prod(radix[k + 1 :]) for k in members)
+            ranks.append(sum(d.astype(index) * w for d, w in zip(digits, strides)))
+        held = np.empty(prod(shape), dtype=bool)
+        count, best = 0, None
+        step = max(1, CHUNK_BYTES // base.nbytes)
+        for start in range(0, len(held), step):
             self._check_time()
-            stop = min(len(holds), start + step)
-            values = np.repeat(tables[0][:1], stop - start, axis=0)
-            for f, pick in enumerate(np.unravel_index(np.arange(start, stop), sizes)):
-                values[:, owner == f] = columns[f][pick]
-            holds[start:stop] = formula_holds(self.formula, values)[0]
+            picks = np.unravel_index(np.arange(start, min(len(held), start + step)), shape)
+            values = np.repeat(base[None], len(picks[0]), axis=0)
+            for f, pick in enumerate(picks):
+                values[:, owner == f] = rows[f][pick]
+            holds = held[start : start + step] = formula_holds(self.formula, values)[0]
+            if not holds.any():
+                continue
+            hits = [pick[holds] for pick in picks]
+            count += int(prod(size[hit] for size, hit in zip(sizes, hits)).sum())
+            rank = sum(r[hit] for r, hit in zip(ranks, hits))
+            low = rank.argmin()
+            if best is None or rank[low] < best[0]:
+                best = rank[low], [hit[low] for hit in hits]
 
-        classes = [k for factor in factors for k in factor]
-        holds = holds.reshape([len(domains[k]) for k in classes])
-        boxes = prefix_boxes(domains, classes, holds)
-        self.sat_boxes.extend(FamilyNode(self.space, box) for box in boxes)
-        self.satisfying += int(np.count_nonzero(holds)) * prod(len(domains[k]) for k in free)
-        self._decide(self.space.family_size())
-        return None
+        real = [0] * space.n_classes
+        for members, first, c in zip(factors, least, best[1] if count else ()):
+            for k, a in zip(members, np.unravel_index(first[c], [radix[k] for k in members])):
+                real[k] = int(a)
+        count *= prod(len(space.domains[k]) for k in free)
+        self.sat.add(_Join(space, factors, classes, held.reshape(shape), count, tuple(real)), count)
+        self._decide(space.family_size())
+        return True
 
     def _finish(self) -> SynthesisOutcome:
-        if self.mode == "complete" and self.sat_boxes:
-            return self._found(self.sat_boxes[0].first_realisation())
+        if self.mode == "complete" and self.sat.count:
+            return self._found(self.sat.first())
         if self.mode == "optimal" and self.incumbent is not None:
             return self._found(self.incumbent_real, self.incumbent)
         return self._outcome("unfeasible")
@@ -922,9 +1119,9 @@ class _Synthesizer:
     def _settle(self, members, holds):
         """Act on checked members, settling each as a box of one, in order:
         in feasibility mode up to the first that holds, which is returned
-        as the witness; in complete mode every one that holds is a
-        satisfying box; in optimal mode the first that holds at the
-        greatest distance is folded into the incumbent."""
+        as the witness; in complete mode those that hold are added to the
+        satisfying set as one array of members; in optimal mode the first
+        that holds at the greatest distance is folded into the incumbent."""
 
         hits = np.flatnonzero(holds)
         if self.mode == "feasibility" and hits.size:
@@ -937,8 +1134,7 @@ class _Synthesizer:
             return tuple(members[-1].tolist())
         sat = members[hits]
         if self.mode == "complete":
-            self.sat_boxes.extend(FamilyNode(self.space, tuple(zip(real))) for real in sat.tolist())
-            self.satisfying += len(sat)
+            self.sat.add(sat, len(sat))
             return None
         left, right = [k0 for k0, _ in self.pairs], [k1 for _, k1 in self.pairs]
         distances = np.count_nonzero(sat[:, left] != sat[:, right], axis=1)
@@ -961,8 +1157,7 @@ class _Synthesizer:
         if self.mode == "feasibility":
             return self._found(real)
         if self.mode == "complete":
-            self.sat_boxes.append(node)
-            self.satisfying += node.size()
+            self.sat.add(node, node.size())
         else:
             self._note_sat(real)
         self._decide(node.size())

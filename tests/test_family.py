@@ -6,6 +6,7 @@ import pytest
 from hypersynth import (
     ConstraintError,
     Controller,
+    SpecError,
     build_parameter_space,
     induce,
     node_restrict,
@@ -144,3 +145,21 @@ def test_family_sizes_match_enumeration():
         space = build_parameter_space(m, 1)
         count = sum(1 for _ in product(*space.domains))
         assert count == space.family_size()
+
+
+@pytest.mark.parametrize(
+    "n_controllers, constraints, error",
+    [
+        (1, None, SpecError),
+        (1, 5, SpecError),
+        (1.5, (), ConstraintError),
+        ("2", (), ConstraintError),
+        (True, (), ConstraintError),
+        (False, (), ConstraintError),
+    ],
+)
+def test_malformed_counts_and_constraint_containers_raise_package_errors(
+    notes_mdp, n_controllers, constraints, error
+):
+    with pytest.raises(error):
+        build_parameter_space(notes_mdp, n_controllers, constraints)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
@@ -642,7 +643,7 @@ def test_runs_repeat_exactly(monkeypatch, bench, params, mode, method):
         del out.stats["wall_time_s"]
     assert second.stats == first.stats
     assert second.realisation == first.realisation
-    assert second.satisfying == first.satisfying
+    assert list(second.satisfying.boxes()) == list(first.satisfying.boxes())
     assert first.stats["solves"] > 0
 
 
@@ -948,6 +949,160 @@ def test_complete_joins_agree_with_the_oracle_on_two_cone_instances(controllers,
         assert joined >= 20
 
 
+def _joined_prefix_boxes(m, spec, members):
+    """The satisfying set of a factored family as the maximal prefix boxes
+    over its factors' classes, free classes whole, laid out from the whole
+    product of the factors' classes."""
+
+    engine = _Synthesizer(m, spec, "complete", "ar", None, None)
+    factors, _, _ = engine._factors()
+    domains = engine.space.domains
+    layout = sorted(k for classes in factors for k in classes)
+    holds = np.zeros([len(domains[k]) for k in layout], dtype=bool)
+    for digits in np.ndindex(holds.shape):
+        real = [d[0] for d in domains]
+        for k, x in zip(layout, digits):
+            real[k] = domains[k][x]
+        holds[digits] = tuple(real) in members
+    return prefix_boxes(domains, layout, holds)
+
+
+@pytest.mark.parametrize("controllers, tie", [(1, False), (2, False), (2, True)])
+def test_joined_satisfying_sets_agree_with_the_oracle(monkeypatch, controllers, tie):
+    # a joined answer keeps its value classes, not its members: its count,
+    # least member and membership agree with the oracle, and its boxes are
+    # the maximal prefix boxes of the product, in order, whether they are
+    # laid out in one block or walked down to blocks of a few members
+    joined = 0
+    for seed in range(60):
+        m, spec = two_cone_instance(seed, controllers, tie)
+        want = enumerate_satisfying(m, spec)
+        out = synthesize(m, spec, mode="complete")
+        if not out.stats["factors"]:
+            continue
+        joined += 1
+        answer = out.satisfying
+        assert answer.count == out.stats["satisfying_count"] == len(want), seed
+        assert answer.first() == (want[0] if want else None) == out.realisation, seed
+        members = set(want)
+        space = answer.space
+        assert all(answer.contains(r) == (r in members) for r in product(*space.domains)), seed
+        boxes = _joined_prefix_boxes(m, spec, members)
+        assert [box.domains for box in answer.boxes()] == boxes, seed
+        for chunk_bytes in (8, 64, 512):
+            monkeypatch.setattr(synthesis, "CHUNK_BYTES", chunk_bytes)
+            assert [box.domains for box in answer] == boxes, (seed, chunk_bytes)
+        monkeypatch.undo()
+    assert joined >= 15
+
+
+def _two_binary_families(k: int):
+    """Two copies of binary_family(k) sharing the target and sink, each
+    root quantified on one controller: every member of a factor reaches the
+    target with its own probability, so no value row of a table repeats."""
+
+    def copy(root):
+        head = [[(root + 1 + i, 2.0 ** -(i + 1)) for i in range(k)] + [(sink, 2.0**-k)]]
+        return [head] + [[[(sink, 1.0)], [(target, 1.0)]] for _ in range(k)]
+
+    target, sink = 2 * k + 2, 2 * k + 3
+    trans = copy(0) + copy(k + 1) + [[[(target, 1.0)]], [[(sink, 1.0)]]]
+    m = make_mdp(trans, labels={"target": (target,)})
+    spec = parse_spec(
+        f"exists sigma : forall s1 in {{0}} [sigma], forall s2 in {{{k + 1}}} [sigma] : "
+        "P(s1, F target) = P(s2, F target) ~0.2"
+    )
+    return m, spec
+
+
+def test_a_join_whose_tables_repeat_no_row():
+    m, spec = _two_binary_families(4)
+    want = enumerate_satisfying(m, spec)
+    out = synthesize(m, spec, mode="complete")
+    (join,) = out.satisfying.parts
+    assert out.stats["factors"] == 2 and join.held.shape == (16, 16)
+    assert out.satisfying.count == len(want) and 0 < len(want) < 256
+    feasible = synthesize(m, spec)
+    assert not feasible.satisfying and list(feasible.satisfying) == []
+    assert out.realisation == want[0]
+    assert [box.domains for box in out.satisfying] == _joined_prefix_boxes(m, spec, set(want))
+
+
+def _close_pairs(n: int, tolerance: float) -> int:
+    # pairs (i, j) of 0..n-1 with |i - j| <= tolerance * n, not an integer
+    w = math.floor(tolerance * n)
+    return n * (2 * w + 1) - w * (w + 1)
+
+
+def test_a_large_join_holds_one_byte_per_tuple_of_value_classes():
+    # 2,048 x 2,048 tuples, none repeated: the atoms are evaluated a chunk
+    # at a time, so the join's peak is held, not the tuples' side values
+    m, spec = _two_binary_families(11)
+    tracemalloc.start()
+    try:
+        out = synthesize(m, spec, mode="complete")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (join,) = out.satisfying.parts
+    assert out.stats["factors"] == 2 and join.held.shape == (2048, 2048)
+    assert peak < 2 * join.held.size
+    assert out.stats["satisfying_count"] == _close_pairs(2048, 0.2)
+    assert out.realisation == (0,) * join.space.n_classes
+
+
+def test_the_time_limit_stops_the_join_between_chunks(monkeypatch):
+    # 64 x 64 tuples in chunks of 64; the clock moves one second per chunk
+    m, spec = _two_binary_families(6)
+    atoms = len(instantiate(spec, m).atoms)
+    monkeypatch.setattr(synthesis, "CHUNK_BYTES", 64 * 2 * atoms * 8)
+    chunks = []
+    evaluate = synthesis.formula_holds
+
+    def spy(formula, values):
+        chunks.append(len(values))
+        return evaluate(formula, values)
+
+    monkeypatch.setattr(synthesis, "formula_holds", spy)
+    monkeypatch.setattr(synthesis, "time", SimpleNamespace(perf_counter=lambda: float(len(chunks))))
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, spec, mode="complete", time_limit=10.5)
+    stats = e.value.stats
+    assert chunks == [64] * 11
+    assert stats["verdict"] == "unknown" and stats["factors"] == 2
+    assert stats["enumerated_members"] == 128 and stats["satisfying_count"] == 0
+
+
+def test_a_join_whose_value_classes_pass_the_memory_bound_is_refined(monkeypatch):
+    # two tables of 64 members and 64 x 64 tuples of value classes fit in
+    # exactly this many bytes; one byte less and the family is refined
+    # after the tables are checked, to the same members
+    m, spec = _two_binary_families(6)
+    bound = 16 * len(instantiate(spec, m).atoms) * 128 + 2 * 64 * 64
+    outs = []
+    for join_bytes in (bound, bound - 1):
+        monkeypatch.setattr(synthesis, "JOIN_BYTES", join_bytes)
+        outs.append(synthesize(m, spec, mode="complete"))
+    joined, refined = outs
+    assert joined.stats["factors"] == 2 and joined.stats["enumerated_members"] == 128
+    assert refined.stats["factors"] == 0 and refined.stats["enumerated_members"] > 128
+    members = [sorted(r for box in out.satisfying for r in product(*box.domains)) for out in outs]
+    assert members[0] == members[1] and len(members[0]) == _close_pairs(64, 0.2)
+
+
+def test_an_oracle_answer_is_its_members_as_boxes_of_one():
+    m, spec = generate("thread-scheduling", h1=2, h2=3)
+    want = enumerate_satisfying(m, spec)
+    out = synthesize(m, spec, mode="complete", method="oracle")
+    answer = out.satisfying
+    assert [box.domains for box in answer.boxes()] == [tuple((a,) for a in r) for r in want]
+    assert answer and answer.count == len(want) > 0 and answer.first() == want[0]
+    space = answer.space
+    members = set(want)
+    assert all(answer.contains(r) == (r in members) for r in product(*space.domains))
+    assert not answer.contains(want[0][:-1])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_prefix_boxes_are_the_maximal_prefix_boxes_in_order(seed):
     rng = np.random.default_rng(seed)
@@ -977,24 +1132,27 @@ def test_complete_bench_calls_join_factor_tables():
     stats = out.stats
     assert stats["factors"] == 2 and stats["enumerated_members"] == 128
     assert stats["explored"] == stats["family_size"] == 4096
-    assert stats["satisfying_count"] == 2510 and len(out.satisfying) <= 1716
+    assert stats["satisfying_count"] == 2510 and sum(1 for _ in out.satisfying.boxes()) <= 1716
     m, spec = generate("thread-scheduling", h1=4, h2=8)
     out = synthesize(m, spec, mode="complete", method="hybrid")
     stats = out.stats
     assert stats["factors"] == 2 and stats["enumerated_members"] == 272
     assert stats["explored"] == stats["family_size"] == 4096
-    assert stats["satisfying_count"] == 3302 and len(out.satisfying) <= 792
+    assert stats["satisfying_count"] == 3302 and sum(1 for _ in out.satisfying.boxes()) <= 792
 
 
 def test_a_join_past_its_memory_bound_is_refined(monkeypatch):
     # timing-attack n=6 joins two tables of 64 members into 4,096 members;
-    # with a bound below that the family is refined, to the same answer
+    # with a bound that the tables alone fill, the family is refined before
+    # they are checked, to the same answer
     m, spec = generate("timing-attack", n=6)
     joined = synthesize(m, spec, mode="complete")
-    monkeypatch.setattr(synthesis, "JOIN_BYTES", 2 * 4096 - 1)
+    monkeypatch.setattr(synthesis, "JOIN_BYTES", 16 * len(instantiate(spec, m).atoms) * 128 + 1)
     refined = synthesize(m, spec, mode="complete")
+    monkeypatch.setattr(_Synthesizer, "_factors", lambda self: None)
+    unjoined = synthesize(m, spec, mode="complete")
     assert joined.stats["factors"] == 2 and refined.stats["factors"] == 0
-    assert refined.stats["enumerated_members"] > 128
+    assert refined.stats["enumerated_members"] == unjoined.stats["enumerated_members"] > 128
     members = [sorted(r for box in out.satisfying for r in product(*box.domains)) for out in (joined, refined)]
     assert members[0] == members[1] and len(members[0]) == 2510
 
