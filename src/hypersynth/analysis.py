@@ -51,20 +51,24 @@ stack per controller slot the plan uses.  A slot that leaves out some
 class with more than one action in the family, as each slot of a
 two-controller spec does, can have one chain under many members: the stack
 then holds each distinct chain once, and every member reads the values of
-its own.  The system solved for a chain is the one a batch of that member
-alone solves, so the values are the same to the bit.  The qualitative sets
-come from one reflexive-transitive closure per slot, built by repeated
-boolean squaring and shared by every query on that slot; a reward query
-adds one closure avoiding its target.  The groups are then solved in plan
-order for all members, one np.linalg.solve call per group.  check_mc on
-each member's imposed chains stays the reference: qualitative sets and
-infinite values are the same, and finite values agree to within rounding,
-since each solve is padded with identity rows to the full state count.
+its own.  The qualitative sets come from one reflexive-transitive closure
+per slot, built by repeated boolean squaring and shared by every query on
+that slot; a reward query adds one closure avoiding its target.  The groups
+are then solved in plan order for all members.  Each chain's system holds
+only its live states, those left to solve (mid), in index order, and no
+padding: a batch makes one np.linalg.solve call per live-set size, so a
+chain's values do not depend on its batch and are the same to the bit as
+in a batch of that member alone.  check_mc on each member's imposed chains
+stays the reference: qualitative sets and infinite values are the same,
+and a group of one target solves check_mc's own system, so its values are
+check_mc's exactly; a group of several targets solves them together, on
+the states that can reach any of them, and agrees to within rounding.
 
-Every dense solve of this module is counted (`solve_count`), one per
-np.linalg.solve call whether it solves one system or a batch: a batch of
-members costs one solve per query group (`CompiledModel.solves`).  The
-synthesis loop prices its work in these counts.
+Every dense solve of this module is counted (`solve_count`): one per
+linear system an extremal or chain solve builds, and one per query group
+of a batch of members, however many systems it solves
+(`CompiledModel.solves`).  The synthesis loop prices its work in
+these counts.
 """
 
 from __future__ import annotations
@@ -104,16 +108,18 @@ _count = _SolveCount()
 
 def _dense_solve(a, b) -> np.ndarray:
     """np.linalg.solve, counted in solve_count; every solve of this module
-    goes through here."""
+    but the member checks' (_solve, which counts its own) goes through
+    here."""
 
     _count.solves += 1
     return np.linalg.solve(a, b)
 
 
 def solve_count() -> int:
-    """Dense linear-solve calls made so far in this thread, one per call
-    whether it solves one system or a batch.  Callers price work by the
-    difference between two reads."""
+    """Counted dense solves made so far in this thread: one per linear
+    system of an extremal or chain solve, and one per query group of a
+    batch of members.  Callers price work by the difference between two
+    reads."""
 
     return _count.solves
 
@@ -678,11 +684,11 @@ CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class _Group:
-    """Queries of one kind and slot that a batch answers with one solve:
-    one target, or several closed and pairwise disjoint reach targets.
-    masks[k] marks the states of target k and inside those of every
-    target; into[r, k] is the probability of stepping from row r into
-    target k."""
+    """Queries of one kind and slot that a batch answers with one counted
+    solve, one system per chain: one target, or several closed and pairwise
+    disjoint reach targets.  masks[k] marks the states of target k and
+    inside those of every target; into[r, k] is the probability of stepping
+    from row r into target k."""
 
     kind: str
     slot: int
@@ -725,8 +731,8 @@ class CompiledModel:
 
     @property
     def solves(self) -> int:
-        """The solves one check_members call makes on a nonempty batch,
-        whatever its size: one per query group."""
+        """The counted solves one check_members call makes on a nonempty
+        batch, whatever its size: one per query group."""
 
         return len(self.plan)
 
@@ -836,9 +842,9 @@ def _slot(cm: CompiledModel, real: np.ndarray, i: int):
     """(rows, closure, pick): the row of each slot-i chain's action in each
     state, the closure of those chains, and the index of each member's chain
     among them.  When a class that the slot does not read varies in the
-    family, members can share a slot chain, so each distinct chain is kept
-    once and pick is an index array; otherwise each member has its own chain
-    and pick is a full slice."""
+    family, members of a batch can share a slot chain, so each distinct
+    chain is kept once and pick is an index array; otherwise, and for a
+    batch of one, each member has its own chain and pick is a full slice."""
 
     actions = real[:, cm.classes[i]]
     if ((actions < 0) | (actions >= cm.counts)).any():
@@ -846,7 +852,7 @@ def _slot(cm: CompiledModel, real: np.ndarray, i: int):
     pick = slice(None)
     unread = cm.varies.copy()
     unread[cm.classes[i]] = False
-    if unread.any():
+    if unread.any() and len(actions) > 1:
         first, pick = _distinct_rows(actions)
         actions = actions[first]
     rows = cm.offsets + actions
@@ -854,15 +860,29 @@ def _slot(cm: CompiledModel, real: np.ndarray, i: int):
 
 
 def _solve(cm: CompiledModel, rows, mid, b) -> np.ndarray:
-    """Solve x = P x + b on the mid states of every chain at once, for each
-    column of b, a (B, n, columns) array.  Rows outside mid are identity
-    rows with a zero right-hand side; on mid rows the matrix entries are
-    those reach_probs and expected_reward build."""
+    """Solve x = P x + b for each column of b, a (B, n, columns) array, on
+    each chain's own mid states, in index order: the matrix and right-hand
+    side reach_probs and expected_reward build, so a chain's values do not
+    depend on its batch.  Chains are solved in one np.linalg.solve call per
+    size of mid, with one gather when every chain has the same mid; the
+    batch is one counted solve.  x is 0 outside mid."""
 
-    a = cm.probs[rows]
-    np.multiply(a, mid[:, :, None] & mid[:, None, :], out=a)
-    np.subtract(np.eye(cm.num_states), a, out=a)
-    return _dense_solve(a, b * mid[..., None])
+    _count.solves += 1
+    x = np.zeros(b.shape)
+    if len(mid) == 1 or (mid[1:] == mid[0]).all():
+        live = np.flatnonzero(mid[0])
+        if len(live):
+            a = cm.probs[rows[:, live, None], live]
+            x[:, live] = np.linalg.solve(np.eye(len(live)) - a, b[:, live])
+        return x
+    sizes = mid.sum(axis=1)
+    for k in set(sizes.tolist()) - {0}:
+        chains = np.flatnonzero(sizes == k)
+        live = np.nonzero(mid[chains])[1].reshape(len(chains), k)
+        a = cm.probs[np.take_along_axis(rows[chains], live, axis=1)[:, :, None], live[:, None, :]]
+        rhs = np.take_along_axis(b[chains], live[:, :, None], axis=1)
+        x[chains[:, None], live] = np.linalg.solve(np.eye(k) - a, rhs)
+    return x
 
 
 def _reach(cm: CompiledModel, g: _Group, rows, reach) -> list[np.ndarray]:
@@ -906,8 +926,8 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
     uses, each distinct chain once where members can share one (see
     _slot).  Qualitative sets come from one reachability closure per slot
     (plus one avoiding the target per reward query), and each query group
-    of the plan is solved for every member with one np.linalg.solve call.
-    An empty batch makes no solve.
+    of the plan is solved for every member, each chain on its live states
+    (_solve), as one counted solve.  An empty batch makes no solve.
     """
 
     formula = cm.formula

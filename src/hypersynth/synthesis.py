@@ -36,12 +36,13 @@ of one member and an accepted box's recheck are batches of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
-more than settling it by analysis.  Both sides are priced in dense
-linear-solve calls (analysis.solve_count), one per call whether it solves
-one system or a batch, so the same call makes the same decisions on every
-run and every machine.  A batch of member checks makes one solve per
-query group of the formula (analysis.CompiledModel.solves), known from the
-compiled model before any check runs.  Enumerating a box of N members costs
+more than settling it by analysis.  Both sides are priced in counted
+dense solves (analysis.solve_count), so the same call makes the same
+decisions on every run and every machine: one per linear system of an
+analysis, and one per query group of the formula for a batch of member
+checks, however many members and systems it solves
+(analysis.CompiledModel.solves), known from the compiled model before any
+check runs.  Enumerating a box of N members costs
 its own batches, groups * ceil(N / chunk).  An analysis is priced by the
 subtree it leaves behind: the mean solves of one box analysis
 (policy-iteration rounds, certificate solves and the member checks made

@@ -524,12 +524,30 @@ def _differential_instance(seed):
     return m, spec, InstantiatedFormula(formula.atoms + extra, formula.root)
 
 
+def _lone_sides(compiled):
+    """Per (atom, side) of the compiled formula, whether check_members
+    solves it as check_mc does: a constant, or a query whose group has one
+    target.  A group of several targets solves them in one system, on the
+    states that can reach any of them, so it can round differently."""
+
+    lone = {(g.kind, g.slot, g.targets[0]) for g in compiled.plan if len(g.targets) == 1}
+
+    def solved_alone(side):
+        return not isinstance(side, Query) or (side.kind, side.slot, side.target) in lone
+
+    return np.array([[solved_alone(atom.left), solved_alone(atom.right)] for atom in compiled.formula.atoms])
+
+
 def test_check_members_match_check_mc_on_random_instances():
-    seen = dict(members=0, inf=0, two_slots=0, zero_cycles=0)
+    # single-target groups solve check_mc's own systems, so their values
+    # equal check_mc's exactly (up to the sign of a zero, which check_mc's
+    # Python max keeps); grouped targets agree within rounding
+    seen = dict(members=0, inf=0, two_slots=0, zero_cycles=0, lone=0, grouped=0)
     for seed in range(200):
         m, spec, formula = _differential_instance(seed)
         space = build_parameter_space(m, spec.n_controllers, spec.constraints)
         compiled = compile_model(m, space, formula)
+        lone = _lone_sides(compiled)
         members = list(islice(product(*space.domains), 256))
         want_holds, want_values = [], []
         for real in members:
@@ -552,12 +570,16 @@ def test_check_members_match_check_mc_on_random_instances():
             values = np.concatenate([batch.values for batch in batches])
             assert holds.tolist() == want_holds, (seed, size)
             assert (np.isinf(values) == inf).all() and (values[inf] == want_values[inf]).all(), (seed, size)
+            assert (values[:, lone] == want_values[:, lone]).all(), (seed, size)
             assert np.abs(values[~inf] - want_values[~inf]).max(initial=0.0) <= 1e-12, (seed, size)
         seen["members"] += len(members)
+        seen["lone"] += lone.sum() * len(members)
+        seen["grouped"] += (~lone).sum() * len(members)
         seen["inf"] += inf.sum()
         seen["two_slots"] += spec.n_controllers == 2 and bool(spec.constraints)
     assert seen["members"] > 2000 and seen["inf"] > 1000 and seen["two_slots"] > 5
     assert seen["zero_cycles"] > 100
+    assert seen["lone"] > 100_000 and seen["grouped"] > 1_000
 
 
 def test_check_members_solve_shared_slot_chains_bit_for_bit():
@@ -579,6 +601,65 @@ def test_check_members_solve_shared_slot_chains_bit_for_bit():
         chains = np.unique(members[:, compiled.classes[0]], axis=0)
         shared += len(chains) < len(members)
     assert shared > 30
+
+
+def test_check_members_match_check_mc_exactly_on_maze_sd():
+    # maze-sd simple's members reach the goal from 7 of its 10 states; each
+    # member's system is solved on those states alone, as check_mc solves it
+    m, spec = generate("maze-sd", variant="simple")
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    formula = instantiate(spec, m)
+    compiled = compile_model(m, space, formula)
+    members = list(islice(product(*space.domains), 300))
+    got = np.concatenate(
+        [check_members(compiled, members[start : start + 64]).values for start in range(0, len(members), 64)]
+    )
+    want = [
+        [value[:2] for value in check_mc([impose(m, induce(space, real, 0))], formula).atom_values]
+        for real in members
+    ]
+    assert (got == np.array(want)).all()
+
+
+def _live_sets_model():
+    """States 0-2 and an absorbing goal 3.  Action 0 of each state moves
+    on toward the goal and action 1 loops, so the states that can reach
+    the goal, a member's live set, range from none to all three."""
+
+    trans = [
+        [[(1, 1.0)], [(0, 1.0)]],
+        [[(2, 0.5), (3, 0.5)], [(1, 1.0)]],
+        [[(3, 0.25), (0, 0.75)], [(2, 1.0)]],
+        [[(3, 1.0)]],
+    ]
+    rewards = [[1.0, 2.0], [0.5, 1.0], [3.0, 0.0], [0.0]]
+    return make_mdp(trans, labels={"goal": (3,)}, rewards=rewards)
+
+
+def test_check_members_solve_live_sets_of_every_size():
+    # a batch mixes members whose live sets differ in size, one of them
+    # empty; each member's values are those of its batch of one, to the
+    # bit, and the batch costs one counted solve per query group
+    m = _live_sets_model()
+    space = build_parameter_space(m, 1, ())
+    formula = InstantiatedFormula(
+        tuple(Atom(Query(kind, 0, s, "goal"), 0.5) for kind in ("reach", "reward") for s in range(4)),
+        ("atom", 0),
+    )
+    compiled = compile_model(m, space, formula)
+    members = np.array(list(product(*space.domains)), dtype=np.intp)
+    live = {
+        len(_chain_can_reach(impose(m, induce(space, tuple(real), 0)), frozenset({3}))) for real in members
+    }
+    assert live == {0, 1, 2, 3}
+    before = solve_count()
+    got = check_members(compiled, members)
+    assert solve_count() == before + compiled.solves
+    alone = [check_members(compiled, members[b : b + 1]) for b in range(len(members))]
+    assert got.values.tobytes() == np.concatenate([a.values for a in alone]).tobytes()
+    for b, real in enumerate(members.tolist()):
+        want = check_mc([impose(m, induce(space, real, 0))], formula).atom_values
+        assert (got.values[b] == [value[:2] for value in want]).all(), real
 
 
 def test_check_members_reject_a_disabled_action_before_sharing_chains(monkeypatch):
