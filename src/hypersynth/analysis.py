@@ -979,6 +979,8 @@ def cone_classes(cm: CompiledModel) -> dict:
     for atom in cm.formula.atoms:
         for side in (atom.left, atom.right):
             if isinstance(side, Query) and (side.slot, side.state) not in out:
-                classes = np.unique(cm.classes[side.slot][cone[side.state]])
-                out[side.slot, side.state] = classes[cm.varies[classes]].tolist()
+                # a mask, not np.unique, whose integer path imports numpy.ma
+                read = np.zeros(len(cm.varies), dtype=bool)
+                read[cm.classes[side.slot][cone[side.state]]] = True
+                out[side.slot, side.state] = np.flatnonzero(read & cm.varies).tolist()
     return out

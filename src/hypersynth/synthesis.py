@@ -4,19 +4,22 @@ The engine answers: does the family hold a tuple of controllers satisfying
 an instantiated hyperproperty, and in complete or optimal modes, which
 members or which maximally different pair.
 
-A family node (box) is analysed in one table: each distinct query of the
-formula gets its minimal and maximal values over the controllers of the MDP
-restricted to the node, which is the MDP itself with each state's actions
-limited to those the node allows (see family.node_restrict), and every
-atom is classified on that table.  Atoms decided on the whole box simplify
-the formula; a box whose residual collapses is classified wholesale.  Open
-boxes produce
-candidate members from the extremal witnesses, which are verified exactly
-before being reported.  Undecided boxes are split on the parameter class
-where the witnesses of the first conflicting open atom use the most
-actions, and the pieces go back on a LIFO stack.  Every verdict that
-leaves the engine rests on exact member checks or on interval bounds with
-the guard band analysis.GUARD_BAND, never on iteration noise.
+A family node (box) is analysed query by query.  Each distinct query of
+the formula, in formula order, gets its minimal and maximal values over the
+controllers of the MDP restricted to the node, which is the MDP itself with
+each state's actions limited to those the node allows (see
+family.node_restrict).  After each query, the atoms whose sides are now all
+bounded are classified, and those decided on the whole box simplify the
+formula.  Once the residual collapses the analysis stops, and the box is
+classified wholesale: substitution is monotone, so the atoms left
+unclassified could not change it.  The run's first analysis solves every
+query regardless, for the atom report of the stats.  Only an open box
+mines its open atoms' extremal witnesses for candidate members, which are
+verified exactly before being reported.  Undecided boxes are split on the
+parameter class where the witnesses of the first conflicting open atom use
+the most actions, and the pieces go back on a LIFO stack.  Every verdict
+that leaves the engine rests on exact member checks or on interval bounds
+with the guard band analysis.GUARD_BAND, never on iteration noise.
 
 The hybrid method additionally checks one concrete member per open box and,
 when that member violates a mandatory reachability comparison, prunes away
@@ -36,20 +39,19 @@ of one member and an accepted box's recheck are batches of one.
 
 Refinement settles a popped box by exact member checks instead, through the
 oracle's enumerator, when checking all its members is expected to cost no
-more than settling it by analysis.  Both sides are priced in counted
-dense solves (analysis.solve_count), so the same call makes the same
-decisions on every run and every machine: one per linear system of an
-analysis, and one per query group of the formula for a batch of member
-checks, however many members and systems it solves
+more than settling it by analysis.  Both sides are priced in counted dense
+solves (analysis.solve_count), so the same call makes the same decisions on
+every run and every machine: one per linear system of an analysis, which
+solves only the queries it needed, and one per query group of the formula
+for a batch of member checks, however many members and systems it solves
 (analysis.CompiledModel.solves), known from the compiled model before any
-check runs.  Enumerating a box of N members costs
-its own batches, groups * ceil(N / chunk).  An analysis is priced by the
-subtree it leaves behind: the mean solves of one box analysis
-(policy-iteration rounds, certificate solves and the member checks made
-during it) over the run's settle rate, (settling + 1) / (analyses + 2),
-where an analysis settles when members were settled during it or it found
-the outcome.  The root is always analysed, since no analysis has been
-counted when it is popped.
+check runs.  Enumerating a box of N members costs its own batches, groups *
+ceil(N / chunk).  An analysis is priced by the subtree it leaves behind:
+the mean solves of one box analysis (policy-iteration rounds, certificate
+solves and the member checks made during it) over the run's settle rate,
+(settling + 1) / (analyses + 2), where an analysis settles when members
+were settled during it or it found the outcome.  The root is always
+analysed, since no analysis has been counted when it is popped.
 
 In complete mode a family that factors is settled by a join instead of
 refinement, once the root's analysis leaves it open.  A side of the formula
@@ -73,7 +75,7 @@ and optimal modes do not join.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, product
 from math import prod
@@ -263,13 +265,31 @@ class NodeAnalyzer:
 
         return row_table(self.m)
 
-    def side_bounds(self, node: FamilyNode) -> dict:
-        """The box's bounds table: per (kind, slot, target) query of the
-        formula, its (min, max) ExtremalResult over the box, whose witnesses
-        choose among the box's actions."""
+    @cached_property
+    def completed(self) -> tuple[tuple[int, ...], ...]:
+        """Per query of formula.queries, the atoms it completes: those whose
+        sides are all bounded once it and the queries before it are."""
 
-        menus, bounds = {}, {}
-        for kind, slot, target in self.formula.queries:
+        position = {query: j for j, query in enumerate(self.formula.queries)}
+        out = [[] for _ in position]
+        for i, atom in enumerate(self.formula.atoms):
+            last = max(
+                position[q.kind, q.slot, q.target]
+                for q in (atom.left, atom.right)
+                if isinstance(q, Query)
+            )
+            out[last].append(i)
+        return tuple(map(tuple, out))
+
+    def side_bounds(self, node: FamilyNode, queries=None, menus=None) -> dict:
+        """The box's bounds table: per (kind, slot, target) query, by default
+        every query of the formula, its (min, max) ExtremalResult over the
+        box, whose witnesses choose among the box's actions.  menus keeps
+        each slot's restriction of the box across calls on it."""
+
+        menus = {} if menus is None else menus
+        bounds = {}
+        for kind, slot, target in self.formula.queries if queries is None else queries:
             if slot not in menus:
                 menus[slot] = node_restrict(self.m, node, slot)
             solve = extremal_reach if kind == "reach" else extremal_reward
@@ -280,7 +300,9 @@ class NodeAnalyzer:
         return bounds
 
     def atom_verdict(self, bounds: dict, i: int) -> AtomVerdict:
-        """Classify atom i on a box, given the box's side_bounds table."""
+        """Classify atom i on a box, given the side_bounds of its queries.
+        An open atom comes unmined, with tag "0" and no candidates: mine
+        completes it once the box is known to be open."""
 
         atom = self.formula.atoms[i]
         off = atom.offset
@@ -304,9 +326,17 @@ class NodeAnalyzer:
                 return AtomVerdict("allsat", "1", (lo_l, hi_l), (lo_r, hi_r))
             if lo_l > hi_r + off + GUARD_BAND:
                 return AtomVerdict("allunsat", "2", (lo_l, hi_l), (lo_r, hi_r))
+        return AtomVerdict("open", "0", (lo_l, hi_l), (lo_r, hi_r))
 
-        # open: mine the satisfaction-directed witnesses (the left side's
-        # minimiser, the right side's maximiser) for candidates
+    def mine(self, bounds: dict, i: int, verdict: AtomVerdict) -> AtomVerdict:
+        """Atom i's open verdict, completed from the satisfaction-directed
+        witnesses of its sides (the left side's minimiser, the right side's
+        maximiser): its candidates, the class disagreement between them and
+        the actions its witnesses conflict on."""
+
+        atom = self.formula.atoms[i]
+        off = atom.offset
+        (lo_l, hi_l), (lo_r, hi_r) = verdict.left, verdict.right
         boxes, conflict_actions = [], {}
         for pick, q in enumerate((atom.left, atom.right)):
             if not isinstance(q, Query):
@@ -349,8 +379,12 @@ class NodeAnalyzer:
         elif cond4 and box_r is not None:
             tag, candidates = "4", (box_r,)
 
-        return AtomVerdict(
-            "open", tag, (lo_l, hi_l), (lo_r, hi_r), candidates, disagreements, conflict_actions,
+        return replace(
+            verdict,
+            tag=tag,
+            candidates=candidates,
+            disagreements=disagreements,
+            conflict_actions=conflict_actions,
         )
 
     def score_conflicts(self, verdict: AtomVerdict) -> dict:
@@ -910,13 +944,34 @@ class _Synthesizer:
         return done
 
     def _analyse(self, node, stack):
-        """Interval-analyse a box, then decide, split or prune it."""
+        """Interval-analyse a box, then decide, split or prune it.
 
-        bounds = self.analyzer.side_bounds(node)
-        verdicts = {
-            i: self.analyzer.atom_verdict(bounds, i) for i in range(len(self.formula.atoms))
-        }
-        if self.iterations == 1:
+        The queries are solved one at a time, in formula order.  After each,
+        the atoms it completes are classified and substituted into the
+        formula, and the analysis stops once the residual is decided: since
+        substitute is monotone, the atoms left unclassified could not change
+        it.  Only an open box, and the run's first, whose atoms the stats
+        report, has every query solved and its open atoms mined."""
+
+        analyzer = self.analyzer
+        report = self.iterations == 1
+        bounds, menus, verdicts, forced = {}, {}, {}, {}
+        residual = self.formula.root
+        for query, atoms in zip(self.formula.queries, analyzer.completed):
+            if residual in (TRUE, FALSE) and not report:
+                break
+            bounds.update(analyzer.side_bounds(node, (query,), menus))
+            for i in atoms:
+                verdicts[i] = v = analyzer.atom_verdict(bounds, i)
+                if v.case != "open":
+                    forced[i] = v.case == "allsat"
+            residual = substitute(self.formula.root, forced)
+
+        if report or residual not in (TRUE, FALSE):
+            for i, v in verdicts.items():
+                if v.case == "open":
+                    verdicts[i] = analyzer.mine(bounds, i, v)
+        if report:
             self.atom_report = [
                 {
                     "atom": format_atom(self.formula.atoms[i]),
@@ -929,14 +984,6 @@ class _Synthesizer:
                 }
                 for i, v in sorted(verdicts.items())
             ]
-
-        forced = {}
-        for i, v in verdicts.items():
-            if v.case == "allsat":
-                forced[i] = True
-            elif v.case == "allunsat":
-                forced[i] = False
-        residual = substitute(self.formula.root, forced)
 
         if residual == FALSE:
             self._decide(node.size())

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +30,8 @@ from hypersynth import analysis, counterexamples, synthesis
 from hypersynth.analysis import check_members, compile_model, solve_count
 from hypersynth.errors import ConstraintError, SpecError
 from hypersynth.exact import reach_probs_exact
-from hypersynth.family import build_parameter_space, induce
-from hypersynth.formulas import Query
+from hypersynth.family import FamilyNode, build_parameter_space, induce
+from hypersynth.formulas import FALSE, TRUE, Query, substitute
 from hypersynth.model import Mdp
 from hypersynth.specs import DEFAULT_EQ_EPS, Obs, Same, validate_spec
 from hypersynth.synthesis import (
@@ -582,9 +586,10 @@ def test_a_batch_of_member_checks_costs_one_solve_per_group(
     ids=["knuth-yao-pc", "maze-sd"],
 )
 def test_a_box_analysis_solves_each_query_once(monkeypatch, bench, params, mode):
-    """Analysing a box makes one min and one max solve per distinct query,
-    however many atoms share it, and a hybrid certificate try on the box
-    makes none."""
+    """Analysing an open box makes one min and one max solve per distinct
+    query, however many atoms share it, and a hybrid certificate try on the
+    box makes none.  A box decided by its first query makes that query's
+    two solves only."""
 
     m, spec = generate(bench, **params)
     engine = _Synthesizer(m, spec, mode, "hybrid", None, None)
@@ -607,13 +612,124 @@ def test_a_box_analysis_solves_each_query_once(monkeypatch, bench, params, mode)
         return out
 
     monkeypatch.setattr(engine, "_try_conflict_prune", counted_try)
-    engine._analyse(root_node(engine.space), [])
+    root = root_node(engine.space)
+    engine._analyse(root, [])
     queries = engine.formula.queries
     assert len(queries) < 2 * len(engine.formula.atoms)  # atoms share queries
     assert len(solves) == 2 * len(queries)
     assert sorted(set(solves)) == sorted({f"extremal_{kind}" for kind, _, _ in queries})
     if bench == "knuth-yao-pc":
         assert tries == [0] and engine.ce_prunes == 1
+        # fixing the first varying class at its second action falsifies an
+        # atom of the first die query; the box is analysed as at iteration
+        # 2, past the run's first analysis, which solves every query
+        engine.iterations = 2
+        k = next(k for k, d in enumerate(root.domains) if len(d) > 1)
+        domains = root.domains
+        box = FamilyNode(engine.space, (*domains[:k], domains[k][1:2], *domains[k + 1 :]))
+        solves.clear()
+        explored = engine.explored
+        engine._analyse(box, [])
+        assert len(queries) > 1 and solves == ["extremal_reach"] * 2
+        assert tries == [0] and engine.explored == explored + box.size()
+
+
+def _decided_by_first_query(engine, node) -> bool:
+    """Whether the bounds of the formula's first query alone decide the
+    formula on the node."""
+
+    analyzer = engine.analyzer
+    bounds = analyzer.side_bounds(node, engine.formula.queries[:1])
+    forced = {}
+    for i in analyzer.completed[0]:
+        v = analyzer.atom_verdict(bounds, i)
+        if v.case != "open":
+            forced[i] = v.case == "allsat"
+    return substitute(engine.formula.root, forced) in (TRUE, FALSE)
+
+
+def test_a_box_discarded_by_its_first_query_mines_nothing(monkeypatch):
+    # knuth-yao-pc n=2 is a conjunction over six die queries; fixing its
+    # first varying class at its last action falsifies a die1 atom
+    m, spec = generate("knuth-yao-pc", n=2)
+    engine = _Synthesizer(m, spec, "feasibility", "ar", None, None)
+    root = root_node(engine.space)
+    engine._refine(root, [])  # the run's first analysis
+    k = next(k for k, d in enumerate(root.domains) if len(d) > 1)
+    domains = root.domains
+    box = FamilyNode(engine.space, (*domains[:k], domains[k][-1:], *domains[k + 1 :]))
+    assert _decided_by_first_query(engine, box)
+
+    calls = {"solves": [], "restricts": 0, "mined": 0}
+    reach, restrict = synthesis.extremal_reach, synthesis.node_restrict
+    mine = synthesis.controller_box
+
+    def solve(*args):
+        calls["solves"].append(args[2])
+        return reach(*args)
+
+    def restricted(*args):
+        calls["restricts"] += 1
+        return restrict(*args)
+
+    def mined(*args):
+        calls["mined"] += 1
+        return mine(*args)
+
+    monkeypatch.setattr(synthesis, "extremal_reach", solve)
+    monkeypatch.setattr(synthesis, "node_restrict", restricted)
+    monkeypatch.setattr(synthesis, "controller_box", mined)
+    monkeypatch.setattr(analysis.RowTable, "reachable", None)  # mining would call it
+    stack, explored = [], engine.explored
+    assert engine._refine(box, stack) is None
+    assert calls == {"solves": ["min", "max"], "restricts": 1, "mined": 0}
+    assert stack == [] and engine.explored == explored + box.size()
+    assert engine.analyses == 2 and engine.settling == 1
+
+
+def test_the_first_analysis_reports_every_atom():
+    # each root is decided by its first of two queries, yet the report
+    # covers every atom, with the tags the eager analysis gave: tag 1 an
+    # allsat atom, 2 an allunsat one, and 0, 3, 4, 5 the open ones
+    for seed, tags in ((7, "1115225121115251"), (51, "21252052120205")):
+        m, spec = random_instance(seed)
+        engine = _Synthesizer(m, spec, "feasibility", "ar", None, None)
+        assert len(engine.formula.queries) == 2
+        assert _decided_by_first_query(engine, root_node(engine.space))
+        out = synthesize(m, spec, method="ar")
+        assert out.verdict == "unfeasible" and out.stats["analyses"] == 1
+        report = out.stats["atoms"]
+        assert "".join(a["tag"] for a in report) == tags, seed
+        cases = {"1": "allsat", "2": "allunsat"}
+        assert [a["case"] for a in report] == [cases.get(t, "open") for t in tags]
+
+
+@pytest.mark.parametrize("controllers, tie", [(1, False), (1, True), (2, False), (2, True)])
+def test_analysing_every_box_agrees_with_the_oracle_on_two_cone_instances(
+    monkeypatch, controllers, tie
+):
+    # with enumeration never cheaper and no join, every box is analysed,
+    # so many are decided before their last query; the verdicts, witnesses
+    # and satisfying sets stay the oracle's.  Families of over 300 members
+    # take seconds to refine down to single members, and are passed over
+    monkeypatch.setattr(synthesis, "cheaper_to_enumerate", lambda solves, price: False)
+    monkeypatch.setattr(_Synthesizer, "_factors", lambda self: None)
+    analysed = 0
+    for seed in range(60):
+        m, spec = two_cone_instance(seed, controllers, tie)
+        if build_parameter_space(m, spec.n_controllers, spec.constraints).family_size() > 300:
+            continue
+        want = enumerate_satisfying(m, spec)
+        for method in ("ar", "hybrid"):
+            out = synthesize(m, spec, method=method)
+            assert out.feasible == bool(want), (seed, method)
+            assert out.realisation is None or out.realisation in want, (seed, method)
+            out = synthesize(m, spec, mode="complete", method=method)
+            got = [r for box in out.satisfying for r in product(*box.domains)]
+            assert sorted(got) == want, (seed, method)
+            assert out.stats["satisfying_count"] == len(want)
+            analysed += out.stats["analyses"]
+    assert analysed > 200
 
 
 # the complete and search problems of the benchmark, with its modes and
@@ -947,6 +1063,25 @@ def test_complete_joins_agree_with_the_oracle_on_two_cone_instances(controllers,
                 assert out.realisation == (want[0] if want else None), (seed, method)
     if not (controllers == 1 and tie):
         assert joined >= 20
+
+
+def test_a_join_does_not_import_numpy_ma():
+    # numpy's np.unique on integers imports numpy.ma, about 1 MB that no
+    # run needs; a fresh process shows whether a join pulls it in
+    code = (
+        "import sys\n"
+        "from hypersynth import generate, synthesize\n"
+        "m, spec = generate('timing-attack', n=6)\n"
+        "out = synthesize(m, spec, mode='complete', method='ar')\n"
+        "assert out.stats['factors'] == 2 and out.stats['satisfying_count'] == 2510\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(synthesis.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def _joined_prefix_boxes(m, spec, members):
