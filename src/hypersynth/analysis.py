@@ -63,6 +63,10 @@ stays the reference: qualitative sets and infinite values are the same,
 and a group of one target solves check_mc's own system, so its values are
 check_mc's exactly; a group of several targets solves them together, on
 the states that can reach any of them, and agrees to within rounding.
+A check that reads only some sides of the formula can run on the model cut
+down to those sides' cones (`restrict_to_cones`), the states reachable
+from theirs under any action: a closed set, so their values are the whole
+model's, to within rounding.
 
 Every dense solve of this module is counted (`solve_count`): one per
 linear system an extremal or chain solve builds, and one per query group
@@ -74,7 +78,8 @@ these counts.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -706,8 +711,8 @@ class CompiledModel:
     positive entries; counts[s] is the number of actions of s; rewards has
     one entry per row (None without a reward structure); classes[slot][s]
     is the class deciding the slot's action in s, and varies[k] whether
-    class k has more than one action in the family.  plan holds the
-    formula's query groups in solve order."""
+    class k has more than one action in the family and some state reads
+    it.  plan holds the formula's query groups in solve order."""
 
     offsets: np.ndarray
     counts: np.ndarray
@@ -735,6 +740,14 @@ class CompiledModel:
         batch, whatever its size: one per query group."""
 
         return len(self.plan)
+
+    @cached_property
+    def cones(self) -> np.ndarray:
+        """cones[s, t] says t is reachable from s under any action: row s
+        is the cone of s.  Built once per model, on first use."""
+
+        adjacent = np.logical_or.reduceat(self.edges, self.offsets)
+        return _reach_closure(adjacent[None])[0]
 
 
 def compile_model(m: Mdp, space, formula: InstantiatedFormula) -> CompiledModel:
@@ -920,7 +933,9 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
     """Check a batch of realisations (one action ordinal per parameter
     class each, as a sequence or a (members x classes) intp array, which is
     used as it is) against the compiled formula exactly, as check_mc does on
-    each member's chains.
+    each member's chains.  A batch whose realisations do not have one
+    integer per class, or whose actions are not enabled, raises
+    InvalidControllerError.
 
     The members' chains are gathered into one stack per slot that the plan
     uses, each distinct chain once where members can share one (see
@@ -937,7 +952,16 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
     if not size:
         empty = np.zeros((0, len(atoms)), dtype=bool)
         return MemberChecks(empty.any(axis=1), values, empty)
-    real = np.asarray(realisations, dtype=np.intp).reshape(size, -1)
+    try:
+        real = np.asarray(realisations)
+    except ValueError as e:  # rows of different lengths
+        raise InvalidControllerError(f"malformed realisations: {e}") from None
+    if real.dtype.kind not in "iu" or real.shape != (size, len(cm.varies)):
+        raise InvalidControllerError(
+            f"realisations must be integers, one per class ({len(cm.varies)}), "
+            f"not a {real.dtype} array of shape {real.shape}"
+        )
+    real = real.astype(np.intp, copy=False)
     slots = {}
     for g in cm.plan:
         if g.slot not in slots:
@@ -973,14 +997,67 @@ def cone_classes(cm: CompiledModel) -> dict:
     state) of a query side, the varying classes deciding the slot's action
     in the states reachable from the state under any action (its cone)."""
 
-    adjacent = np.logical_or.reduceat(cm.edges, cm.offsets)
-    cone = _reach_closure(adjacent[None])[0]
     out = {}
     for atom in cm.formula.atoms:
         for side in (atom.left, atom.right):
             if isinstance(side, Query) and (side.slot, side.state) not in out:
                 # a mask, not np.unique, whose integer path imports numpy.ma
                 read = np.zeros(len(cm.varies), dtype=bool)
-                read[cm.classes[side.slot][cone[side.state]]] = True
+                read[cm.classes[side.slot][cm.cones[side.state]]] = True
                 out[side.slot, side.state] = np.flatnonzero(read & cm.varies).tolist()
     return out
+
+
+def restrict_to_cones(cm: CompiledModel, sides) -> CompiledModel:
+    """The compiled model on the cones of some sides of its formula only.
+
+    sides is a boolean (atoms x 2) array marking the sides kept.  The
+    model keeps the states of the kept query sides' cones, in index order:
+    a closed set, since no action leaves a cone, so every kept row keeps
+    all its mass.  It keeps the query groups those queries fall in, whole.
+    Its formula has the same atoms and tree: a kept query side is
+    renumbered to the new state indices, a constant side stays, and every
+    other query side becomes NaN, a value no check on this model computes.
+    A class that no kept state reads does not vary in it, since its action
+    changes nothing there.  The arrays are sliced from the compiled ones;
+    nothing is rebuilt."""
+
+    formula = cm.formula
+    kept = {
+        side
+        for atom, keep in zip(formula.atoms, sides)
+        for side, k in zip((atom.left, atom.right), keep)
+        if k and isinstance(side, Query)
+    }
+    states = cm.cones[[q.state for q in kept]].any(axis=0)
+    rows = np.repeat(states, cm.counts)
+    counts = cm.counts[states]
+    classes = tuple(c[states] for c in cm.classes)
+    varies = np.zeros_like(cm.varies)
+    for c in classes:
+        varies[c] = cm.varies[c]
+    renumber = np.cumsum(states) - 1
+
+    def side(q):
+        if not isinstance(q, Query):
+            return q
+        return replace(q, state=int(renumber[q.state])) if q in kept else np.nan
+
+    atoms = tuple(replace(atom, left=side(atom.left), right=side(atom.right)) for atom in formula.atoms)
+    read = {(q.kind, q.slot, q.target) for q in kept}
+    plan = tuple(
+        replace(g, masks=g.masks[:, states], inside=g.inside[states], into=g.into[rows])
+        for g in cm.plan
+        if any((g.kind, g.slot, t) in read for t in g.targets)
+    )
+    return CompiledModel(
+        np.cumsum(counts) - counts,
+        counts,
+        cm.probs[rows][:, states],
+        cm.edges[rows][:, states],
+        None if cm.rewards is None else cm.rewards[rows],
+        classes,
+        varies,
+        InstantiatedFormula(atoms, formula.root),
+        plan,
+    )

@@ -59,10 +59,12 @@ refinement, once the root's analysis leaves it open.  A side of the formula
 states reachable from its state under any action (analysis.cone_classes).
 Sides whose cones share a varying class form one factor, and a varying
 class in no cone is free.  With two or more factors, or one and a free
-class, each factor's members are checked once, every other class at its
-first action, and the rows of side values in each factor's table are
-grouped bit for bit into value classes.  The atoms are evaluated once per
-tuple of value classes, one per factor, never on the product of the tables.
+class, each factor's members are checked once, on the compiled model
+restricted to the cones of the factor's sides (analysis.restrict_to_cones),
+and the rows of side values in each factor's table are grouped bit for bit
+into value classes.  Sides of no factor are solved once, on their own
+cones.  The atoms are evaluated once per tuple of value classes, one per
+factor, never on the product of the tables.
 A join whose tables and tuples would hold more than JOIN_BYTES is not made,
 and the family is refined.  The answer is a SatisfyingSet that keeps the
 join as found: its count and least member come from the held tuples, and
@@ -103,6 +105,7 @@ from .analysis import (
     extremal_reward,
     formula_holds,
     reach_probs,  # noqa: F401
+    restrict_to_cones,
     row_table,
     solve_count,
 )
@@ -701,7 +704,7 @@ class SatisfyingSet:
     count is the number of members.  boxes(), also the iteration, yields
     the answer as disjoint boxes, one part after the other: a checked
     member as a box of one and a join as its prefix boxes, built only as
-    they are asked for."""
+    they are asked for.  members() yields their members in that order."""
 
     def __init__(self, space: ParameterSpace):
         self.space = space
@@ -748,6 +751,12 @@ class SatisfyingSet:
 
     def boxes(self):
         return chain.from_iterable(map(self._boxes, self.parts))
+
+    def members(self):
+        """The members of boxes(), in the same order, one realisation
+        tuple at a time."""
+
+        return chain.from_iterable(product(*box.domains) for box in self.boxes())
 
     def _boxes(self, part):
         if isinstance(part, FamilyNode):
@@ -996,17 +1005,18 @@ class _Synthesizer:
                 return None
         return self._handle_open(node, residual, verdicts, bounds, stack)
 
-    def _checked(self, domains):
-        """Check the members of the box given by its per-class domains, a
-        chunk of index arrays at a time (member_chunks).  Yields each chunk,
+    def _checked(self, compiled, domains):
+        """Check the members of the box given by its per-class domains on
+        the compiled model, a chunk of index arrays at a time
+        (member_chunks).  Yields each chunk,
         cut to the members the iteration limit leaves room for, with its
         checks; the caller counts the members it takes as iterations.  The
         limits are checked before and after each batch, and once more after
         a cut chunk, so the counts stop at the limit's member exactly."""
 
-        for chunk in member_chunks(domains, self.compiled.chunk):
+        for chunk in member_chunks(domains, compiled.chunk):
             self._check_limits()
-            checks = check_members(self.compiled, chunk)
+            checks = check_members(compiled, chunk)
             self._check_limits()
             room = len(chunk) if self.max_iters is None else self.max_iters - self.iterations
             yield chunk[:room], checks
@@ -1018,7 +1028,7 @@ class _Synthesizer:
         oracle's whole run, and refinement's on cheap boxes.  Each chunk is
         checked in one batch and settled in one step."""
 
-        for members, checks in self._checked(node.domains):
+        for members, checks in self._checked(self.compiled, node.domains):
             explored = self.explored
             witness = self._settle(members, checks.holds[: len(members)])
             self.iterations += self.explored - explored
@@ -1073,27 +1083,28 @@ class _Synthesizer:
         nothing settled, when the tables and the tuples of their value
         classes would hold more than JOIN_BYTES; the family is refined.
 
-        Each factor's members are checked once, with every class outside
-        the factor at its first action, and counted as enumerated members.
-        The rows of a factor's side values are grouped bit for bit into
-        value classes: equal rows give every atom the same truth.  The
-        atoms are evaluated once per tuple of value classes, one per
-        factor, a chunk of about CHUNK_BYTES of side values at a time, the
-        sides of no factor read off the first table's first row, as
-        constants.  A tuple that holds adds the product of its classes'
-        sizes to the count.  Its least member takes each factor's least
-        table member in its class, and every other class at its first
-        action; the set's least member is the least of these."""
+        Each factor's members are checked once, on the model restricted to
+        its sides' cones (analysis.restrict_to_cones), which read no class
+        outside the factor, and counted as enumerated members.  The rows of
+        a factor's side values are grouped bit for bit into value classes:
+        equal rows give every atom the same truth.  The sides of no factor
+        are solved once, on their own cones, for the member taking every
+        class's first action.  The atoms are evaluated once per tuple of
+        value classes, one per factor, a chunk of about CHUNK_BYTES of side
+        values at a time, with those sides as constants.  A tuple that holds
+        adds the product of its classes' sizes to the count.  Its least
+        member takes each factor's least table member in its class, and
+        every other class at its first action; the set's least member is
+        the least of these."""
 
         self.factors = len(factors)
         space = self.space
-        base, rows, classes, least = None, [], [], []
+        rows, classes, least = [], [], []
         for f, members in enumerate(factors):
+            model = restrict_to_cones(self.compiled, owner == f)
             box = [d if k in members else d[:1] for k, d in enumerate(space.domains)]
             parts = []
-            for chunk, checks in self._checked(box):
-                if base is None:
-                    base = checks.values[0]
+            for chunk, checks in self._checked(model, box):
                 parts.append(checks.values[: len(chunk)][:, owner == f])
                 self.iterations += len(chunk)
                 self.enumerated += len(chunk)
@@ -1108,6 +1119,8 @@ class _Synthesizer:
         if 16 * len(self.formula.atoms) * sum(tables) + 2 * prod(shape) > JOIN_BYTES:
             self.factors = 0
             return False
+        lowest = np.array([[d[0] for d in space.domains]], dtype=np.intp)
+        base = check_members(restrict_to_cones(self.compiled, owner == -1), lowest).values[0]
         # the weights of all tuples sum to the product of the tables
         exact = np.intp if prod(tables) <= _INDEX_LIMIT else object
         sizes = [np.bincount(c, minlength=n).astype(exact) for c, n in zip(classes, shape)]

@@ -39,6 +39,7 @@ from hypersynth.analysis import (
     compile_model,
     cone_classes,
     qualitative_states,
+    restrict_to_cones,
     row_table,
     solve_count,
 )
@@ -681,6 +682,120 @@ def test_check_members_reject_a_disabled_action_before_sharing_chains(monkeypatc
         with pytest.raises(InvalidControllerError):
             check_members(compiled, broken)
         assert shared == []
+
+
+def test_check_members_reject_malformed_realisations():
+    # each batch is checked once: one integer action per parameter class
+    m, spec = generate("maze-sd", variant="simple")
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    compiled = compile_model(m, space, instantiate(spec, m))
+    width = space.n_classes
+    good = (0,) * width
+    check_members(compiled, [good])
+    check_members(compiled, np.zeros((2, width), dtype=np.uint8))
+    for bad in (
+        [good[1:]],  # too short
+        [good + (0,)],  # too long
+        [(0.5,) + good[1:]],  # not an action ordinal
+        np.zeros((1, width)),  # whole numbers, but floats
+        [(True,) * width],
+        [good, good[1:]],  # rows of different widths
+        [[good]],
+        good,  # one realisation, not a batch of them
+    ):
+        with pytest.raises(InvalidControllerError):
+            check_members(compiled, bad)
+
+
+def _cone(m, state):
+    """The states reachable from state under any action."""
+
+    seen, todo = {state}, [state]
+    while todo:
+        s = todo.pop()
+        for row in m.trans[s]:
+            for t, _ in row:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+    return seen
+
+
+def test_restriction_to_a_cone_keeps_its_values():
+    # a side's values on its cone alone equal the full model's, within
+    # rounding, with INF in the same places; so do the verdicts of atoms
+    # whose other side is a constant
+    seen = dict(sides=0, reward=0, void=0, two_slots=0, inf=0, zero_cycles=0, smaller=0)
+    for seed in range(0, 200, 2):
+        m, spec, formula = _differential_instance(seed)
+        space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+        compiled = compile_model(m, space, formula)
+        members = np.array(list(islice(product(*space.domains), 32)), dtype=np.intp)
+        full = check_members(compiled, members)
+        atoms = formula.atoms
+        for i, atom in enumerate(atoms):
+            for j, side in enumerate((atom.left, atom.right)):
+                if not isinstance(side, Query):
+                    continue
+                keep = np.zeros((len(atoms), 2), dtype=bool)
+                keep[i, j] = True
+                cone = _cone(m, side.state)
+                cut = restrict_to_cones(compiled, keep)
+                assert cut.num_states == len(cone), (seed, i, j)
+                assert np.abs(cut.probs.sum(axis=1) - 1.0).max() <= 1e-12, (seed, i, j)
+                assert cut.edges.sum() == sum(len(row) for s in cone for row in m.trans[s])
+                got = check_members(cut, members)
+                want = full.values[:, i, j]
+                inf = np.isinf(want)
+                assert (np.isinf(got.values[:, i, j]) == inf).all(), (seed, i, j)
+                assert np.abs(got.values[~inf, i, j] - want[~inf]).max(initial=0.0) <= 1e-12
+                if not isinstance((atom.left, atom.right)[1 - j], Query):
+                    assert (got.truth[:, i] == full.truth[:, i]).all(), (seed, i, j)
+                seen["sides"] += 1
+                seen["reward"] += side.kind == "reward"
+                seen["void"] += side.target == "void"
+                seen["inf"] += inf.sum()
+                seen["smaller"] += cut.num_states < m.num_states
+        seen["two_slots"] += spec.n_controllers == 2
+        if m.has_rewards:
+            mcs = [impose(m, induce(space, members[0], i)) for i in range(spec.n_controllers)]
+            seen["zero_cycles"] += any(
+                _zero_reward_cycle(mc, mc.target(name)) for mc in mcs for name in m.label_names()
+            )
+    assert seen["sides"] > 4000 and seen["smaller"] > 1000 and seen["inf"] > 10_000
+    assert seen["reward"] > 1500 and seen["void"] > 1000
+    assert seen["two_slots"] > 30 and seen["zero_cycles"] > 40
+
+
+def test_restriction_keeps_the_groups_its_sides_read():
+    # thread-scheduling 4/8's two sides read one query from disjoint cones
+    # of 10 and 6 states; each keeps the query's group and its own side,
+    # renumbered, and keeping no side keeps no state and no group
+    m, spec = generate("thread-scheduling", h1=4, h2=8)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    compiled = compile_model(m, space, instantiate(spec, m))
+    atom = compiled.formula.atoms[0]
+    assert compiled.num_states == 15 and len(compiled.plan) == 1
+    members = np.array(list(islice(product(*space.domains), 40)), dtype=np.intp)
+    full = check_members(compiled, members)
+    for j, states in ((0, 10), (1, 6)):
+        keep = np.zeros((1, 2), dtype=bool)
+        keep[0, j] = True
+        cut = restrict_to_cones(compiled, keep)
+        side = (cut.formula.atoms[0].left, cut.formula.atoms[0].right)
+        assert cut.num_states == states and len(cut.plan) == 1
+        assert side[j].state == sorted(_cone(m, (atom.left, atom.right)[j].state)).index(
+            (atom.left, atom.right)[j].state
+        )
+        assert np.isnan(side[1 - j])
+        got = check_members(cut, members)
+        assert np.isnan(got.values[:, 0, 1 - j]).all()
+        assert np.abs(got.values[:, 0, j] - full.values[:, 0, j]).max() <= 1e-12
+    before = solve_count()
+    cut = restrict_to_cones(compiled, np.zeros((1, 2), dtype=bool))
+    assert cut.num_states == 0 and cut.plan == ()
+    assert np.isnan(check_members(cut, members[:1]).values).all()
+    assert solve_count() == before
 
 
 def test_check_members_of_an_empty_batch():

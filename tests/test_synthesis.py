@@ -952,14 +952,17 @@ def test_time_limit_can_stop_an_enumerated_box(monkeypatch):
     assert set(stats) == set(base.stats)
 
 
-def _count_batches(monkeypatch):
-    """Record the size of every check_members batch."""
+def _count_batches(monkeypatch, states=None):
+    """Record the size of every check_members batch, and in states, when
+    given, the state count of the model it runs on."""
 
     batches = []
     batched = synthesis.check_members
 
     def spy(compiled, realisations):
         batches.append(len(realisations))
+        if states is not None:
+            states.append(compiled.num_states)
         return batched(compiled, realisations)
 
     monkeypatch.setattr(synthesis, "check_members", spy)
@@ -1274,6 +1277,48 @@ def test_complete_bench_calls_join_factor_tables():
     assert stats["factors"] == 2 and stats["enumerated_members"] == 272
     assert stats["explored"] == stats["family_size"] == 4096
     assert stats["satisfying_count"] == 3302 and sum(1 for _ in out.satisfying.boxes()) <= 792
+
+
+@pytest.mark.parametrize(
+    "bench, params, method, tables, states, whole",
+    [
+        ("timing-attack", {"n": 6}, "ar", [64, 64], [7, 7], 2),
+        ("thread-scheduling", {"h1": 4, "h2": 8}, "hybrid", [16, 256], [6, 10], 3),
+    ],
+)
+def test_factor_tables_are_checked_on_their_cones(monkeypatch, bench, params, method, tables, states, whole):
+    # each table batch solves one copy of the self-composition: the model
+    # cut down to its factor's cones, of 7 + 7 of 14 states and 6 + 10 of
+    # 15.  The chunk follows the smaller model, so each table is one batch,
+    # where the whole model's chunk would take `whole` batches.  Last, the
+    # sides of no factor, here none, are solved for the member taking
+    # every first action, on a model of no state
+    m, spec = generate(bench, **params)
+    seen = []
+    batches = _count_batches(monkeypatch, seen)
+    out = synthesize(m, spec, mode="complete", method=method)
+    assert out.stats["factors"] == 2 and out.stats["enumerated_members"] == sum(tables)
+    assert batches == tables + [1] and seen == states + [0]
+    assert sum(-(-size // _chunk(m, spec)) for size in tables) == whole
+
+
+def test_satisfying_members_follow_the_boxes():
+    # members() lists the members of boxes() in their order, whether the
+    # answer is a join, refined boxes or members checked one by one; a
+    # join of the bench's two tables, with no free class, lists them in
+    # lexicographic order
+    kinds = set()
+    cases = [two_cone_instance(seed, 1) for seed in range(20)] + [random_instance(seed) for seed in range(40)]
+    for m, spec in cases:
+        want = enumerate_satisfying(m, spec)
+        out = synthesize(m, spec, mode="complete")
+        got = list(out.satisfying.members())
+        assert got == [r for box in out.satisfying.boxes() for r in product(*box.domains)]
+        assert sorted(got) == want and len(got) == out.satisfying.count
+        kinds.add(out.stats["factors"] > 0)
+    assert kinds == {False, True}
+    m, spec = generate("timing-attack", n=6)
+    assert list(synthesize(m, spec, mode="complete").satisfying.members()) == enumerate_satisfying(m, spec)
 
 
 def test_a_join_past_its_memory_bound_is_refined(monkeypatch):
