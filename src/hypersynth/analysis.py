@@ -11,11 +11,12 @@ returned are those of the witness policy, each from one dense linear solve.
 
 Every qualitative set and witness, of an MDP or a chain, is grown on
 integer bitmasks by one least fixpoint, `_attractor`, or by the forward
-closures of `RowTable.reachable`; the batched member checks below close
-their dense graphs with `_reach_closure`.  `_attractor` scans the states
-in index order, and a state joins as soon as its scan finds an entering
-action, with the lowest such ordinal, so a state may enter through one
-that joined earlier in the same round.
+closures of `RowTable.reachable`; the batched member checks and the cones
+below grow theirs on dense boolean arrays with `_grow`, the same least
+fixpoint over a stack of graphs.  `_attractor` scans the states in index
+order, and a state joins as soon as its scan finds an entering action,
+with the lowest such ordinal, so a state may enter through one that
+joined earlier in the same round.
 
 The extremal solves range over the controllers choosing, in each state s,
 among the ascending action ordinals allowed[s]; by default every action.
@@ -46,15 +47,22 @@ groups once, its solve plan: the reach queries of a slot whose targets are
 closed (no action leaves them) and pairwise disjoint share one system, with
 one right-hand side per target; every other query is a group of its own.
 A batch takes its members as one (members x classes) array of action
-ordinals and gathers their chains into one (chains x states x states)
-stack per controller slot the plan uses.  A slot that leaves out some
-class with more than one action in the family, as each slot of a
-two-controller spec does, can have one chain under many members: the stack
-then holds each distinct chain once, and every member reads the values of
-its own.  The qualitative sets come from one reflexive-transitive closure
-per slot, built by repeated boolean squaring and shared by every query on
-that slot; a reward query adds one closure avoiding its target.  The groups
-are then solved in plan order for all members.  Each chain's system holds
+ordinals and takes their chains' action rows, one (chains x states) array
+per controller slot the plan uses.  A slot that leaves out some class
+with more than one action in the family, as each slot of a
+two-controller spec does, can have one chain under many members: the
+array then holds each distinct chain once, and every member reads the
+values of its own.  The qualitative sets are bounded once, when compiling, from
+the MDP's graph: per target, the states that every controller leads to it
+with positive probability (sure), and those that only some controller
+does (undetermined); for a reward query, the same two for reaching it
+almost surely.  Each member's chain is one controller, so its states that
+can reach a target hold the sure ones and lie within sure and
+undetermined.  A batch settles only the undetermined states, by one
+expansion per query group over all its targets (`_grow`), one more for
+a reward query's almost-sure states, and none when no state is
+undetermined.  The groups are then solved in plan order for
+all members.  Each chain's system holds
 only its live states, those left to solve (mid), in index order, and no
 padding: a batch makes one np.linalg.solve call per live-set size, so a
 chain's values do not depend on its batch and are the same to the bit as
@@ -266,6 +274,22 @@ def _some_action_enters(rows: RowTable, allowed):
     return joins
 
 
+def _every_action_enters(rows: RowTable, allowed):
+    """An _attractor join rule: every allowed action enters the inside.
+    The action named is 0, since only the set grown is read."""
+
+    succ = rows.succ
+
+    def joins(s, inside):
+        row = succ[s]
+        for a in allowed[s]:
+            if not row[a] & inside:
+                return None
+        return 0
+
+    return joins
+
+
 def _prob1_max(rows: RowTable, allowed, t: int, universe=None):
     """States where some controller reaches the target almost surely, as a
     bitmask, plus, per such state, an action of a controller that does.
@@ -299,15 +323,7 @@ def _avoid_sets(rows: RowTable, allowed, t: int):
     realising the avoidance (on Z, one that stays in Z)."""
 
     succ = rows.succ
-
-    def every_action_enters(s, inside):
-        row = succ[s]
-        for a in allowed[s]:
-            if not row[a] & inside:
-                return None
-        return 0  # any action will do; the set is all that is used
-
-    _, _, left_out = _attractor(t, every_action_enters, rows.everything)
+    _, _, left_out = _attractor(t, _every_action_enters(rows, allowed), rows.everything)
     z = _mask(left_out)
     off = ~z
     actions = {}
@@ -693,7 +709,15 @@ class _Group:
     solve, one system per chain: one target, or several closed and pairwise
     disjoint reach targets.  masks[k] marks the states of target k and
     inside those of every target; into[r, k] is the probability of stepping
-    from row r into target k."""
+    from row r into target k.
+
+    The rest bounds the live states of every chain the MDP has, from its
+    graph (_bounds): sure[k] marks the states that reach target k with
+    positive probability under every controller, the target included, and
+    undetermined[k] those that reach it under some controller but not
+    under every one.  A reward group also has sure_as, the states that
+    reach its target almost surely under every controller, and
+    undetermined_as, those that do under some but not every one."""
 
     kind: str
     slot: int
@@ -701,6 +725,22 @@ class _Group:
     masks: np.ndarray
     inside: np.ndarray
     into: np.ndarray
+    sure: np.ndarray
+    undetermined: np.ndarray
+    sure_as: np.ndarray | None
+    undetermined_as: np.ndarray | None
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """The states left undetermined for some target, ascending."""
+
+        return np.flatnonzero(self.undetermined.any(axis=0))
+
+    @cached_property
+    def free_as(self) -> np.ndarray:
+        """The states left undetermined for almost-sure reaching, ascending."""
+
+        return np.flatnonzero(self.undetermined_as)
 
 
 @dataclass(frozen=True)
@@ -712,7 +752,8 @@ class CompiledModel:
     one entry per row (None without a reward structure); classes[slot][s]
     is the class deciding the slot's action in s, and varies[k] whether
     class k has more than one action in the family and some state reads
-    it.  plan holds the formula's query groups in solve order."""
+    it.  plan holds the formula's query groups in solve order, each with
+    the bounds on its chains' live states (_Group)."""
 
     offsets: np.ndarray
     counts: np.ndarray
@@ -744,23 +785,28 @@ class CompiledModel:
     @cached_property
     def cones(self) -> np.ndarray:
         """cones[s, t] says t is reachable from s under any action: row s
-        is the cone of s.  Built once per model, on first use."""
+        is the cone of s.  Built once per model, on first use, by growing
+        each state's set of predecessors in the any-action graph."""
 
+        n = self.num_states
         adjacent = np.logical_or.reduceat(self.edges, self.offsets)
-        return _reach_closure(adjacent[None])[0]
+        reached = np.eye(n, dtype=bool)[None]  # reached[0, t, s]: s reaches t
+        _grow(reached, adjacent[None], np.arange(n), np.ones((n, n), dtype=bool))
+        return np.ascontiguousarray(reached[0].T)
 
 
-def compile_model(m: Mdp, space, formula: InstantiatedFormula) -> CompiledModel:
+def compile_model(m: Mdp, space, formula: InstantiatedFormula, rows=None) -> CompiledModel:
     """Compile the MDP for checking the formula on members of the parameter
-    space (a family.ParameterSpace built on it).  A query on a missing label
-    or slot, or a reward query without rewards, raises here."""
+    space (a family.ParameterSpace built on it).  rows is the model's
+    row_table, as in extremal_reach.  A query on a missing label or slot,
+    or a reward query without rewards, raises here."""
 
     n = m.num_states
     counts = np.array([m.num_actions(s) for s in range(n)], dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
-    rows = [row for menu in m.trans for row in menu]
-    probs = np.zeros((len(rows), n))
-    for r, row in enumerate(rows):
+    flat = [row for menu in m.trans for row in menu]
+    probs = np.zeros((len(flat), n))
+    for r, row in enumerate(flat):
         for t, p in row:
             probs[r, t] = p
     rewards = None
@@ -772,7 +818,8 @@ def compile_model(m: Mdp, space, formula: InstantiatedFormula) -> CompiledModel:
     )
     varies = np.array([len(d) > 1 for d in space.domains], dtype=bool)
     edges = probs > 0
-    plan = _solve_plan(m, probs, edges, np.repeat(np.arange(n), counts), formula)
+    table = row_table(m) if rows is None else rows
+    plan = _solve_plan(m, table, probs, edges, np.repeat(np.arange(n), counts), formula)
     for g in plan:
         if g.slot >= len(classes):
             raise ModelError(f"no chain for controller slot {g.slot}")
@@ -781,14 +828,14 @@ def compile_model(m: Mdp, space, formula: InstantiatedFormula) -> CompiledModel:
     return CompiledModel(offsets, counts, probs, edges, rewards, classes, varies, formula, plan)
 
 
-def _solve_plan(m: Mdp, probs, edges, row_state, formula) -> tuple[_Group, ...]:
+def _solve_plan(m: Mdp, table: RowTable, probs, edges, row_state, formula) -> tuple[_Group, ...]:
     """The query groups answering each distinct (kind, slot, target) query
     of the formula.  The reach queries of a slot whose targets are closed
     (no action of a target's states leaves it), and disjoint from every
     other such target of the slot, form one group; every other query is a
     group of its own."""
 
-    masks, into = {}, {}
+    masks, into, bounds = {}, {}, {}
     for _, _, name in formula.queries:
         if name not in masks:
             mask = masks[name] = np.zeros(m.num_states, dtype=bool)
@@ -796,6 +843,8 @@ def _solve_plan(m: Mdp, probs, edges, row_state, formula) -> tuple[_Group, ...]:
             into[name] = np.zeros(len(probs))
             for t in np.flatnonzero(mask):  # in successor order, as reach_probs adds
                 into[name] += probs[:, t]
+            rewarded = any(kind == "reward" and t == name for kind, _, t in formula.queries)
+            bounds[name] = _bounds(table, _mask(m.target(name)), rewarded)
     groups = {(kind, slot, t): (kind, slot, (t,)) for kind, slot, t in formula.queries}
     closed: dict[int, list[str]] = {}
     for kind, slot, t in formula.queries:
@@ -811,8 +860,32 @@ def _solve_plan(m: Mdp, probs, edges, row_state, formula) -> tuple[_Group, ...]:
     for kind, slot, targets in dict.fromkeys(groups.values()):
         own = np.stack([masks[t] for t in targets])
         stacked = np.stack([into[t] for t in targets], axis=-1)
-        plan.append(_Group(kind, slot, targets, own, own.any(axis=0), stacked))
+        sure = np.stack([bounds[t][0] for t in targets])
+        undetermined = np.stack([bounds[t][1] for t in targets])
+        sure_as, undetermined_as = bounds[targets[0]][2:] if kind == "reward" else (None, None)
+        plan.append(
+            _Group(kind, slot, targets, own, own.any(axis=0), stacked, sure, undetermined, sure_as, undetermined_as)
+        )
     return tuple(plan)
+
+
+def _bounds(rows: RowTable, t: int, almost_surely: bool) -> list[np.ndarray]:
+    """The sure and undetermined states of _Group for the target t, a
+    bitmask, over every controller: [sure, undetermined], and with
+    almost_surely also [sure_as, undetermined_as], as boolean arrays.  sure
+    is the attractor of the states whose every action enters it, the
+    complement of _avoid_sets' Z, and sure_as the complement of its B."""
+
+    every = [range(len(menu)) for menu in rows.succ]
+    everything = rows.everything
+    sure, _, _ = _attractor(t, _every_action_enters(rows, every), everything)
+    can, _, _ = _attractor(t, _some_action_enters(rows, every), everything)
+    masks = [sure, can & ~sure]
+    if almost_surely:
+        _, avoiding, _ = _avoid_sets(rows, every, t)
+        some_as, _ = _prob1_max(rows, every, t, can)
+        masks += [everything & ~avoiding, some_as & avoiding]
+    return [np.array([mask >> s & 1 for s in range(rows.num_states)], dtype=bool) for mask in masks]
 
 
 @dataclass(frozen=True)
@@ -826,18 +899,23 @@ class MemberChecks:
     truth: np.ndarray
 
 
-def _reach_closure(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a stack of adjacency matrices, by
-    repeated boolean squaring; entry [b, s, t] says t is reachable from s."""
+def _grow(inside: np.ndarray, succ: np.ndarray, free: np.ndarray, join: np.ndarray) -> None:
+    """Grow each state set inside[b, k], of a boolean (B, K, n) array, in
+    place to its least fixpoint: state free[j] joins set k, where join[k, j]
+    allows it, once one of its successors in graph b lies in the set.
+    succ[b, j] marks the successors of free[j] in graph b, a boolean (B,
+    len(free), n) array.  A round is one boolean matrix product, which
+    numpy computes without BLAS: the first tests every state of the sets,
+    and each later one only the states that joined in the round before."""
 
-    n = adj.shape[-1]
-    reach = (adj | np.eye(n, dtype=bool)).astype(np.float32)
-    covered = 1  # paths of up to this many edges are in reach
-    while covered < n - 1:
-        reach = np.matmul(reach, reach)
-        np.minimum(reach, 1.0, out=reach)
-        covered *= 2
-    return reach > 0
+    step = succ.swapaxes(1, 2)
+    open_ = join & ~inside[..., free]  # may join, not in yet
+    new = np.matmul(inside, step) & open_
+    step = step[:, free]
+    while new.any():
+        open_ ^= new
+        new = np.matmul(new, step) & open_
+    inside[..., free] |= join & ~open_
 
 
 def _distinct_rows(a: np.ndarray):
@@ -852,12 +930,12 @@ def _distinct_rows(a: np.ndarray):
 
 
 def _slot(cm: CompiledModel, real: np.ndarray, i: int):
-    """(rows, closure, pick): the row of each slot-i chain's action in each
-    state, the closure of those chains, and the index of each member's chain
-    among them.  When a class that the slot does not read varies in the
-    family, members of a batch can share a slot chain, so each distinct
-    chain is kept once and pick is an index array; otherwise, and for a
-    batch of one, each member has its own chain and pick is a full slice."""
+    """(rows, pick): the row of each slot-i chain's action in each state,
+    and the index of each member's chain among them.  When a class that the
+    slot does not read varies in the family, members of a batch can share a
+    slot chain, so each distinct chain is kept once and pick is an index
+    array; otherwise, and for a batch of one, each member has its own chain
+    and pick is a full slice."""
 
     actions = real[:, cm.classes[i]]
     if ((actions < 0) | (actions >= cm.counts)).any():
@@ -868,8 +946,7 @@ def _slot(cm: CompiledModel, real: np.ndarray, i: int):
     if unread.any() and len(actions) > 1:
         first, pick = _distinct_rows(actions)
         actions = actions[first]
-    rows = cm.offsets + actions
-    return rows, _reach_closure(cm.edges[rows]), pick
+    return cm.offsets + actions, pick
 
 
 def _solve(cm: CompiledModel, rows, mid, b) -> np.ndarray:
@@ -898,33 +975,49 @@ def _solve(cm: CompiledModel, rows, mid, b) -> np.ndarray:
     return x
 
 
-def _reach(cm: CompiledModel, g: _Group, rows, reach) -> list[np.ndarray]:
+def _can(cm: CompiledModel, g: _Group, rows) -> np.ndarray:
+    """Per chain and target of the group, the states of the chain that can
+    reach the target, the target included: the sure states, grown over the
+    undetermined ones alone, in one pass for every target.  A (1, targets,
+    n) array, shared by every chain, when no state is undetermined; else
+    (chains, targets, n)."""
+
+    if not len(g.free):
+        return g.sure[None]
+    can = np.broadcast_to(g.sure, (len(rows),) + g.sure.shape).copy()
+    _grow(can, cm.edges[rows[:, g.free]], g.free, g.undetermined[:, g.free])
+    return can
+
+
+def _reach(cm: CompiledModel, g: _Group, rows) -> list[np.ndarray]:
     """The reach values of the slot's chains on each of the group's
     targets, from one solve with one column per target.  mid is the states
     that can reach some target, outside them all; a state that cannot reach
     a target keeps an exact 0 for it."""
 
-    mid = reach[:, :, g.inside].any(axis=-1) & ~g.inside
+    can = _can(cm, g, rows)
+    mid = can.any(axis=1) & ~g.inside
     x = np.minimum(np.maximum(_solve(cm, rows, mid, g.into[rows]), 0.0), 1.0)
-    out = []
-    for k, mask in enumerate(g.masks):
-        # a lone target's can set is mid's
-        own = mid if len(g.masks) == 1 else mid & reach[:, :, mask].any(axis=-1)
-        out.append(np.where(mask, 1.0, np.where(own, x[..., k], 0.0)))
-    return out
+    # a lone target's can set is mid's
+    own = mid[:, None] if len(g.masks) == 1 else mid[:, None] & can
+    return list(np.where(g.masks, 1.0, np.where(own, x.swapaxes(1, 2), 0.0)).swapaxes(0, 1))
 
 
-def _reward(cm: CompiledModel, g: _Group, rows, reach) -> list[np.ndarray]:
+def _reward(cm: CompiledModel, g: _Group, rows) -> list[np.ndarray]:
     """The expected reward of the slot's chains before the group's one
-    target."""
+    target.  mid is the states that reach it almost surely, outside it."""
 
-    can = reach[:, :, g.inside].any(axis=-1)
-    # reached almost surely: no state unable to reach the target is
-    # reachable along a path avoiding it
-    avoid = cm.edges[rows]
-    avoid[:, g.inside, :] = False
-    missed = (_reach_closure(avoid) & ~can[:, None, :]).any(axis=-1)
-    mid = ~missed & ~g.inside
+    can = _can(cm, g, rows)[:, 0]
+    # missed, the states of a chain that do not reach the target almost
+    # surely, are those from which a path avoiding it meets a state unable
+    # to reach it: seeded with the chain's states unable to reach it, and
+    # with those where no controller reaches it almost surely, it grows
+    # over the undetermined states alone
+    missed = (~can | ~(g.sure_as | g.undetermined_as))[:, None]
+    if len(g.free_as):
+        missed = np.broadcast_to(missed, (len(rows),) + missed.shape[1:]).copy()
+        _grow(missed, cm.edges[rows[:, g.free_as]], g.free_as, np.ones((1, len(g.free_as)), dtype=bool))
+    mid = ~missed[:, 0] & ~g.inside
     x = np.maximum(_solve(cm, rows, mid, cm.rewards[rows][..., None])[..., 0], 0.0)
     return [np.where(g.inside, 0.0, np.where(mid, x, INF))]
 
@@ -937,12 +1030,13 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
     integer per class, or whose actions are not enabled, raises
     InvalidControllerError.
 
-    The members' chains are gathered into one stack per slot that the plan
-    uses, each distinct chain once where members can share one (see
-    _slot).  Qualitative sets come from one reachability closure per slot
-    (plus one avoiding the target per reward query), and each query group
-    of the plan is solved for every member, each chain on its live states
-    (_solve), as one counted solve.  An empty batch makes no solve.
+    The members' action rows are taken per slot that the plan uses, each
+    distinct chain once where members can share one (see _slot).  Each
+    chain's live states are its group's sure states plus those of the
+    undetermined ones it settles (_can; the almost-sure ones likewise in
+    _reward), and each query group of the plan is solved for every member,
+    each chain on its live states (_solve), as one counted solve.  An empty
+    batch makes no solve.
     """
 
     formula = cm.formula
@@ -968,14 +1062,14 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
             slots[g.slot] = _slot(cm, real, g.slot)
     found = {}
     for g in cm.plan:
-        rows, reach, _ = slots[g.slot]
-        solved = (_reach if g.kind == "reach" else _reward)(cm, g, rows, reach)
+        rows = slots[g.slot][0]
+        solved = (_reach if g.kind == "reach" else _reward)(cm, g, rows)
         for name, v in zip(g.targets, solved):
             found[g.kind, g.slot, name] = v
     for i, atom in enumerate(atoms):
         for j, side in enumerate((atom.left, atom.right)):
             if isinstance(side, Query):
-                side = found[side.kind, side.slot, side.target][slots[side.slot][2], side.state]
+                side = found[side.kind, side.slot, side.target][slots[side.slot][1], side.state]
             values[:, i, j] = side
     holds, truth = formula_holds(formula, values)
     return MemberChecks(holds, values, truth)
@@ -1046,7 +1140,16 @@ def restrict_to_cones(cm: CompiledModel, sides) -> CompiledModel:
     atoms = tuple(replace(atom, left=side(atom.left), right=side(atom.right)) for atom in formula.atoms)
     read = {(q.kind, q.slot, q.target) for q in kept}
     plan = tuple(
-        replace(g, masks=g.masks[:, states], inside=g.inside[states], into=g.into[rows])
+        replace(
+            g,
+            masks=g.masks[:, states],
+            inside=g.inside[states],
+            into=g.into[rows],
+            sure=g.sure[:, states],
+            undetermined=g.undetermined[:, states],
+            sure_as=None if g.sure_as is None else g.sure_as[states],
+            undetermined_as=None if g.undetermined_as is None else g.undetermined_as[states],
+        )
         for g in cm.plan
         if any((g.kind, g.slot, t) in read for t in g.targets)
     )

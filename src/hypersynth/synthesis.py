@@ -886,7 +886,7 @@ class _Synthesizer:
         """The model and formula compiled for member checks, on the run's
         first one."""
 
-        return compile_model(self.m, self.space, self.formula)
+        return compile_model(self.m, self.space, self.formula, self.analyzer.rows)
 
     def _decide(self, members: int):
         """Count a box of this many members as settled, whichever way."""

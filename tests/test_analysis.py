@@ -663,6 +663,137 @@ def test_check_members_solve_live_sets_of_every_size():
         assert (got.values[b] == [value[:2] for value in want]).all(), real
 
 
+def _almost_surely(mc, t):
+    """The states of the chain that reach the target t almost surely: those
+    from which every state reached while avoiding t can still reach it."""
+
+    return {
+        s
+        for s in range(mc.num_states)
+        if all(_reach(mc, u) & t for u in _reach(mc, s, lambda u: u not in t))
+    }
+
+
+def _group_sets(g, k):
+    """The states of each of group g's bounds for its target k, as sets."""
+
+    def states(a):
+        return set(np.flatnonzero(a).tolist())
+
+    sets = [states(g.sure[k]), states(g.undetermined[k])]
+    if g.kind == "reward":
+        sets += [states(g.sure_as), states(g.undetermined_as)]
+    return sets
+
+
+def test_every_chain_lives_within_the_bounds_of_its_groups():
+    # each member's chain is one controller of the MDP: the states that can
+    # reach a target hold the group's sure set and lie in sure plus
+    # undetermined, and on a reward group the states reaching it almost
+    # surely lie between sure_as and sure_as plus undetermined_as
+    seen = dict(chains=0, reward=0, grown=0, grown_as=0)
+    for seed in range(100):
+        m, spec, formula = _differential_instance(seed)
+        space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+        compiled = compile_model(m, space, formula)
+        for real in islice(product(*space.domains), 0, 5 * 30, 5):
+            mcs = [impose(m, induce(space, real, i)) for i in range(spec.n_controllers)]
+            for g in compiled.plan:
+                mc = mcs[g.slot]
+                for k, name in enumerate(g.targets):
+                    t = frozenset(mc.target(name))
+                    bounds = _group_sets(g, k)
+                    sure, undetermined = bounds[:2]
+                    assert not sure & undetermined, (seed, g.targets)
+                    can = set(_chain_can_reach(mc, t)) | t
+                    assert sure <= can <= sure | undetermined, (seed, real, name)
+                    seen["grown"] += can != sure
+                    seen["chains"] += 1
+                    if g.kind == "reward":
+                        sure_as, undetermined_as = bounds[2:]
+                        assert not sure_as & undetermined_as, (seed, name)
+                        surely = _almost_surely(mc, t)
+                        assert sure_as <= surely <= sure_as | undetermined_as, (seed, real, name)
+                        seen["grown_as"] += surely != sure_as
+                        seen["reward"] += 1
+    assert seen["chains"] > 3000 and seen["reward"] > 1000
+    assert seen["grown"] > 400 and seen["grown_as"] > 150
+
+
+def _undetermined_model():
+    """State 0 steps into the goal 1 under action 0 and into the sink 2
+    under action 1.  State 3 steps to 0 or loops, and 4 steps into 3, so
+    they reach the goal as 0 does; state 5 steps into the goal or to 0 and
+    state 6 into 5, so they reach the goal under every controller, but
+    almost surely only when 0 does."""
+
+    trans = [
+        [[(1, 1.0)], [(2, 1.0)]],
+        [[(1, 1.0)]],
+        [[(2, 1.0)]],
+        [[(0, 0.5), (3, 0.5)]],
+        [[(3, 1.0)]],
+        [[(1, 0.5), (0, 0.5)]],
+        [[(5, 1.0)]],
+    ]
+    rewards = [[1.0, 2.0], [0.0], [0.0], [0.5], [1.0], [3.0], [0.25]]
+    return make_mdp(trans, labels={"goal": (1,)}, rewards=rewards)
+
+
+def test_check_members_grow_the_undetermined_states(monkeypatch):
+    # the graph of the MDP leaves 0, 3 and 4 undetermined for reaching the
+    # goal and 0 and 3-6 for reaching it almost surely; each member's chain
+    # settles them, along 4 -> 3 -> 0, and gets check_mc's values
+    m = _undetermined_model()
+    space = build_parameter_space(m, 1, ())
+    formula = InstantiatedFormula(
+        tuple(Atom(Query(kind, 0, s, "goal"), 0.5) for kind in ("reach", "reward") for s in range(7)),
+        ("atom", 0),
+    )
+    compiled = compile_model(m, space, formula)
+    reach, reward = compiled.plan
+    assert _group_sets(reach, 0) == [{1, 5, 6}, {0, 3, 4}]
+    assert _group_sets(reward, 0) == [{1, 5, 6}, {0, 3, 4}, {1}, {0, 3, 4, 5, 6}]
+    grown = []
+    grow = analysis._grow
+    monkeypatch.setattr(analysis, "_grow", lambda *args: grown.append(args[2].tolist()) or grow(*args))
+    members = np.array(list(product(*space.domains)), dtype=np.intp)
+    assert len(members) == 2
+    got = check_members(compiled, members)
+    # one pass for the can set of each group, one for the almost-sure set
+    assert grown == [[0, 3, 4], [0, 3, 4], [0, 3, 4, 5, 6]]
+    for b, real in enumerate(members.tolist()):
+        want = check_mc([impose(m, induce(space, real, 0))], formula).atom_values
+        assert (got.values[b] == [value[:2] for value in want]).all(), real
+        assert got.values[b].tobytes() == check_members(compiled, members[b : b + 1]).values[0].tobytes()
+    assert got.values[:, :7, 0].tolist() == [[1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.5, 0.5]]
+    assert np.isinf(got.values[1, [7, 9, 10, 11, 12, 13], 0]).all()
+    assert np.isfinite(got.values[0, [7, 8, 10, 11, 12, 13], 0]).all()
+
+
+@pytest.mark.parametrize(
+    "bench, params", [("maze-sd", dict(variant="simple")), ("timing-attack", dict(n=6))]
+)
+def test_check_members_grow_nothing_when_the_model_decides_every_state(monkeypatch, bench, params):
+    # every controller of these models has the same live states, so no
+    # state is undetermined and a batch runs no expansion round
+    m, spec = generate(bench, **params)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    compiled = compile_model(m, space, instantiate(spec, m))
+    for g in compiled.plan:
+        assert not g.undetermined.any()
+        assert g.undetermined_as is None or not g.undetermined_as.any()
+    grown = []
+    monkeypatch.setattr(analysis, "_grow", lambda *args: grown.append(args))
+    members = np.array(list(islice(product(*space.domains), compiled.chunk)), dtype=np.intp)
+    got = check_members(compiled, members)
+    assert grown == []
+    for b in (0, len(members) - 1):
+        mc = impose(m, induce(space, members[b].tolist(), 0))
+        want = check_mc([mc], compiled.formula).atom_values
+        assert (got.values[b] == [value[:2] for value in want]).all()
+
+
 def test_check_members_reject_a_disabled_action_before_sharing_chains(monkeypatch):
     m, spec = generate("maze-sd", variant="checkpoint")  # two slots reading disjoint classes
     space = build_parameter_space(m, spec.n_controllers, spec.constraints)
@@ -724,12 +855,18 @@ def _cone(m, state):
 def test_restriction_to_a_cone_keeps_its_values():
     # a side's values on its cone alone equal the full model's, within
     # rounding, with INF in the same places; so do the verdicts of atoms
-    # whose other side is a constant
+    # whose other side is a constant.  The cones are those of a search
+    # written here, and the cut model's bounds on its live states are the
+    # slices of the whole model's
     seen = dict(sides=0, reward=0, void=0, two_slots=0, inf=0, zero_cycles=0, smaller=0)
     for seed in range(0, 200, 2):
         m, spec, formula = _differential_instance(seed)
         space = build_parameter_space(m, spec.n_controllers, spec.constraints)
         compiled = compile_model(m, space, formula)
+        assert [set(np.flatnonzero(row).tolist()) for row in compiled.cones] == [
+            _cone(m, s) for s in range(m.num_states)
+        ]
+        groups = {(g.kind, g.slot, g.targets): g for g in compiled.plan}
         members = np.array(list(islice(product(*space.domains), 32)), dtype=np.intp)
         full = check_members(compiled, members)
         atoms = formula.atoms
@@ -742,6 +879,15 @@ def test_restriction_to_a_cone_keeps_its_values():
                 cone = _cone(m, side.state)
                 cut = restrict_to_cones(compiled, keep)
                 assert cut.num_states == len(cone), (seed, i, j)
+                # a cone is closed, so its bounds are the whole model's, sliced
+                inside = sorted(cone)
+                for g in cut.plan:
+                    whole = groups[g.kind, g.slot, g.targets]
+                    assert (g.sure == whole.sure[:, inside]).all(), (seed, i, j)
+                    assert (g.undetermined == whole.undetermined[:, inside]).all(), (seed, i, j)
+                    if g.kind == "reward":
+                        assert (g.sure_as == whole.sure_as[inside]).all(), (seed, i, j)
+                        assert (g.undetermined_as == whole.undetermined_as[inside]).all(), (seed, i, j)
                 assert np.abs(cut.probs.sum(axis=1) - 1.0).max() <= 1e-12, (seed, i, j)
                 assert cut.edges.sum() == sum(len(row) for s in cone for row in m.trans[s])
                 got = check_members(cut, members)
