@@ -58,7 +58,6 @@ from .specs import (
 from .synthesis import (
     SatisfyingSet,
     SynthesisOutcome,
-    enumerate_satisfying,
     instantiate,
     synthesize,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "SynthesisOutcome",
     "build_parameter_space",
     "check_mc",
-    "enumerate_satisfying",
     "expected_reward",
     "expected_visits",
     "extremal_reach",

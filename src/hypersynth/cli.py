@@ -107,11 +107,9 @@ def _cmd_synth(args) -> int:
         )
     except LimitExceeded as e:
         print(f"aborted: {e}", file=sys.stderr)
-        stats = getattr(e, "stats", None)
-        if args.stats_out and stats is not None:
-            stats["limit"] = str(e)
+        if args.stats_out:
             with open(args.stats_out, "w", encoding="utf-8") as fh:
-                fh.write(write_stats(stats))
+                fh.write(write_stats(e.stats))
         return 3
 
     st = out.stats

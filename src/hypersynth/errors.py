@@ -56,4 +56,5 @@ class ParseError(HypersynthError):
 
 
 class LimitExceeded(HypersynthError):
-    """An iteration or wall-clock budget ran out before a verdict."""
+    """An iteration or wall-clock budget ran out before a verdict.  stats
+    is the run's stats so far, verdict "unknown", with limit set."""

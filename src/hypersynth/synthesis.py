@@ -26,6 +26,10 @@ when that member violates a mandatory reachability comparison, prunes away
 the whole sub-box sharing the violation's local structure (see
 counterexamples).
 
+Every method runs one loop, _Synthesizer.run, which builds the outcome and
+its stats, or a limit's, once the loop ends.  The oracle is that loop
+enumerating the root box.
+
 Member checks run on the model and formula, compiled together once per run
 (see analysis).  The enumerator streams the members of one box as arrays of
 action ordinals, in lexicographic order, and checks each chunk with one
@@ -49,9 +53,10 @@ check runs.  Enumerating a box of N members costs its own batches, groups *
 ceil(N / chunk).  An analysis is priced by the subtree it leaves behind:
 the mean solves of one box analysis (policy-iteration rounds, certificate
 solves and the member checks made during it) over the run's settle rate,
-(settling + 1) / (analyses + 2), where an analysis settles when members
-were settled during it or it found the outcome.  The root is always
-analysed, since no analysis has been counted when it is popped.
+(settling + 1) / (analyses + 2), where an analysis is counted as it starts
+and settles when members were settled during it or it found the outcome.
+The root is always analysed, since no analysis has been counted when it
+is popped.
 
 In complete mode a family that factors is settled by a join instead of
 refinement, once the root's analysis leaves it open.  A side of the formula
@@ -824,18 +829,14 @@ class _Synthesizer:
 
     def _check_limits(self):
         if self.max_iters is not None and self.iterations >= self.max_iters:
-            exc = LimitExceeded(f"iteration limit {self.max_iters} reached")
-            exc.stats = self._stats("unknown")
-            raise exc
+            raise LimitExceeded(f"iteration limit {self.max_iters} reached")
         self._check_time()
 
     def _check_time(self):
         if self.time_limit is not None and self._elapsed() > self.time_limit:
-            exc = LimitExceeded(f"time limit {self.time_limit}s exceeded")
-            exc.stats = self._stats("unknown")
-            raise exc
+            raise LimitExceeded(f"time limit {self.time_limit}s exceeded")
 
-    def _stats(self, verdict, realisation=None, witness=None, optimal_value=None):
+    def _stats(self, verdict, realisation=None, witness=None, optimal_value=None, limit=None):
         size = self.space.family_size()
         out = {
             "verdict": verdict,
@@ -855,29 +856,17 @@ class _Synthesizer:
             "settling_analyses": self.settling,
             "solves": solve_count() - self.solves0,
             "wall_time_s": self._elapsed(),
-            "limit": None,
-            "witness": None,
+            "limit": limit,
+            "witness": None if witness is None else {
+                "realisation": list(realisation),
+                "controllers": [list(c.choices) for c in witness],
+            },
             "optimal_value": optimal_value,
             "atoms": list(self.atom_report),
         }
-        if witness is not None:
-            out["witness"] = {
-                "realisation": list(realisation),
-                "controllers": [list(c.choices) for c in witness],
-            }
         if self.mode == "complete":
             out["satisfying_count"] = self.sat.count
         return out
-
-    def _outcome(self, verdict, realisation=None, witness=None, optimal_value=None):
-        return SynthesisOutcome(
-            verdict,
-            realisation,
-            witness,
-            self.sat,
-            optimal_value,
-            self._stats(verdict, realisation, witness, optimal_value),
-        )
 
     # -- member checks ----------------------------------------------------
 
@@ -921,17 +910,33 @@ class _Synthesizer:
     # -- the loop ----------------------------------------------------------
 
     def run(self) -> SynthesisOutcome:
+        """The loop of every method: the oracle enumerates the root, ar and
+        hybrid refine it and enumerate the boxes cheaper to check than to
+        analyse.  A box's handler returns the witness that ends the loop, or
+        None."""
+
         root = root_node(self.space)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node is root or self._outranked(node) or not self._enumeration_pays(node):
-                done = self._refine(node, stack)
-            else:
-                done = self._enumerate(node)
-            if done is not None:
-                return done
-        return self._finish()
+        stack, real = [root], None
+        try:
+            while stack and real is None:
+                node = stack.pop()
+                if self.method == "oracle" or (
+                    node is not root and not self._outranked(node) and self._enumeration_pays(node)
+                ):
+                    real = self._enumerate(node)
+                else:
+                    real = self._refine(node, stack)
+        except LimitExceeded as exc:
+            exc.stats = self._stats("unknown", limit=str(exc))
+            raise
+        if self.mode == "complete":
+            real = self.sat.first()
+        elif self.mode == "optimal":
+            real = self.incumbent_real
+        verdict = "unfeasible" if real is None else "feasible"
+        witness = None if real is None else controllers(self.space, real)
+        stats = self._stats(verdict, real, witness, self.incumbent)
+        return SynthesisOutcome(verdict, real, witness, self.sat, self.incumbent, stats)
 
     def _refine(self, node, stack):
         """One refinement step: prune the box against the incumbent, check
@@ -944,13 +949,13 @@ class _Synthesizer:
             return None
         if node.size() == 1:
             real = np.array([node.first_realisation()], dtype=np.intp)
-            return self._found(self._settle(real, check_members(self.compiled, real).holds))
-        explored, solves = self.explored, solve_count()
-        done = self._analyse(node, stack)
-        self.analysis_solves += solve_count() - solves
+            return self._settle(real, check_members(self.compiled, real).holds)
         self.analyses += 1
-        self.settling += done is not None or self.explored > explored
-        return done
+        explored, solves = self.explored, solve_count()
+        real = self._analyse(node, stack)
+        self.analysis_solves += solve_count() - solves
+        self.settling += real is not None or self.explored > explored
+        return real
 
     def _analyse(self, node, stack):
         """Interval-analyse a box, then decide, split or prune it.
@@ -1030,11 +1035,11 @@ class _Synthesizer:
 
         for members, checks in self._checked(self.compiled, node.domains):
             explored = self.explored
-            witness = self._settle(members, checks.holds[: len(members)])
+            real = self._settle(members, checks.holds[: len(members)])
             self.iterations += self.explored - explored
             self.enumerated += self.explored - explored
-            if witness is not None:
-                return self._found(witness)
+            if real is not None:
+                return real
         return None
 
     # -- factored families (complete mode) -------------------------------
@@ -1163,20 +1168,6 @@ class _Synthesizer:
         self._decide(space.family_size())
         return True
 
-    def _finish(self) -> SynthesisOutcome:
-        if self.mode == "complete" and self.sat.count:
-            return self._found(self.sat.first())
-        if self.mode == "optimal" and self.incumbent is not None:
-            return self._found(self.incumbent_real, self.incumbent)
-        return self._outcome("unfeasible")
-
-    def _found(self, witness, optimal_value=None):
-        """The feasible outcome of a witness realisation, if any, with its optimal value."""
-
-        if witness is None:
-            return None
-        return self._outcome("feasible", witness, controllers(self.space, witness), optimal_value)
-
     def _settle(self, members, holds):
         """Act on checked members, settling each as a box of one, in order:
         in feasibility mode up to the first that holds, which is returned
@@ -1216,7 +1207,7 @@ class _Synthesizer:
             self._split(node, stack)
             return None
         if self.mode == "feasibility":
-            return self._found(real)
+            return real
         if self.mode == "complete":
             self.sat.add(node, node.size())
         else:
@@ -1237,7 +1228,7 @@ class _Synthesizer:
             if not checks.holds[j]:
                 continue
             if self.mode == "feasibility":
-                return self._found(real)
+                return real
             self._note_sat(real)
         if self._outranked(node):
             self._decide(node.size())
@@ -1247,7 +1238,7 @@ class _Synthesizer:
             real = first[0]
             if checks.holds[-1]:
                 if self.mode == "feasibility":
-                    return self._found(real)
+                    return real
                 if self.mode == "optimal":
                     self._note_sat(real)
             else:
@@ -1337,12 +1328,6 @@ class _Synthesizer:
         self.ce_prunes += 1
         return rest
 
-    # -- exhaustive enumeration ------------------------------------------
-
-    def run_oracle(self) -> SynthesisOutcome:
-        done = self._enumerate(root_node(self.space))
-        return done if done is not None else self._finish()
-
 
 def synthesize(
     m: Mdp,
@@ -1366,20 +1351,13 @@ def synthesize(
         raise SpecError(f"unknown mode {mode!r}")
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}")
-    # NaN fails every comparison, so it is rejected with the negatives
-    if time_limit is not None and not (isinstance(time_limit, Real) and time_limit >= 0):
-        raise SpecError(f"time limit must be a nonnegative number, not {time_limit!r}")
-    if max_iters is not None and not (isinstance(max_iters, Integral) and max_iters >= 0):
-        raise SpecError(f"iteration limit must be a nonnegative integer, not {max_iters!r}")
-    engine = _Synthesizer(m, spec, mode, method, max_iters, time_limit)
-    if method == "oracle":
-        return engine.run_oracle()
-    return engine.run()
-
-
-def enumerate_satisfying(m: Mdp, spec: HyperSpec):
-    """All satisfying realisations, lexicographically.  Test oracle."""
-
-    formula = instantiate(spec, m)
-    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
-    return list(satisfying_realisations(m, space, formula))
+    # NaN fails every comparison, so it is rejected with the negatives; a
+    # bool is an Integral, but neither a duration nor a count
+    for limit, kind, rule in (
+        (time_limit, Real, "time limit must be a nonnegative number"),
+        (max_iters, Integral, "iteration limit must be a nonnegative integer"),
+    ):
+        valid = limit is None or isinstance(limit, kind) and type(limit) is not bool and limit >= 0
+        if not valid:
+            raise SpecError(f"{rule}, not {limit!r}")
+    return _Synthesizer(m, spec, mode, method, max_iters, time_limit).run()

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from hypersynth import enumerate_satisfying, parse_model, parse_spec, synthesis, write_model, write_spec
+from hypersynth import (
+    LimitExceeded,
+    parse_model,
+    parse_spec,
+    synthesis,
+    synthesize,
+    write_model,
+    write_spec,
+    write_stats,
+)
 from hypersynth.cli import main
 
 from conftest import binary_family, binary_spec, notes_example
@@ -80,7 +89,12 @@ def test_synth_limit_exit_three(files, tmp_path):
     ])
     assert code == 3
     data = json.loads(stats.read_text())
-    assert data["limit"] is not None
+    assert data["limit"] == "iteration limit 1 reached"
+    # the library's stats are the file's, but for the clock
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(parse_model(open(model).read()), parse_spec(sp.read_text()), max_iters=1)
+    api = json.loads(write_stats(e.value.stats))
+    assert {**api, "wall_time_s": None} == {**data, "wall_time_s": None}
 
 
 def test_synth_memory_bits(files):
@@ -220,7 +234,8 @@ def test_enumerate_matches_library_order(files, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     m = parse_model(open(model).read())
-    want = enumerate_satisfying(m, parse_spec(open(spec).read()))
+    out = synthesize(m, parse_spec(open(spec).read()), mode="complete", method="oracle")
+    want = list(out.satisfying.members())
     assert len(want) == 2
     assert lines == [" ".join(map(str, real)) for real in want]
 

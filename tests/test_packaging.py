@@ -125,17 +125,19 @@ def test_hook_only_imports_are_bench_hooks():
     assert not unhooked, unhooked
 
 
-def test_no_unreferenced_definitions():
-    """Every module-level or class-level function or class of the package
-    is named in src/, tests/, demos/ or bench/ other than at its own
-    definition.  Dunder methods are exempt."""
+def _words(paths) -> Counter:
+    """How many times each word occurs in the files."""
 
-    words = Counter(
-        word
-        for folder in ("src", "tests", "demos", "bench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    return Counter(
+        word for path in paths for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
     )
+
+
+def _unnamed(words: Counter) -> list[tuple[str, str]]:
+    """Every module-level or class-level function or class of the package,
+    dunder methods apart, that words count no more often than it is
+    defined, as (file:line, name)."""
+
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined = []
     for path in sorted((ROOT / "src" / "hypersynth").glob("*.py")):
@@ -149,7 +151,42 @@ def test_no_unreferenced_definitions():
             and not (node.name.startswith("__") and node.name.endswith("__"))
         ]
     definitions = Counter(name for _, name in defined)
-    unreferenced = [
-        f"{where}: {name}" for where, name in defined if words[name] <= definitions[name]
-    ]
+    return [(where, name) for where, name in defined if words[name] <= definitions[name]]
+
+
+def test_no_unreferenced_definitions():
+    """Every module-level or class-level function or class of the package
+    is named in src/, tests/, demos/ or bench/ other than at its own
+    definition.  Dunder methods are exempt."""
+
+    words = _words(
+        path
+        for folder in ("src", "tests", "demos", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    )
+    unreferenced = [f"{where}: {name}" for where, name in _unnamed(words)]
     assert not unreferenced, unreferenced
+
+
+# Package functions and classes named, other than at their definitions,
+# only in tests/ or in hypersynth/__init__.py, each with why it is kept.
+TEST_ONLY = {
+    "qualitative_states": "the graph-only reference for the analysis's qualitative sets",
+    "expected_visits_exact": "the exact reference for the hooked expected_visits",
+    "label_names": "public Mdp API, the names of a model's labels",
+}
+
+
+def test_test_only_definitions_are_listed():
+    """A package function or class that only tests/ or the package's
+    exports name, other than at its own definition, is listed in TEST_ONLY
+    with its reason, and every name listed there is still one."""
+
+    words = _words(
+        path
+        for folder in ("src", "demos", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != ROOT / "src" / "hypersynth" / "__init__.py"
+    )
+    test_only = {name for _, name in _unnamed(words)}
+    assert test_only == set(TEST_ONLY), sorted(test_only ^ set(TEST_ONLY))

@@ -16,7 +16,6 @@ import pytest
 from hypersynth import (
     LimitExceeded,
     check_mc,
-    enumerate_satisfying,
     extremal_reach,
     generate,
     impose,
@@ -46,6 +45,7 @@ from hypersynth.synthesis import (
     node_distance_bound,
     prefix_boxes,
     realisation_distance,
+    satisfying_realisations,
     subtree_price,
 )
 from hypersynth.family import root_node
@@ -140,6 +140,13 @@ def test_quantifier_order_first_outermost(notes_mdp):
     assert all(k[0] == "or" or k[0] == "const" or k[0] == "atom" for k in f.root[1])
 
 
+def _oracle_members(m, spec) -> list[tuple]:
+    """The satisfying members in lexicographic order: the oracle's complete
+    answer, the reference the other methods are held to."""
+
+    return list(synthesize(m, spec, mode="complete", method="oracle").satisfying.members())
+
+
 # ---------------------------------------------------------------------------
 # worked example behaviour
 
@@ -147,7 +154,7 @@ def test_quantifier_order_first_outermost(notes_mdp):
 def test_worked_example_all_methods():
     m, spec = notes_example()
     want = [(1, 1, 0, 0)]
-    assert enumerate_satisfying(m, spec) == want
+    assert _oracle_members(m, spec) == want
     for method in ("ar", "hybrid", "oracle"):
         out = synthesize(m, spec, method=method)
         assert out.verdict == "feasible"
@@ -189,7 +196,7 @@ def test_unfeasible_explores_everything():
         out = synthesize(m, tight, method=method)
         assert out.verdict == "unfeasible"
         assert out.stats["explored_fraction"] == 1.0
-    assert enumerate_satisfying(m, tight) == []
+    assert _oracle_members(m, tight) == []
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,7 @@ def test_complete_counts_agree_on_random_instances():
             m, spec = random_instance(seed)
         except Exception:
             continue
-        members = enumerate_satisfying(m, spec)
+        members = _oracle_members(m, spec)
         for method in ("ar", "hybrid"):
             out = synthesize(m, spec, mode="complete", method=method)
             got = sorted(r for b in out.satisfying for r in product(*b.domains))
@@ -419,7 +426,7 @@ def test_bad_equality_tolerance_is_rejected(eps):
     with pytest.raises(SpecError):
         instantiate(bad, m)
     with pytest.raises(SpecError):
-        enumerate_satisfying(m, bad)
+        _oracle_members(m, bad)
     for method in METHODS:
         with pytest.raises(SpecError):
             synthesize(m, bad, method=method)
@@ -463,7 +470,7 @@ def test_malformed_api_specs_raise_package_errors(edit):
             with pytest.raises((SpecError, ConstraintError)):
                 synthesize(m, bad, method=method)
         with pytest.raises((SpecError, ConstraintError)):
-            enumerate_satisfying(m, bad)
+            _oracle_members(m, bad)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -478,6 +485,11 @@ def test_time_and_iteration_limits_are_validated(method):
         {"time_limit": -1.0},
         {"time_limit": -1e-9},
         {"time_limit": "3"},
+        # a bool is an Integral, yet neither a count nor a duration
+        {"max_iters": True},
+        {"max_iters": False},
+        {"time_limit": True},
+        {"time_limit": False},
     ):
         with pytest.raises(SpecError):
             synthesize(m, spec, method=method, **limits)
@@ -503,6 +515,7 @@ def test_iteration_limit_raises():
         synthesize(m, stubborn, max_iters=1)
     stats = getattr(e.value, "stats", None)
     assert stats is not None and stats["iterations"] >= 1
+    assert stats["verdict"] == "unknown" and stats["limit"] == "iteration limit 1 reached"
 
 
 def test_time_limit_raises():
@@ -510,8 +523,9 @@ def test_time_limit_raises():
     stubborn = parse_spec(
         "exists sigma : forall s in {0} [sigma] : P(s, F target) = 0.55 ~0.000001"
     )
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded) as e:
         synthesize(m, stubborn, time_limit=0.0)
+    assert e.value.stats["limit"] == "time limit 0.0s exceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +733,7 @@ def test_analysing_every_box_agrees_with_the_oracle_on_two_cone_instances(
         m, spec = two_cone_instance(seed, controllers, tie)
         if build_parameter_space(m, spec.n_controllers, spec.constraints).family_size() > 300:
             continue
-        want = enumerate_satisfying(m, spec)
+        want = _oracle_members(m, spec)
         for method in ("ar", "hybrid"):
             out = synthesize(m, spec, method=method)
             assert out.feasible == bool(want), (seed, method)
@@ -872,6 +886,27 @@ def test_stats_count_analyses():
     assert out.stats["analyses"] == out.stats["settling_analyses"] == 0
 
 
+def test_the_analysis_that_finds_the_outcome_is_counted():
+    # the root's analysis finds the witness: one refinement step, one
+    # analysis, and it settles
+    m, spec = generate("thread-scheduling")
+    out = synthesize(m, spec, method="ar")
+    assert out.feasible and out.stats["iterations"] == 1
+    assert out.stats["analyses"] == out.stats["settling_analyses"] == 1
+
+
+def test_a_limit_inside_an_analysis_counts_it():
+    # the root's analysis joins the family, and the limit stops the first
+    # factor's table checks inside it
+    m, spec = generate("thread-scheduling", h1=4, h2=8)
+    with pytest.raises(LimitExceeded) as e:
+        synthesize(m, spec, mode="complete", method="ar", max_iters=50)
+    stats = e.value.stats
+    assert stats["factors"] == 2 and stats["enumerated_members"] == 49
+    assert stats["analyses"] == 1 and stats["settling_analyses"] == 0
+    assert stats["limit"] == "iteration limit 50 reached"
+
+
 def _always_enumerate(monkeypatch):
     """Make every box past the root cheap enough to enumerate; the returned
     list collects the boxes the loop hands to the enumerator."""
@@ -906,7 +941,7 @@ def test_enumerated_boxes_keep_answers_on_random_instances(monkeypatch):
     _always_enumerate(monkeypatch)
     for seed in range(40):
         m, spec = random_instance(seed)
-        want = enumerate_satisfying(m, spec)
+        want = _oracle_members(m, spec)
         for method in ("ar", "hybrid"):
             out = synthesize(m, spec, mode="complete", method=method)
             got = sorted(r for b in out.satisfying for r in product(*b.domains))
@@ -947,7 +982,7 @@ def test_time_limit_can_stop_an_enumerated_box(monkeypatch):
     assert seen[0].size() > 2 * chunk and len(batches) == 2
     assert stats["enumerated_members"] == stats["explored"] == chunk
     assert stats["iterations"] == 1 + chunk  # the root's analysis, then one chunk
-    want = set(enumerate_satisfying(m, spec))
+    want = set(_oracle_members(m, spec))
     assert stats["satisfying_count"] == sum(r in want for r in islice(product(*seen[0].domains), chunk))
     assert set(stats) == set(base.stats)
 
@@ -1050,7 +1085,7 @@ def test_complete_joins_agree_with_the_oracle_on_two_cone_instances(controllers,
     joined = 0
     for seed in range(60):
         m, spec = two_cone_instance(seed, controllers, tie)
-        want = enumerate_satisfying(m, spec)
+        want = _oracle_members(m, spec)
         for method in ("ar", "hybrid"):
             out = synthesize(m, spec, mode="complete", method=method)
             got = [r for box in out.satisfying for r in product(*box.domains)]
@@ -1114,7 +1149,7 @@ def test_joined_satisfying_sets_agree_with_the_oracle(monkeypatch, controllers, 
     joined = 0
     for seed in range(60):
         m, spec = two_cone_instance(seed, controllers, tie)
-        want = enumerate_satisfying(m, spec)
+        want = _oracle_members(m, spec)
         out = synthesize(m, spec, mode="complete")
         if not out.stats["factors"]:
             continue
@@ -1155,7 +1190,7 @@ def _two_binary_families(k: int):
 
 def test_a_join_whose_tables_repeat_no_row():
     m, spec = _two_binary_families(4)
-    want = enumerate_satisfying(m, spec)
+    want = _oracle_members(m, spec)
     out = synthesize(m, spec, mode="complete")
     (join,) = out.satisfying.parts
     assert out.stats["factors"] == 2 and join.held.shape == (16, 16)
@@ -1230,7 +1265,8 @@ def test_a_join_whose_value_classes_pass_the_memory_bound_is_refined(monkeypatch
 
 def test_an_oracle_answer_is_its_members_as_boxes_of_one():
     m, spec = generate("thread-scheduling", h1=2, h2=3)
-    want = enumerate_satisfying(m, spec)
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    want = list(satisfying_realisations(m, space, instantiate(spec, m)))
     out = synthesize(m, spec, mode="complete", method="oracle")
     answer = out.satisfying
     assert [box.domains for box in answer.boxes()] == [tuple((a,) for a in r) for r in want]
@@ -1310,7 +1346,7 @@ def test_satisfying_members_follow_the_boxes():
     kinds = set()
     cases = [two_cone_instance(seed, 1) for seed in range(20)] + [random_instance(seed) for seed in range(40)]
     for m, spec in cases:
-        want = enumerate_satisfying(m, spec)
+        want = _oracle_members(m, spec)
         out = synthesize(m, spec, mode="complete")
         got = list(out.satisfying.members())
         assert got == [r for box in out.satisfying.boxes() for r in product(*box.domains)]
@@ -1318,7 +1354,7 @@ def test_satisfying_members_follow_the_boxes():
         kinds.add(out.stats["factors"] > 0)
     assert kinds == {False, True}
     m, spec = generate("timing-attack", n=6)
-    assert list(synthesize(m, spec, mode="complete").satisfying.members()) == enumerate_satisfying(m, spec)
+    assert list(synthesize(m, spec, mode="complete").satisfying.members()) == _oracle_members(m, spec)
 
 
 def test_a_join_past_its_memory_bound_is_refined(monkeypatch):
