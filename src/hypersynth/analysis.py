@@ -1,10 +1,10 @@
 """Model checking of reachability and expected reward, for MCs and MDPs.
 
 Markov chains are solved directly: a chain is an MDP with one action per
-state, as `impose` builds it, so its qualitative sets come from the MDPs'
-bitmask fixpoints, and its quantities from dense linear solves, exact up to
-machine precision.  The chain solvers raise ModelError on a state with
-more than one action.
+state, as `impose` builds it, so its qualitative sets are the MDPs'
+maximal ones on its one action (`_chain_sets`), and its quantities come
+from dense linear solves, exact up to machine precision.  The chain
+solvers raise ModelError on a state with more than one action.
 MDP extrema (min/max over all controllers) use qualitative precomputation
 followed by policy iteration on the remaining states, so the values
 returned are those of the witness policy, each from one dense linear solve.
@@ -41,11 +41,12 @@ cycles and value-preserving loops are never entered.  The final policy is
 the witness.
 
 Members of a controller family are checked in batches on a model compiled
-together with the formula (`compile_model`, `check_members`), in chunks of
-CHUNK_BYTES per stack of chains.  Compiling works out the formula's query
-groups once, its solve plan: the reach queries of a slot whose targets are
-closed (no action leaves them) and pairwise disjoint share one system, with
-one right-hand side per target; every other query is a group of its own.
+together with the formula (`compile_model`, `check_members`), in chunks
+whose systems take at most CHUNK_BYTES.  Compiling works out the
+formula's query groups once, its solve plan: the reach queries of a slot
+whose targets are closed (no action leaves them) and pairwise disjoint
+share one system, with one right-hand side per target; every other query
+is a group of its own.
 A batch takes its members as one (members x classes) array of action
 ordinals and takes their chains' action rows, one (chains x states) array
 per controller slot the plan uses.  A slot that leaves out some class
@@ -88,6 +89,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -138,8 +140,13 @@ def solve_count() -> int:
 
 
 def _target_states(model, target) -> frozenset[int]:
-    states = frozenset(target)
+    try:
+        states = frozenset(target)
+    except TypeError:
+        raise ModelError(f"target {target!r} is not a set of states") from None
     for s in states:
+        if not isinstance(s, Integral):
+            raise ModelError(f"target state {s!r} is not an integer")
         if not (0 <= s < model.num_states):
             raise ModelError(f"target state {s} out of range")
     return states
@@ -384,15 +391,15 @@ def _chain_rows(mc: Mdp) -> RowTable:
     return RowTable(mc.num_states, tuple((_row_mask(menu[0]),) for menu in mc.trans), (), ())
 
 
-def _chain_can_reach(mc: Mdp, t) -> list[int]:
-    """The states outside the target t that can reach it in the chain, in
-    ascending order: those outside extremal_reach's prob0, on the chain's
-    one action."""
+def _chain_sets(mc: Mdp, t: int) -> tuple[int, int]:
+    """(can, almost): the states of the chain that reach the target t, a
+    bitmask, with positive probability and almost surely, the target
+    included, as bitmasks: the complement of extremal_reach's prob0 and its
+    prob1, on the chain's one action."""
 
-    rows, inside = _chain_rows(mc), _mask(t)
-    only = [(0,)] * mc.num_states
-    can, _, _ = _attractor(inside, _some_action_enters(rows, only), rows.everything)
-    return _states(can & ~inside)
+    rows = _chain_rows(mc)
+    prob0, prob1, _ = _qualitative(rows, [(0,)] * mc.num_states, t, "max")
+    return rows.everything & ~prob0, prob1
 
 
 def _chain_closures(mc: Mdp):
@@ -422,7 +429,8 @@ def reach_probs(mc: Mdp, target) -> np.ndarray:
     out = np.zeros(n)
     for s in t:
         out[s] = 1.0
-    mid = _chain_can_reach(mc, t)
+    inside = _mask(t)
+    mid = _states(_chain_sets(mc, inside)[0] & ~inside)
     if not mid:
         return out
     idx = {s: i for i, s in enumerate(mid)}
@@ -456,7 +464,7 @@ def expected_reward(mc: Mdp, target) -> np.ndarray:
     for s in t:
         out[s] = 0.0
     inside = _mask(t)
-    mid = _states(_prob1_max(_chain_rows(mc), [(0,)] * n, inside)[0] & ~inside)
+    mid = _states(_chain_sets(mc, inside)[1] & ~inside)
     if not mid:
         return out
     idx = {s: i for i, s in enumerate(mid)}
@@ -696,9 +704,10 @@ def check_mc(mcs, formula: InstantiatedFormula) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Batched member checks on a compiled model
 
-# Bytes of one (members x states x states) float64 stack of chains.  The
-# number of members checked per batch is derived from it, so memory stays
-# flat whatever the family's size; larger stacks raised the peak resident
+# Bytes that sets the members checked per batch: CHUNK_BYTES // (8 x
+# states**2).  _solve's systems, (members x live x live) float64 arrays with
+# at most states**2 entries per member, then stay within it, so memory stays
+# flat whatever the family's size; larger batches raised the peak resident
 # memory of the benchmark's oracle workload without making it faster.
 CHUNK_BYTES = 1 << 18
 
@@ -707,9 +716,8 @@ CHUNK_BYTES = 1 << 18
 class _Group:
     """Queries of one kind and slot that a batch answers with one counted
     solve, one system per chain: one target, or several closed and pairwise
-    disjoint reach targets.  masks[k] marks the states of target k and
-    inside those of every target; into[r, k] is the probability of stepping
-    from row r into target k.
+    disjoint reach targets.  masks[k] marks the states of target k; into[r,
+    k] is the probability of stepping from row r into target k.
 
     The rest bounds the live states of every chain the MDP has, from its
     graph (_bounds): sure[k] marks the states that reach target k with
@@ -723,12 +731,17 @@ class _Group:
     slot: int
     targets: tuple[str, ...]
     masks: np.ndarray
-    inside: np.ndarray
     into: np.ndarray
     sure: np.ndarray
     undetermined: np.ndarray
     sure_as: np.ndarray | None
     undetermined_as: np.ndarray | None
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        """The states of every target."""
+
+        return self.masks.any(axis=0)
 
     @cached_property
     def free(self) -> np.ndarray:
@@ -771,7 +784,8 @@ class CompiledModel:
 
     @property
     def chunk(self) -> int:
-        """Members per batch: chain stacks of about CHUNK_BYTES each."""
+        """Members per batch: so many that their systems, at most states**2
+        floats each, take at most CHUNK_BYTES."""
 
         return max(1, CHUNK_BYTES // (8 * self.num_states**2))
 
@@ -863,9 +877,7 @@ def _solve_plan(m: Mdp, table: RowTable, probs, edges, row_state, formula) -> tu
         sure = np.stack([bounds[t][0] for t in targets])
         undetermined = np.stack([bounds[t][1] for t in targets])
         sure_as, undetermined_as = bounds[targets[0]][2:] if kind == "reward" else (None, None)
-        plan.append(
-            _Group(kind, slot, targets, own, own.any(axis=0), stacked, sure, undetermined, sure_as, undetermined_as)
-        )
+        plan.append(_Group(kind, slot, targets, own, stacked, sure, undetermined, sure_as, undetermined_as))
     return tuple(plan)
 
 
@@ -1041,7 +1053,10 @@ def check_members(cm: CompiledModel, realisations) -> MemberChecks:
 
     formula = cm.formula
     atoms = formula.atoms
-    size = len(realisations)
+    try:
+        size = len(realisations)
+    except TypeError:
+        raise InvalidControllerError(f"realisations must be a sequence, not {realisations!r}") from None
     values = np.empty((size, len(atoms), 2))
     if not size:
         empty = np.zeros((0, len(atoms)), dtype=bool)
@@ -1143,7 +1158,6 @@ def restrict_to_cones(cm: CompiledModel, sides) -> CompiledModel:
         replace(
             g,
             masks=g.masks[:, states],
-            inside=g.inside[states],
             into=g.into[rows],
             sure=g.sure[:, states],
             undetermined=g.undetermined[:, states],

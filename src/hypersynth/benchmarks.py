@@ -311,25 +311,24 @@ def timing_attack(n: int = 4) -> tuple[Mdp, HyperSpec]:
 # registry
 
 
+_MAKERS = {
+    "knuth-yao-pc": knuth_yao_pc,
+    "maze-sd": maze_sd,
+    "thread-scheduling": thread_scheduling,
+    "timing-attack": timing_attack,
+}
+
+BENCHMARKS = tuple(_MAKERS)
+
+
 def generate(bench: str, **params) -> tuple[Mdp, HyperSpec]:
     """Instantiate a named benchmark.  Unknown names or parameters raise
     SpecError with the valid choices."""
 
-    makers = {
-        "knuth-yao-pc": knuth_yao_pc,
-        "maze-sd": maze_sd,
-        "thread-scheduling": thread_scheduling,
-        "timing-attack": timing_attack,
-    }
-    maker = makers.get(bench)
+    maker = _MAKERS.get(bench)
     if maker is None:
-        raise SpecError(
-            f"unknown benchmark {bench!r}; choose one of {', '.join(sorted(makers))}"
-        )
+        raise SpecError(f"unknown benchmark {bench!r}; choose one of {', '.join(sorted(_MAKERS))}")
     try:
         return maker(**params)
     except TypeError as e:
         raise SpecError(f"bad parameters for {bench}: {e}")
-
-
-BENCHMARKS = ("knuth-yao-pc", "maze-sd", "thread-scheduling", "timing-attack")

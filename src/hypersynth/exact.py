@@ -6,13 +6,16 @@ yields the mathematically exact answer for the chain as stored.  Quadratic
 memory and cubic time in rationals: intended for models of around ten
 states, not for production checking.  Inputs, chains of one action per
 state as `impose` builds them, are checked as the float solvers check them.
+The qualitative sets are exact graph computations, so each system's live
+states come from the float module's fixpoints (`_chain_sets`,
+`_chain_closures`); reachability and reward share one solve (`_solve_chain`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import _chain_can_reach, _chain_closures, _target_states
+from .analysis import _chain_closures, _chain_sets, _mask, _states, _target_states
 from .errors import MissingRewardsError, ModelError
 from .model import Mdp
 
@@ -44,30 +47,33 @@ def _rows(mc: Mdp):
     return [[(t, Fraction(p)) for t, p in menu[0]] for menu in mc.trans]
 
 
+def _solve_chain(rows, mid, b, out) -> None:
+    """Solve x = P x + b on the chain's states mid, ascending, into out at
+    mid: rows are the chain's rows as _rows gives them, and b has one entry
+    per state of mid."""
+
+    idx = {s: i for i, s in enumerate(mid)}
+    a = [[Fraction(1 if i == j else 0) for j in range(len(mid))] for i in range(len(mid))]
+    for s in mid:
+        for succ, p in rows[s]:
+            if succ in idx:
+                a[idx[s]][idx[succ]] -= p
+    for s, x in zip(mid, solve_fractions(a, b)):
+        out[s] = x
+
+
 def reach_probs_exact(mc: Mdp, target) -> list[Fraction]:
     """Exact reachability probabilities of the chain as stored."""
 
     t = _target_states(mc, target)
-    rows = _rows(mc)
-    n = mc.num_states
-    out = [Fraction(0)] * n
+    out = [Fraction(0)] * mc.num_states
     for s in t:
         out[s] = Fraction(1)
-    mid = _chain_can_reach(mc, t)
-    if not mid:
-        return out
-    idx = {s: i for i, s in enumerate(mid)}
-    a = [[Fraction(1 if i == j else 0) for j in range(len(mid))] for i in range(len(mid))]
-    b = [Fraction(0)] * len(mid)
-    for s in mid:
-        for succ, p in rows[s]:
-            if succ in t:
-                b[idx[s]] += p
-            elif succ in idx:
-                a[idx[s]][idx[succ]] -= p
-    x = solve_fractions(a, b)
-    for s in mid:
-        out[s] = x[idx[s]]
+    inside = _mask(t)
+    mid = _states(_chain_sets(mc, inside)[0] & ~inside)
+    rows = _rows(mc)
+    b = [sum((p for succ, p in rows[s] if succ in t), Fraction(0)) for s in mid]
+    _solve_chain(rows, mid, b, out)
     return out
 
 
@@ -78,25 +84,12 @@ def expected_reward_exact(mc: Mdp, target):
     if mc.rewards is None:
         raise MissingRewardsError("no rewards")
     t = _target_states(mc, target)
-    reach = reach_probs_exact(mc, target)
-    n = mc.num_states
-    out: list[Fraction | None] = [None] * n
+    out: list[Fraction | None] = [None] * mc.num_states
     for s in t:
         out[s] = Fraction(0)
-    mid = sorted(s for s in range(n) if s not in t and reach[s] == 1)
-    if not mid:
-        return out
-    rows = _rows(mc)
-    idx = {s: i for i, s in enumerate(mid)}
-    a = [[Fraction(1 if i == j else 0) for j in range(len(mid))] for i in range(len(mid))]
-    b = [Fraction(mc.rewards[s][0]) for s in mid]
-    for s in mid:
-        for succ, p in rows[s]:
-            if succ in idx:
-                a[idx[s]][idx[succ]] -= p
-    x = solve_fractions(a, b)
-    for s in mid:
-        out[s] = x[idx[s]]
+    inside = _mask(t)
+    mid = _states(_chain_sets(mc, inside)[1] & ~inside)
+    _solve_chain(_rows(mc), mid, [Fraction(mc.rewards[s][0]) for s in mid], out)
     return out
 
 
@@ -108,8 +101,6 @@ def expected_visits_exact(mc: Mdp, from_state: int):
     n = mc.num_states
     if not (0 <= from_state < n):
         raise ModelError(f"state {from_state} out of range")
-    # the qualitative sets are exact graph computations, so the bitmask
-    # fixpoints the float module runs on chains and MDPs serve here too
     reach, bottoms = _chain_closures(mc)
     reachable = reach[from_state]
     rows = _rows(mc)

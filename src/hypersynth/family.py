@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 from numbers import Integral
 
-from .errors import ConstraintError, ModelError, SpecError
+from .errors import ConstraintError, InvalidControllerError, ModelError, SpecError
 from .model import Controller, Mdp
 from .specs import Same, check_constraint
 
@@ -60,7 +60,10 @@ class ParameterSpace:
         return len(self.domains)
 
     def class_index(self, controller: int, state: int) -> int:
-        return self.class_of[(controller, state)]
+        try:
+            return self.class_of[(controller, state)]
+        except KeyError:
+            raise ModelError(f"no controller {controller!r} state {state!r} in the family") from None
 
     def family_size(self) -> int:
         return prod(len(d) for d in self.domains)
@@ -167,6 +170,10 @@ def root_node(space: ParameterSpace) -> FamilyNode:
 def induce(space: ParameterSpace, realisation, controller: int) -> Controller:
     """The controller a realisation induces for one controller index."""
 
+    if len(realisation) != space.n_classes:
+        raise InvalidControllerError(
+            f"realisation has {len(realisation)} actions, the family {space.n_classes} classes"
+        )
     choices = tuple(
         realisation[space.class_index(controller, s)] for s in range(space.num_states)
     )
@@ -243,6 +250,8 @@ def split_node(node: FamilyNode, k: int, actions) -> list[FamilyNode]:
     the parent exactly, and any controller using two of the listed actions
     on class-k states is excluded from every child."""
 
+    if not (isinstance(k, Integral) and 0 <= k < len(node.domains)):
+        raise ModelError(f"no class {k!r} in the node")
     acts = sorted(set(actions))
     domain = node.domains[k]
     if any(a not in domain for a in acts):

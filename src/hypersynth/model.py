@@ -145,12 +145,18 @@ def _row(entries, n: int, s: int, a: int) -> Row:
     the entry that breaks the row."""
 
     dist = {}
-    for t, p in entries:
-        if t in dist:
-            raise ModelError(
-                f"duplicate successor {t} in state {s} action {a}", ("trans", s, a, t)
-            )
-        dist[t] = p
+    try:
+        for t, p in entries:
+            if t in dist:
+                raise ModelError(
+                    f"duplicate successor {t} in state {s} action {a}", ("trans", s, a, t)
+                )
+            dist[t] = p
+    except (TypeError, ValueError):  # not pairs, or an unhashable successor
+        raise ModelError(
+            f"row {entries!r} of state {s} action {a} is not (successor, probability) pairs",
+            ("trans", s, a),
+        ) from None
     row = {}
     for t, p in dist.items():
         where = ("trans", s, a, t)
@@ -171,7 +177,11 @@ def _table(table, rows, what: str, default) -> list:
     the others; a nested table must match the menus."""
 
     if not isinstance(table, dict):
-        if [len(row) for row in table] != [len(menu) for menu in rows]:
+        try:
+            shape = [len(row) for row in table]
+        except TypeError:
+            shape = None
+        if shape != [len(menu) for menu in rows]:
             raise ModelError(f"{what!r} table does not match the action menus", (what,))
         return table
     pairs = {(s, a) for s, menu in enumerate(rows) for a in range(len(menu))}
@@ -180,6 +190,15 @@ def _table(table, rows, what: str, default) -> list:
             where = (what, *key) if isinstance(key, tuple) else (what, key)
             raise ModelError(f"{what!r} key {key!r} names no action of the model", where)
     return [[table.get((s, a), default) for a in range(len(menu))] for s, menu in enumerate(rows)]
+
+
+def _items(x, what: str, where) -> list:
+    """The items of x, the states, actions or label states that what names."""
+
+    try:
+        return list(x)
+    except TypeError:
+        raise ModelError(f"{what} must be a sequence, not {x!r}", where) from None
 
 
 def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
@@ -195,26 +214,33 @@ def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
     names that pass check_name (an action may have None, no name).  A
     violation raises ModelError with where ("state", s), ("trans", s, a, t),
     ("trans", s, a), ("label", name), ("label", name, s), ("rew", s, a),
-    ("action", s, a), or ("rew",) or ("action",) for a nested table of the
-    wrong shape.
+    ("action", s, a), ("trans",) or ("label",) for trans or labels of the
+    wrong kind, or ("rew",) or ("action",) for a nested table of the wrong
+    shape.
     """
 
+    trans = _items(trans, "model", ("trans",))
     n = len(trans)
     if n == 0:
         raise ModelError("model needs at least one state", ("state", 0))
     rows = []
     for s, menu in enumerate(trans):
+        menu = _items(menu, f"state {s}'s actions", ("state", s))
         if len(menu) == 0:
             raise ModelError(f"state {s} has no actions", ("state", s))
         rows.append(tuple(_row(entries, n, s, a) for a, entries in enumerate(menu)))
 
-    labels = dict(labels or {})
+    try:
+        labels = dict(labels or {})
+    except (TypeError, ValueError):
+        raise ModelError(f"labels {labels!r} are not a mapping of names to states", ("label",)) from None
     for name in labels:
         check_name(name, ("label", name))
-    label_out = tuple(
-        (name, frozenset(_index(x, n, f"label {name!r} state", ("label", name, x)) for x in states))
-        for name, states in sorted(labels.items())
-    )
+    label_out = []
+    for name, states in sorted(labels.items()):
+        states = _items(states, f"label {name!r} states", ("label", name))
+        states = frozenset(_index(x, n, f"label {name!r} state", ("label", name, x)) for x in states)
+        label_out.append((name, states))
 
     rew_out = None
     if rewards is not None:
@@ -230,7 +256,7 @@ def make_mdp(trans, labels=None, rewards=None, action_names=None) -> Mdp:
         )
         if all(nm is None for row in names_out for nm in row):
             names_out = None
-    return Mdp(n, tuple(rows), label_out, rew_out, names_out)
+    return Mdp(n, tuple(rows), tuple(label_out), rew_out, names_out)
 
 
 # -- operations ------------------------------------------------------------
@@ -262,6 +288,19 @@ def impose(m: Mdp, controller: Controller) -> Mdp:
     return Mdp(m.num_states, pick(m.trans), m.labels, pick(m.rewards), names)
 
 
+def check_memory_bits(bits) -> int:
+    """bits, checked as a number of memory bits to unfold: an int but not a
+    bool, from 0 to MEMORY_BITS_CAP; else ModelError."""
+
+    if not isinstance(bits, int) or isinstance(bits, bool):
+        raise ModelError(f"memory bits {bits!r} is not an integer")
+    if bits < 0:
+        raise ModelError("memory bits must be nonnegative")
+    if bits > MEMORY_BITS_CAP:
+        raise ModelError(f"memory bits {bits} above cap {MEMORY_BITS_CAP}")
+    return bits
+
+
 def unfold_memory(m: Mdp, bits: int) -> Mdp:
     """Product of the MDP with a free finite memory of 2**bits cells.
 
@@ -271,13 +310,7 @@ def unfold_memory(m: Mdp, bits: int) -> Mdp:
     at cell 0 by convention of the callers.
     """
 
-    if not isinstance(bits, int):
-        raise ModelError(f"memory bits {bits!r} is not an integer")
-    if bits < 0:
-        raise ModelError("memory bits must be nonnegative")
-    if bits > MEMORY_BITS_CAP:
-        raise ModelError(f"memory bits {bits} above cap {MEMORY_BITS_CAP}")
-    if bits == 0:
+    if check_memory_bits(bits) == 0:
         return m
     k = 1 << bits
 

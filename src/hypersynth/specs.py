@@ -18,6 +18,7 @@ from math import isfinite
 from numbers import Integral, Real
 
 from .errors import SpecError
+from .model import check_memory_bits
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -118,6 +119,8 @@ def validate_spec(spec: HyperSpec) -> None:
     paired with a model.
     """
 
+    if not isinstance(spec, HyperSpec):
+        raise SpecError(f"a specification must be a HyperSpec, not {spec!r}")
     for part in ("controller_names", "constraints", "quantifiers"):
         if not isinstance(getattr(spec, part), tuple):
             raise SpecError(f"{part} must be a tuple, not {getattr(spec, part)!r}")
@@ -231,9 +234,10 @@ def lift_spec_memory(spec: HyperSpec, bits: int) -> HyperSpec:
     constraints replicate across every memory value so the structural
     requirements bind each copy the way they bound the original.  Labels
     are lifted by the unfolding itself, so atoms pass through unchanged.
+    bits is checked as unfold_memory checks it.
     """
 
-    if bits <= 0:
+    if check_memory_bits(bits) == 0:
         return spec
     w = 1 << bits
     quants = tuple(

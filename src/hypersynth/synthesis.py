@@ -115,7 +115,7 @@ from .analysis import (
     solve_count,
 )
 from .counterexamples import CeSide, complement_boxes, conflict_classes, grow_conflict
-from .errors import LimitExceeded, SpecError
+from .errors import LimitExceeded, ModelError, SpecError
 from .family import (
     EMPTY_ASSIGNMENT,
     FamilyNode,
@@ -174,6 +174,8 @@ def instantiate(spec: HyperSpec, m: Mdp) -> InstantiatedFormula:
     first-occurrence order.
     """
 
+    if not isinstance(m, Mdp):
+        raise ModelError(f"a model must be an Mdp, not {m!r}")
     validate_spec(spec)
     check_against_model(spec, m)
 
@@ -357,18 +359,15 @@ class NodeAnalyzer:
             for k, acts in conflicts.items():
                 conflict_actions[k] = tuple(sorted(set(conflict_actions.get(k, ())) | set(acts)))
 
-        # margin requirements: a strict atom's candidate must be able to
-        # satisfy strictly, not just touch the bound
-        def sat_possible(a, b):
-            return a < b if atom.strict else a <= b
-
         tag = "0"
         candidates: tuple[PartialAssignment, ...] = ()
         disagreements: tuple[tuple[int, int, int], ...] = ()
         box_l, box_r = boxes
-        cond5 = lo_r + off <= lo_l <= hi_r + off <= hi_l and sat_possible(lo_l, hi_r + off)
-        cond3 = sat_possible(lo_l, lo_r + off)
-        cond4 = sat_possible(hi_l, hi_r + off)
+        # a strict atom's candidate must be able to satisfy it strictly, not
+        # just touch the bound
+        cond5 = lo_r + off <= lo_l <= hi_r + off <= hi_l and atom.holds(lo_l, hi_r)
+        cond3 = atom.holds(lo_l, lo_r)
+        cond4 = atom.holds(hi_l, hi_r)
         if cond5 and box_l is not None and box_r is not None:
             merged = box_l.merge(box_r)
             if merged is not None:
@@ -403,10 +402,23 @@ class NodeAnalyzer:
         return {k: len(acts) for k, acts in verdict.conflict_actions.items()}
 
 
+def _capped(items) -> list:
+    """The distinct items, in order, up to COMPOSE_CAP of them; items is
+    read no further than the last one kept."""
+
+    out = []
+    for item in items:
+        if item not in out:
+            out.append(item)
+            if len(out) == COMPOSE_CAP:
+                break
+    return out
+
+
 def _compose(residual, verdicts):
     """Candidate sub-boxes whose members plausibly satisfy the residual, an
     atom or an and/or node with no constant inside: conjunctions merge
-    compatible candidates, disjunctions concatenate."""
+    compatible candidates, disjunctions concatenate, each capped."""
 
     tag = residual[0]
     if tag == "atom":
@@ -414,28 +426,13 @@ def _compose(residual, verdicts):
     if tag == "and":
         acc = [EMPTY_ASSIGNMENT]
         for child in residual[1]:
-            step = []
-            for pa in acc:
-                for cb in _compose(child, verdicts):
-                    merged = pa.merge(cb)
-                    if merged is not None and merged not in step:
-                        step.append(merged)
-                    if len(step) >= COMPOSE_CAP:
-                        break
-                if len(step) >= COMPOSE_CAP:
-                    break
-            if not step:
+            kids = _compose(child, verdicts)
+            acc = _capped(m for pa in acc for cb in kids if (m := pa.merge(cb)) is not None)
+            if not acc:
                 return []
-            acc = step
-        return acc[:COMPOSE_CAP]
-    out = []  # tag == "or"
-    for child in residual[1]:
-        for cb in _compose(child, verdicts):
-            if cb not in out:
-                out.append(cb)
-        if len(out) >= COMPOSE_CAP:
-            break
-    return out[:COMPOSE_CAP]
+        return acc
+    # tag == "or"
+    return _capped(cb for child in residual[1] for cb in _compose(child, verdicts))
 
 
 # ---------------------------------------------------------------------------

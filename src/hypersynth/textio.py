@@ -321,6 +321,15 @@ class _SpecParser:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == s
 
+    def separated(self, item, sep) -> list:
+        """item (sep item)*: the items that item() parses, in order."""
+
+        out = [item()]
+        while self.at_sym(sep):
+            self.take()
+            out.append(item())
+        return out
+
     def checked(self, rule, item, context, tok):
         """The item, once the specs rule passes it with the context; a
         failure is reported at tok, the item's first token."""
@@ -335,38 +344,28 @@ class _SpecParser:
 
     def spec(self) -> HyperSpec:
         self.ident("exists")
-        names = []
-        while True:
+        index: dict[str, int] = {}
+
+        def name():
             tok = self.ident()
             if tok.text in _RESERVED:
                 self.fail(f"{tok.text!r} is reserved", tok)
-            if tok.text in names:
+            if tok.text in index:
                 self.fail(f"duplicate controller name {tok.text!r}", tok)
-            names.append(tok.text)
-            if not self.at_sym(","):
-                break
-            self.take()
+            index[tok.text] = len(index)
+            return tok.text
+
+        names = self.separated(name, ",")
         self.sym(":")
-        index = {nm: i for i, nm in enumerate(names)}
 
         constraints = []
         nxt = self.peek()
         if nxt.kind == "ident" and nxt.text in ("same", "obs"):
-            while True:
-                constraints.append(self.constraint(index))
-                if self.at_sym("&"):
-                    self.take()
-                    continue
-                break
+            constraints = self.separated(lambda: self.constraint(index), "&")
             self.sym(";")
 
-        quants = []
         vars_seen: dict[str, _Tok] = {}
-        while True:
-            quants.append(self.quantifier(index, vars_seen))
-            if not self.at_sym(","):
-                break
-            self.take()
+        quants = self.separated(lambda: self.quantifier(index, vars_seen), ",")
         self.sym(":")
 
         formula = self.disj(set(vars_seen), 0)
@@ -383,17 +382,14 @@ class _SpecParser:
         return index[tok.text]
 
     def int_list(self, what) -> tuple[int, ...]:
-        self.sym("{")
-        out = []
-        while True:
+        def item():
             tok = self.take()
             if tok.kind != "number" or not tok.text.isdigit():
                 self.fail(f"expected {what}, got {tok.text or 'end of input'!r}", tok)
-            out.append(int(tok.text))
-            if self.at_sym(","):
-                self.take()
-                continue
-            break
+            return int(tok.text)
+
+        self.sym("{")
+        out = self.separated(item, ",")
         self.sym("}")
         return tuple(out)
 
@@ -406,10 +402,7 @@ class _SpecParser:
                 self.fail("same() expects a state index", stok)
             self.sym(",")
             self.sym("{")
-            ctrls = [self.controller_ref(index)]
-            while self.at_sym(","):
-                self.take()
-                ctrls.append(self.controller_ref(index))
+            ctrls = self.separated(lambda: self.controller_ref(index), ",")
             self.sym("}")
             self.sym(")")
             c = Same(int(stok.text), tuple(ctrls))

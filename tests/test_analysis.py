@@ -29,8 +29,8 @@ from hypersynth import (
 from hypersynth import analysis
 from hypersynth.analysis import (
     INF,
-    _chain_can_reach,
     _chain_closures,
+    _chain_sets,
     _mask,
     _prob1_max,
     _qualitative,
@@ -411,7 +411,7 @@ def test_chain_solvers_reject_a_state_with_two_actions():
         lambda: reach_probs_exact(m, target),
         lambda: expected_reward_exact(m, target),
         lambda: expected_visits_exact(m, 0),
-        lambda: _chain_can_reach(m, target),
+        lambda: _chain_sets(m, _mask(target)),
         lambda: _chain_closures(m),
     )
     for call in calls:
@@ -486,6 +486,37 @@ def test_almost_sure_reach_matches_definition():
         }
         sure, _ = _prob1_max(row_table(mc), [(0,)] * mc.num_states, _mask(t))
         assert set(_states(sure)) == want, seed
+
+
+def test_chain_sets_match_definition():
+    # the live states of the chain solvers: s reaches t with positive
+    # probability iff a path from s meets t, and almost surely as
+    # _almost_surely defines it
+    for seed in range(400):
+        rng = random.Random(seed)
+        mc = _random_graph_mc(rng)
+        t = frozenset(rng.sample(range(mc.num_states), rng.randint(0, mc.num_states)))
+        can, almost = _chain_sets(mc, _mask(t))
+        assert set(_states(can)) == {s for s in range(mc.num_states) if _reach(mc, s) & t}, seed
+        assert set(_states(almost)) == _almost_surely(mc, t), seed
+
+
+def test_exact_reward_is_finite_exactly_where_exact_reach_is_one():
+    # expected_reward_exact solves on the graph's almost-sure states; the
+    # exact reach probabilities stay the reference for them
+    counts = {True: 0, False: 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        mc = _random_graph_mc(rng)
+        mc = replace(mc, rewards=tuple((rng.randint(0, 3) / 2,) for _ in range(mc.num_states)))
+        t = frozenset(rng.sample(range(mc.num_states), rng.randint(0, mc.num_states // 2)))
+        reach = reach_probs_exact(mc, t)
+        reward = expected_reward_exact(mc, t)
+        for s in range(mc.num_states):
+            finite = reward[s] is not None
+            assert finite == (reach[s] == 1), (seed, s)
+            counts[finite] += s not in t
+    assert min(counts.values()) > 200, counts
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +680,8 @@ def test_check_members_solve_live_sets_of_every_size():
     )
     compiled = compile_model(m, space, formula)
     members = np.array(list(product(*space.domains)), dtype=np.intp)
-    live = {
-        len(_chain_can_reach(impose(m, induce(space, tuple(real), 0)), frozenset({3}))) for real in members
-    }
+    chains = [impose(m, induce(space, tuple(real), 0)) for real in members]
+    live = {len(_states(_chain_sets(mc, _mask({3}))[0])) - 1 for mc in chains}
     assert live == {0, 1, 2, 3}
     before = solve_count()
     got = check_members(compiled, members)
@@ -705,7 +735,7 @@ def test_every_chain_lives_within_the_bounds_of_its_groups():
                     bounds = _group_sets(g, k)
                     sure, undetermined = bounds[:2]
                     assert not sure & undetermined, (seed, g.targets)
-                    can = set(_chain_can_reach(mc, t)) | t
+                    can = set(_states(_chain_sets(mc, _mask(t))[0]))
                     assert sure <= can <= sure | undetermined, (seed, real, name)
                     seen["grown"] += can != sure
                     seen["chains"] += 1

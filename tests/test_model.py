@@ -10,6 +10,7 @@ from hypersynth import (
     ModelError,
     Mdp,
     impose,
+    lift_spec_memory,
     make_mdp,
     parse_model,
     unfold_memory,
@@ -18,7 +19,7 @@ from hypersynth import (
 from hypersynth.errors import InvalidControllerError, MissingRewardsError
 from hypersynth.model import MEMORY_BITS_CAP
 
-from conftest import random_model
+from conftest import notes_example, random_model
 
 
 def test_make_mdp_basic(notes_mdp):
@@ -99,6 +100,16 @@ ONE = [[(0, 1.0)]]
         ({"trans": [ONE], "action_names": {(0, 0): 5}}, ("action", 0, 0)),
         ({"trans": [ONE], "action_names": [["a#b"]]}, ("action", 0, 0)),
         ({"trans": [ONE], "action_names": [["a\nb"]]}, ("action", 0, 0)),
+        # data of the wrong kind: trans, a menu, a row, labels, label states
+        ({"trans": 5}, ("trans",)),
+        ({"trans": [5]}, ("state", 0)),
+        ({"trans": [[None]]}, ("trans", 0, 0)),
+        ({"trans": [[[(0,)]]]}, ("trans", 0, 0)),
+        ({"trans": [[[([0], 1.0)]]]}, ("trans", 0, 0)),
+        ({"trans": [ONE], "labels": 5}, ("label",)),
+        ({"trans": [ONE], "labels": {"a": 0}}, ("label", "a")),
+        ({"trans": [ONE], "rewards": 5}, ("rew",)),
+        ({"trans": [ONE], "action_names": [5]}, ("action",)),
     ],
 )
 def test_make_mdp_rejects_with_a_model_error_naming_the_item(kwargs, where):
@@ -232,6 +243,17 @@ def test_unfold_memory_cap(notes_mdp):
     with pytest.raises(ModelError):
         unfold_memory(notes_mdp, 1.5)
     assert unfold_memory(notes_mdp, 0) is notes_mdp
+
+
+@pytest.mark.parametrize("bits", [-1, 1.5, True, MEMORY_BITS_CAP + 1])
+def test_unfold_and_lift_reject_the_same_memory_bits(bits):
+    m, spec = notes_example()
+    errors = []
+    for lift in (lambda: unfold_memory(m, bits), lambda: lift_spec_memory(spec, bits)):
+        with pytest.raises(ModelError) as e:
+            lift()
+        errors.append((type(e.value), str(e.value)))
+    assert errors[0] == errors[1]
 
 
 def test_unfold_memory_copies_rewards():

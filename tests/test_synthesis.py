@@ -27,9 +27,9 @@ from hypersynth import (
 )
 from hypersynth import analysis, counterexamples, synthesis
 from hypersynth.analysis import check_members, compile_model, solve_count
-from hypersynth.errors import ConstraintError, SpecError
+from hypersynth.errors import ConstraintError, InvalidControllerError, ModelError, SpecError
 from hypersynth.exact import reach_probs_exact
-from hypersynth.family import FamilyNode, build_parameter_space, induce
+from hypersynth.family import FamilyNode, build_parameter_space, induce, node_restrict, split_node
 from hypersynth.formulas import FALSE, TRUE, Query, substitute
 from hypersynth.model import Mdp
 from hypersynth.specs import DEFAULT_EQ_EPS, Obs, Same, validate_spec
@@ -471,6 +471,30 @@ def test_malformed_api_specs_raise_package_errors(edit):
                 synthesize(m, bad, method=method)
         with pytest.raises((SpecError, ConstraintError)):
             _oracle_members(m, bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["synthesize-model", "synthesize-spec", "check_members", "extremal_reach", "induce", "split_node", "node_restrict"],
+)
+def test_entry_points_raise_package_errors(call):
+    m, spec = notes_example()
+    space = build_parameter_space(m, spec.n_controllers, spec.constraints)
+    root = root_node(space)
+    error, run = {
+        "synthesize-model": (ModelError, lambda: synthesize(None, spec)),
+        "synthesize-spec": (SpecError, lambda: synthesize(m, None)),
+        "check_members": (
+            InvalidControllerError,
+            lambda: check_members(compile_model(m, space, instantiate(spec, m)), None),
+        ),
+        "extremal_reach": (ModelError, lambda: extremal_reach(m, None, "max")),
+        "induce": (InvalidControllerError, lambda: induce(space, (0,), 0)),
+        "split_node": (ModelError, lambda: split_node(root, 99, (0,))),
+        "node_restrict": (ModelError, lambda: node_restrict(m, root, 5)),
+    }[call]
+    with pytest.raises(error):
+        run()
 
 
 @pytest.mark.parametrize("method", METHODS)
